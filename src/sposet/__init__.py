@@ -35,9 +35,9 @@ from .spectral import (
     CONE,
     MANIFOLD,
     QuotientProblem,
-    bigraded_betti,
+    Tables,
     make_problem,
-    pages,
+    solve,
     verify,
 )
 
@@ -56,8 +56,8 @@ __all__ = [
     "SimplexElem",
     "SimplicialPoset",
     "SposetError",
+    "Tables",
     "barycentric",
-    "bigraded_betti",
     "classify",
     "corpus",
     "corpus_names",
@@ -67,11 +67,11 @@ __all__ = [
     "identity_report",
     "link",
     "make_problem",
-    "pages",
     "parse_coefficients",
     "prime_field",
     "reduced_betti",
     "smith_normal_form",
+    "solve",
     "validate_stats",
     "verify",
 ]

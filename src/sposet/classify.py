@@ -17,6 +17,7 @@ from .poset import SimplicialPoset, link, validate_stats
 
 # (element id or None for the poset itself, degree, offending Betti rank)
 Witness = tuple[str | None, int, int]
+LinkTable = tuple[tuple[str, BettiVector], ...]
 
 
 @dataclass(frozen=True)
@@ -28,15 +29,24 @@ class Classification:
     witnesses: tuple[Witness, ...]
 
 
-def link_table(
-    S: SimplicialPoset, coeff: Coefficients
-) -> tuple[tuple[str, BettiVector], ...]:
+def _link_walk(S: SimplicialPoset, coeff: Coefficients) -> LinkTable:
+    # Every link-based verdict and count reads this one walk, computed
+    # once per (poset, ring) and kept on the poset.
+    key = ("link_betti", coeff)
+    walk = S._cache.get(key)
+    if walk is None:
+        walk = tuple(
+            (e.id, reduced_betti(link(S, e.id), coeff)) for e in S.elements()
+        )
+        S._cache[key] = walk
+    return walk
+
+
+def link_table(S: SimplicialPoset, coeff: Coefficients) -> LinkTable:
     """Reduced link homology for every face, in (rank, id) order."""
     if not validate_stats(S).pure:
         raise NotPure(f"{S.name or 'poset'} is not pure")
-    return tuple(
-        (e.id, reduced_betti(link(S, e.id), coeff)) for e in S.elements()
-    )
+    return _link_walk(S, coeff)
 
 
 def buchsbaum_witnesses(
@@ -52,21 +62,14 @@ def buchsbaum_witnesses(
     if n is None:
         n = S.n
     out: list[Witness] = []
-    for e in S.elements():
-        lk = reduced_betti(link(S, e.id), coeff)
-        top = n - 1 - e.rank
+    for eid, lk in _link_walk(S, coeff):
+        top = n - 1 - S.element(eid).rank
         for deg in lk.degrees():
             if deg == top:
                 continue
             if lk.degree(deg) != 0 or lk.torsion_in(deg):
-                out.append((e.id, deg, lk.degree(deg)))
+                out.append((eid, deg, lk.degree(deg)))
     return tuple(out)
-
-
-def is_buchsbaum(
-    S: SimplicialPoset, coeff: Coefficients, n: int | None = None
-) -> bool:
-    return not buchsbaum_witnesses(S, coeff, n)
 
 
 def classify(S: SimplicialPoset, coeff: Coefficients) -> Classification:
@@ -97,14 +100,13 @@ def classify(S: SimplicialPoset, coeff: Coefficients) -> Classification:
     cohen_macaulay = buchsbaum and not any(w[0] is None for w in witnesses)
 
     hm_ok = True
-    for e in S.elements():
-        lk = reduced_betti(link(S, e.id), coeff)
-        top = n - 1 - e.rank
+    for eid, lk in _link_walk(S, coeff):
+        top = n - 1 - S.element(eid).rank
         val = lk.degree(top)
         bad = val != 1 or (coeff == INTEGERS and lk.torsion_in(top))
         if bad:
             hm_ok = False
-            witnesses.append((e.id, top, val))
+            witnesses.append((eid, top, val))
     homology_manifold = buchsbaum and hm_ok
 
     orientable = own.degree(n - 1) == 1

@@ -273,16 +273,15 @@ def charfn_random_cmd(corpus_name, path, rank, seed, bound):
     _echo_json(io_mod.emit_charfn(lam))
 
 
-def _quotient_report(prob) -> dict:
-    tabs = spectral.pages(prob)
-    big = spectral.bigraded_betti(prob)
-    ver = spectral.verify(prob)
+def _emit_report(prob, as_json: bool) -> None:
+    tables = spectral.solve(prob)
+    ver = spectral.verify(prob, tables)
     idrep = identity_report(prob.poset, prob.coeff)
     checks = dict(ver.checks)
     checks.update({f"identity_{k}": v for k, v in idrep.checks.items()})
     skipped = dict(ver.skipped)
     skipped.update({f"identity_{k}": v for k, v in idrep.skipped.items()})
-    return {
+    report = {
         "format": "report-v1",
         "inputs": {
             "kind": prob.kind,
@@ -296,18 +295,12 @@ def _quotient_report(prob) -> dict:
             if prob.charfn is None
             else io_mod.emit_charfn(prob.charfn),
         },
-        "tables": {
-            "e1trunc": spectral.e1_truncated(prob).to_json(),
-            "ea1": tabs["ea1"].to_json(),
-            "ea2": tabs["ea2"].to_json(),
-            "eainf": tabs["eainf"].to_json(),
-            "bigraded": big.to_json(),
-            "totals": list(big.totals),
-        },
+        "tables": tables.to_json(),
         "checks": checks,
         "skipped": skipped,
         "notes": ver.notes,
     }
+    _echo_json(report) if as_json else _print_report(report)
 
 
 def _print_report(report: dict) -> None:
@@ -375,8 +368,7 @@ def _problem_from_cli(kind, corpus_name, path, rank, field, charfn_path,
 
 
 def _quotient_options(fn):
-    fn = click.argument("path", required=False, type=click.Path(exists=True))(fn)
-    fn = click.option("--corpus", "corpus_name", help="built-in corpus entry")(fn)
+    fn = _poset_args(fn)
     fn = click.option("--n", "rank", type=int, help="torus rank")(fn)
     fn = _FIELD(fn)
     fn = click.option("--charfn", "charfn_path", type=click.Path(exists=True))(fn)
@@ -392,8 +384,7 @@ def quotient_cone(corpus_name, path, rank, field, charfn_path, as_json):
     prob = _problem_from_cli(
         spectral.CONE, corpus_name, path, rank, field, charfn_path, None, None, None
     )
-    report = _quotient_report(prob)
-    _echo_json(report) if as_json else _print_report(report)
+    _emit_report(prob, as_json)
 
 
 @quotient.command(name="manifold")
@@ -409,8 +400,7 @@ def quotient_manifold(corpus_name, path, rank, field, charfn_path, as_json,
         spectral.MANIFOLD, corpus_name, path, rank, field, charfn_path,
         betti_q, iota, orientable,
     )
-    report = _quotient_report(prob)
-    _echo_json(report) if as_json else _print_report(report)
+    _emit_report(prob, as_json)
 
 
 @cli.group(name="corpus")

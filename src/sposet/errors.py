@@ -93,3 +93,7 @@ class SchemaViolation(SposetError):
 
 class UnknownName(SposetError):
     """Requested corpus entry does not exist."""
+
+
+class InternalError(SposetError):
+    """A computed invariant broke a condition that must always hold."""

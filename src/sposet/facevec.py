@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .classify import classify, is_buchsbaum
+from .classify import buchsbaum_witnesses, classify, link_table
 from .errors import NonFieldCoefficients, NotConnected, NotPure
 from .homology import Coefficients, reduced_betti
-from .poset import SimplicialPoset, f_vector, link, validate_stats
+from .poset import SimplicialPoset, f_vector, validate_stats
 
 
 @dataclass(frozen=True)
@@ -111,8 +111,8 @@ def ft_vector(S: SimplicialPoset, coeff: Coefficients) -> tuple[int, ...]:
         raise NonFieldCoefficients("ft numbers need field coefficients")
     n = S.n
     ft = [0] * n
-    for e in S.elements():
-        lk = reduced_betti(link(S, e.id), coeff)
+    for eid, lk in link_table(S, coeff):
+        e = S.element(eid)
         ft[e.dim] += lk.degree(n - 1 - e.rank)
     return tuple(ft)
 
@@ -219,7 +219,7 @@ def identity_report(S: SimplicialPoset, coeff: Coefficients) -> IdentityReport:
         skipped["dehn_sommerville_h"] = reason
         skipped["dehn_sommerville_h_double"] = reason
 
-    buchsbaum = cls.buchsbaum if cls is not None else is_buchsbaum(S, coeff)
+    buchsbaum = cls.buchsbaum if cls is not None else not buchsbaum_witnesses(S, coeff)
     if buchsbaum:
         checks["h_double_nonneg"] = all(x >= 0 for x in hpp)
     else:

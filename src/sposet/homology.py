@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import SposetError
+from .errors import InternalError, SposetError
 from .poset import SimplicialPoset, barycentric
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -27,20 +27,35 @@ _RATIONALS = "rationals"
 _PRIME_FIELD = "prime-field"
 
 
+# Miller-Rabin with these bases decides primality exactly below 2**64.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _PRIME_BASES:
+        if p % a == 0:
+            return p == a
+    # p - 1 = d * 2**s with d odd; (p - 1) & (1 - p) is its lowest set bit
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    d = (p - 1) >> s
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
 @dataclass(frozen=True)
 class Coefficients:
-    """Ground ring for homology: Z, Q or F_p with p prime (checked)."""
+    """Ground ring for homology: Z, Q or F_p, p a prime below 2**64 (checked)."""
 
     kind: str
     p: int | None = None
@@ -49,6 +64,8 @@ class Coefficients:
         if self.kind not in (_INTEGERS, _RATIONALS, _PRIME_FIELD):
             raise ValueError(f"unknown coefficient kind {self.kind!r}")
         if self.kind == _PRIME_FIELD:
+            if self.p is not None and self.p >= 2**64:
+                raise ValueError(f"{self.p} is too large: p must be below 2**64")
             if self.p is None or not _is_prime(self.p):
                 raise ValueError(f"{self.p!r} is not prime")
         elif self.p is not None:
@@ -119,7 +136,8 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SnfResult:
 def _snf_cached(mat: Matrix) -> SnfResult:
     factors = _invariant_factors([list(row) for row in mat])
     for a, b in zip(factors, factors[1:]):
-        assert b % a == 0, "invariant factor chain broken"
+        if b % a:
+            raise InternalError(f"invariant factor {a} does not divide {b}")
     return SnfResult(tuple(factors), len(factors))
 
 
@@ -263,8 +281,8 @@ def _check_complex(data: ChainData) -> None:
         for j in range(cols):
             sparse = [(i, upper[i][j]) for i in range(len(upper)) if upper[i][j]]
             for r in range(len(lower)):
-                s = sum(lower[r][i] * v for i, v in sparse)
-                assert s == 0, f"boundary squared nonzero in degree {k}"
+                if sum(lower[r][i] * v for i, v in sparse):
+                    raise InternalError(f"boundary squared nonzero in degree {k}")
 
 
 @dataclass(frozen=True)
@@ -290,16 +308,18 @@ class BettiVector:
     def degrees(self):
         return range(-1, len(self.reduced) - 1)
 
-    def trivial_in(self, i: int) -> bool:
-        return self.degree(i) == 0 and not self.torsion_in(i)
-
 
 def reduced_betti(S: SimplicialPoset, coeff: Coefficients) -> BettiVector:
     """Reduced Betti numbers of the realization, padded to degree n-1.
 
     The augmentation is part of the complex, so b~_0 counts components
-    minus one and the empty poset has b~_(-1) = 1.
+    minus one and the empty poset has b~_(-1) = 1.  Computed once per
+    (poset, ring) and kept on the poset.
     """
+    key = ("betti", coeff)
+    cached = S._cache.get(key)
+    if cached is not None:
+        return cached
     data = boundary_matrices(S)
     top = data.dim
     snfs = [smith_normal_form(data.boundary(k)) for k in range(top + 1)]
@@ -324,7 +344,9 @@ def reduced_betti(S: SimplicialPoset, coeff: Coefficients) -> BettiVector:
                 tor.append(())
         torsion = tuple(tor)
 
-    return BettiVector(coeff, tuple(reduced), torsion)
+    out = BettiVector(coeff, tuple(reduced), torsion)
+    S._cache[key] = out
+    return out
 
 
 def betti_crosscheck(S: SimplicialPoset, coeff: Coefficients) -> bool:

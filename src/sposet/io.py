@@ -23,15 +23,36 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _is_int(value) -> bool:
+    # JSON true/false decode to bool, which Python counts as an int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _need(doc: dict, key: str, kind=None):
     if key not in doc:
         raise SchemaViolation(f"missing key {key!r} in {doc.get('format', '?')}")
     value = doc[key]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and (
+        not isinstance(value, kind) or (kind is int and isinstance(value, bool))
+    ):
         raise SchemaViolation(
             f"key {key!r}: expected {kind.__name__}, got {type(value).__name__}"
         )
     return value
+
+
+def _ints(value, where: str) -> tuple[int, ...]:
+    if not isinstance(value, list) or not all(_is_int(x) for x in value):
+        raise SchemaViolation(f"{where}: expected a list of integers")
+    return tuple(value)
+
+
+def _names(value, where: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(
+        isinstance(x, str) or _is_int(x) for x in value
+    ):
+        raise SchemaViolation(f"{where}: expected a list of str or int names")
+    return tuple(str(x) for x in value)
 
 
 def _parse_poset(doc: dict) -> SimplicialPoset:
@@ -39,7 +60,9 @@ def _parse_poset(doc: dict) -> SimplicialPoset:
     name = str(doc.get("name", ""))
     if fmt == "scomplex-v1":
         facets = _need(doc, "facets", list)
-        return from_facets(facets, name=name)
+        return from_facets(
+            [_names(f, f"facets[{idx}]") for idx, f in enumerate(facets)], name=name
+        )
     elements = _need(doc, "elements", list)
     elems = []
     for idx, raw in enumerate(elements):
@@ -48,18 +71,20 @@ def _parse_poset(doc: dict) -> SimplicialPoset:
         elems.append(
             SimplexElem(
                 str(_need(raw, "id")),
-                tuple(str(v) for v in _need(raw, "vertices", list)),
-                tuple(str(f) for f in _need(raw, "facets", list)),
+                _names(_need(raw, "vertices"), f"elements[{idx}].vertices"),
+                _names(_need(raw, "facets"), f"elements[{idx}].facets"),
             )
         )
-    n = doc.get("n")
+    n = None if doc.get("n") is None else _need(doc, "n", int)
     return from_face_lattice(elems, n=n, name=name)
 
 
 def _parse_charfn(doc: dict) -> CharFunction:
     n = _need(doc, "n", int)
     assignment = _need(doc, "assignment", dict)
-    return CharFunction(n, {str(k): tuple(v) for k, v in assignment.items()})
+    return CharFunction(
+        n, {str(k): _ints(v, f"assignment[{k!r}]") for k, v in assignment.items()}
+    )
 
 
 def _parse_problem(doc: dict) -> QuotientProblem:
@@ -73,8 +98,8 @@ def _parse_problem(doc: dict) -> QuotientProblem:
         lam = _parse_charfn(_need(doc, "charfn", dict))
     kwargs = {}
     if kind == spectral.MANIFOLD:
-        kwargs["betti_q"] = tuple(_need(doc, "bettiQ", list))
-        kwargs["iota"] = tuple(_need(doc, "iota", list))
+        kwargs["betti_q"] = _ints(_need(doc, "bettiQ"), "bettiQ")
+        kwargs["iota"] = _ints(_need(doc, "iota"), "iota")
         kwargs["orientable"] = _need(doc, "orientable", bool)
     return spectral.make_problem(kind, poset, n, coeff, charfn=lam, **kwargs)
 
@@ -149,13 +174,3 @@ def emit_problem(prob: QuotientProblem) -> dict:
         doc["iota"] = list(prob.iota)
         doc["orientable"] = prob.orientable
     return doc
-
-
-def emit(obj) -> dict:
-    if isinstance(obj, SimplicialPoset):
-        return emit_poset(obj)
-    if isinstance(obj, CharFunction):
-        return emit_charfn(obj)
-    if isinstance(obj, QuotientProblem):
-        return emit_problem(obj)
-    raise TypeError(f"cannot emit {type(obj).__name__}")

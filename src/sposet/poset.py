@@ -90,9 +90,6 @@ class SimplicialPoset:
         """All faces, sorted by (rank, id)."""
         return self._sorted
 
-    def ids(self) -> tuple[str, ...]:
-        return tuple(e.id for e in self._sorted)
-
     @property
     def dim(self) -> int:
         return max((e.dim for e in self._sorted), default=-1)
@@ -120,15 +117,6 @@ class SimplicialPoset:
                 desc[e.id] = frozenset(acc)
             self._cache["desc"] = desc
         return desc
-
-    def descendants(self, eid: str) -> frozenset[str]:
-        """Ids of every face below ``eid`` (inclusive)."""
-        self.element(eid)
-        return self._descendant_map()[eid]
-
-    def leq(self, a: str, b: str) -> bool:
-        """Order relation: is face ``a`` below face ``b``?"""
-        return a in self.descendants(b)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialPoset):
@@ -374,7 +362,11 @@ def validate_stats(S: SimplicialPoset) -> PosetStats:
 
     Connectivity is judged on the comparability graph (each face linked
     to its facets), which matches connectivity of the realization.
+    Computed once per poset and kept on it.
     """
+    cached = S._cache.get("stats")
+    if cached is not None:
+        return cached
     ranks = {e.id: i for i, e in enumerate(S.elements())}
     parent = list(range(len(ranks)))
 
@@ -392,9 +384,11 @@ def validate_stats(S: SimplicialPoset) -> PosetStats:
     components = len({find(i) for i in range(len(ranks))})
 
     maximal_dims = {S.element(m).dim for m in S.maximal_ids()}
-    return PosetStats(
+    out = PosetStats(
         dim=S.dim,
         pure=len(maximal_dims) <= 1,
         connected=components == 1,
         f=f_vector(S),
     )
+    S._cache["stats"] = out
+    return out

@@ -19,8 +19,7 @@ independent of the particular valid choice.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from math import comb
 
 from . import charfn as charfn_mod
@@ -59,7 +58,6 @@ class QuotientProblem:
 class PageTable:
     """Sparse (p, q) -> rank table of one spectral sequence page."""
 
-    label: str
     cells: dict[tuple[int, int], int]
 
     def rank(self, p: int, q: int) -> int:
@@ -76,17 +74,29 @@ class PageTable:
 
 
 @dataclass(frozen=True)
-class BigradedTable:
+class BigradedTable(PageTable):
     """Dimensions of the bigraded homology pieces and their totals."""
 
-    cells: dict[tuple[int, int], int]
     totals: tuple[int, ...]
 
     def dim(self, i: int, j: int) -> int:
-        return self.cells.get((i, j), 0)
+        return self.rank(i, j)
 
-    def to_json(self) -> dict[str, int]:
-        return {f"{i},{j}": v for (i, j), v in sorted(self.cells.items())}
+
+@dataclass(frozen=True)
+class Tables:
+    """Every rank table of one quotient problem, as computed by solve."""
+
+    e1trunc: PageTable
+    ea1: PageTable
+    ea2: PageTable
+    eainf: PageTable
+    bigraded: BigradedTable
+
+    def to_json(self) -> dict[str, object]:
+        out = {f.name: getattr(self, f.name).to_json() for f in fields(self)}
+        out["totals"] = list(self.bigraded.totals)
+        return out
 
 
 @dataclass(frozen=True)
@@ -224,43 +234,12 @@ def relative_and_delta(prob: QuotientProblem):
     return relative, tuple(delta)
 
 
-def e1_truncated(prob: QuotientProblem) -> PageTable:
-    """First page of the truncated sequence: C(p, q) * ft_(n-p-1)."""
-    n = prob.n
-    ft = ft_vector(prob.poset, prob.coeff)
-    cells = {}
-    for p in range(n):
-        for q in range(p + 1):
-            v = comb(p, q) * ft[n - p - 1]
-            if v:
-                cells[(p, q)] = v
-    return PageTable("e1trunc", cells)
-
-
-def e1_diagonal_general(prob: QuotientProblem) -> tuple[int, ...]:
-    """Diagonal ranks of the modified first page, any Buchsbaum input.
-
-    Entry q < n is h_q plus C(n, q) times the alternating partial Betti
-    sum; entry n is the top relative dimension.
-    """
-    n = prob.n
-    bt = _btilde(prob)
-    _, h, _, _ = f_h_vectors(prob.poset)
-    relative, _ = relative_and_delta(prob)
-    diag = [
-        h[q] + comb(n, q) * sum((-1) ** (p + q) * bt(p) for p in range(q + 1))
-        for q in range(n)
-    ]
-    diag.append(relative[n])
-    return tuple(diag)
-
-
 def e1_diagonal_hprime_form(prob: QuotientProblem) -> tuple[int, ...]:
     """Diagonal of the modified first page via reversed h'-numbers.
 
     Valid when the poset is a homology manifold orientable over the
     field: h'_(n-q) for q <= n-2, then h'_1 + n, then the top relative
-    dimension.  Must agree entrywise with the general formula.
+    dimension.  Must agree entrywise with the ea1 diagonal of solve.
     """
     n = prob.n
     hp, _ = h_prime_double(prob.poset, prob.coeff)
@@ -272,20 +251,30 @@ def e1_diagonal_hprime_form(prob: QuotientProblem) -> tuple[int, ...]:
     return tuple(diag)
 
 
-def pages(prob: QuotientProblem) -> dict[str, PageTable]:
-    """Modified pages ea1, ea2 and eainf of the orbit-type sequence.
+def solve(prob: QuotientProblem) -> Tables:
+    """Every rank table of the quotient, from one pass over its ranks.
 
     ea1 holds boundary homology tensor exterior forms off the diagonal,
-    relative homology stacked in column n, and the closed-form diagonal.
-    Later pages subtract the differential ranks from source and target
-    cells; page two applies exactly the column-n differentials of page
-    one (those fed by the top relative group).
+    relative homology stacked in column n, and the closed-form
+    diagonal: entry q < n is h_q plus C(n, q) times the alternating
+    partial Betti sum, entry n the top relative dimension.  Later pages
+    subtract the differential ranks from source and target cells; page
+    two applies exactly the column-n differentials of page one (those
+    fed by the top relative group).
+
+    The bigraded table holds the relative groups of Q tensor exterior
+    forms above the diagonal, the absolute ones below it, and on the
+    diagonal the surviving eainf entry plus the relative contribution,
+    with the corner (n, n) equal to the top relative dimension.  e1trunc
+    is the first page of the truncated sequence: C(p, q) * ft_(n-p-1).
     """
+    if not prob.coeff.is_field:
+        raise NonFieldCoefficients("quotient rank tables need field coefficients")
     n = prob.n
     bt = _btilde(prob)
     relative, delta = relative_and_delta(prob)
     boundary_unreduced = tuple(bt(p) + (1 if p == 0 else 0) for p in range(n))
-    diag = e1_diagonal_general(prob)
+    _, h, _, _ = f_h_vectors(prob.poset)
 
     cells: dict[tuple[int, int], int] = {}
     for p in range(n):
@@ -294,8 +283,9 @@ def pages(prob: QuotientProblem) -> dict[str, PageTable]:
             if v:
                 cells[(p, q)] = v
     for q in range(n):
-        if diag[q]:
-            cells[(q, q)] = diag[q]
+        v = h[q] + comb(n, q) * sum((-1) ** (p + q) * bt(p) for p in range(q + 1))
+        if v:
+            cells[(q, q)] = v
     for q in range(-n, n + 1):
         v = sum(
             relative[q1] * comb(n, q + n - q1)
@@ -328,28 +318,7 @@ def pages(prob: QuotientProblem) -> dict[str, PageTable]:
                     f"negative rank at {cell} on page {label}"
                 )
 
-    return {
-        "ea1": PageTable("ea1", cells),
-        "ea2": PageTable("ea2", {c: v for c, v in ea2.items() if v}),
-        "eainf": PageTable("eainf", {c: v for c, v in eainf.items() if v}),
-    }
-
-
-def bigraded_betti(prob: QuotientProblem) -> BigradedTable:
-    """Bigraded homology dimensions of the quotient and their totals.
-
-    Above the diagonal the relative groups of Q tensor exterior forms;
-    below it the absolute ones; on the diagonal the surviving page
-    entry plus the relative contribution, with the corner (n, n) equal
-    to the top relative dimension.
-    """
-    if not prob.coeff.is_field:
-        raise NonFieldCoefficients("bigraded tables need field coefficients")
-    n = prob.n
-    relative, _ = relative_and_delta(prob)
-    einf = pages(prob)["eainf"]
-
-    cells: dict[tuple[int, int], int] = {}
+    big: dict[tuple[int, int], int] = {}
     for i in range(n + 1):
         for j in range(n + 1):
             if i > j:
@@ -357,34 +326,35 @@ def bigraded_betti(prob: QuotientProblem) -> BigradedTable:
             elif i < j:
                 v = relative[i] * comb(n, j)
             elif i < n:
-                v = einf.rank(i, i) + relative[i] * comb(n, i)
+                v = eainf.get((i, i), 0) + relative[i] * comb(n, i)
             else:
                 v = relative[n]
             if v:
-                cells[(i, j)] = v
+                big[(i, j)] = v
     totals = tuple(
-        sum(v for (i, j), v in cells.items() if i + j == k)
+        sum(v for (i, j), v in big.items() if i + j == k)
         for k in range(2 * n + 1)
     )
-    return BigradedTable(cells, totals)
+
+    ft = ft_vector(prob.poset, prob.coeff)
+    e1trunc = {}
+    for p in range(n):
+        for q in range(p + 1):
+            v = comb(p, q) * ft[n - p - 1]
+            if v:
+                e1trunc[(p, q)] = v
+
+    return Tables(
+        e1trunc=PageTable(e1trunc),
+        ea1=PageTable(cells),
+        ea2=PageTable({c: v for c, v in ea2.items() if v}),
+        eainf=PageTable({c: v for c, v in eainf.items() if v}),
+        bigraded=BigradedTable(big, totals),
+    )
 
 
-def _tables_signature(prob: QuotientProblem) -> str:
-    tabs = pages(prob)
-    big = bigraded_betti(prob)
-    payload = {
-        "e1trunc": e1_truncated(prob).to_json(),
-        "ea1": tabs["ea1"].to_json(),
-        "ea2": tabs["ea2"].to_json(),
-        "eainf": tabs["eainf"].to_json(),
-        "bigraded": big.to_json(),
-        "totals": list(big.totals),
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def verify(prob: QuotientProblem) -> VerifyReport:
-    """Cross-checks between pages, closed forms and dualities.
+def verify(prob: QuotientProblem, tables: Tables) -> VerifyReport:
+    """Cross-checks of solved tables against closed forms and dualities.
 
     euler_conserved: the signed cell sum of the first page equals the
     signed total Betti sum.  pages_match_closed_forms: summing the last
@@ -392,30 +362,32 @@ def verify(prob: QuotientProblem) -> VerifyReport:
     problems compare the last-page diagonal with h'' and assert its
     nonnegativity; manifold problems over an orientable homology
     manifold compare the page-two diagonal with reversed h' and check
-    the (i, j) <-> (n-i, n-j) symmetry.  lambda_independent recomputes
-    every table without the characteristic function (and, over Q, with
-    a fresh random valid one) and demands identical output.
+    the (i, j) <-> (n-i, n-j) symmetry.  lambda_independent solves the
+    problem again without the characteristic function (and, over Q,
+    with a fresh random valid one) and demands Tables equal to
+    ``tables``.  The engine never reads the characteristic function,
+    so this comparison cannot fail yet; ROADMAP.md plans a first page
+    computed from it.
     """
     n = prob.n
     checks: dict[str, bool] = {}
     skipped: dict[str, str] = {}
     notes: dict[str, object] = {}
 
-    tabs = pages(prob)
-    big = bigraded_betti(prob)
+    big = tables.bigraded
     chi_page = sum(
-        (v if (p + q) % 2 == 0 else -v) for (p, q), v in tabs["ea1"].cells.items()
+        (v if (p + q) % 2 == 0 else -v) for (p, q), v in tables.ea1.cells.items()
     )
     chi_x = sum((v if k % 2 == 0 else -v) for k, v in enumerate(big.totals))
     checks["euler_conserved"] = chi_page == chi_x
 
     checks["pages_match_closed_forms"] = all(
-        tabs["eainf"].total(k) == big.totals[k] for k in range(2 * n + 1)
+        tables.eainf.total(k) == big.totals[k] for k in range(2 * n + 1)
     )
 
     if prob.kind == CONE:
         _, hpp = h_prime_double(prob.poset, prob.coeff)
-        diag = tabs["eainf"].diagonal(n)
+        diag = tables.eainf.diagonal(n)
         checks["diagonal_is_h_double"] = diag == hpp
         checks["h_double_nonneg"] = all(x >= 0 for x in diag)
     else:
@@ -425,9 +397,9 @@ def verify(prob: QuotientProblem) -> VerifyReport:
             cls = None
         if cls is not None and cls.homology_manifold and cls.orientable_over_field:
             hp, _ = h_prime_double(prob.poset, prob.coeff)
-            checks["diagonal_is_h_prime"] = tabs["ea2"].diagonal(n) == tuple(
+            checks["diagonal_is_h_prime"] = tables.ea2.diagonal(n) == tuple(
                 hp[n - q] for q in range(n + 1)
-            ) and e1_diagonal_general(prob) == e1_diagonal_hprime_form(prob)
+            ) and tables.ea1.diagonal(n) == e1_diagonal_hprime_form(prob)
         else:
             skipped["diagonal_is_h_prime"] = (
                 "poset is not an orientable homology manifold over this field"
@@ -439,14 +411,13 @@ def verify(prob: QuotientProblem) -> VerifyReport:
         )
 
     if prob.charfn is not None:
-        base = _tables_signature(prob)
-        same = _tables_signature(replace(prob, charfn=None)) == base
+        same = solve(replace(prob, charfn=None)) == tables
         if prob.coeff == RATIONALS:
             try:
                 other = charfn_mod.random_q_charfn(
                     prob.poset, n, seed=20_240_801, bound=5
                 )
-                same = same and _tables_signature(replace(prob, charfn=other)) == base
+                same = same and solve(replace(prob, charfn=other)) == tables
             except BudgetExhausted:
                 skipped["lambda_independent_random"] = (
                     "no random rational assignment found within budget"

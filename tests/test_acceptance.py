@@ -36,11 +36,9 @@ from sposet.poset import from_facets, link
 from sposet.spectral import (
     CONE,
     MANIFOLD,
-    bigraded_betti,
-    e1_diagonal_general,
     e1_diagonal_hprime_form,
     make_problem,
-    pages,
+    solve,
     verify,
 )
 
@@ -148,19 +146,19 @@ def test_criterion_04_characteristic_functions():
 def test_criterion_05_cone_engine():
     with criterion(5, "cone engine"):
         prob = make_problem(CONE, corpus("torus7"), 3, RATIONALS)
-        tabs = pages(prob)
-        assert tabs["ea1"].diagonal(3) == (1, 10, 7, 1)
-        assert tabs["eainf"].diagonal(3) == (1, 4, 4, 1)
+        tabs = solve(prob)
+        assert tabs.ea1.diagonal(3) == (1, 10, 7, 1)
+        assert tabs.eainf.diagonal(3) == (1, 4, 4, 1)
         _, hpp = h_prime_double(corpus("torus7"), RATIONALS)
-        assert tabs["eainf"].diagonal(3) == hpp
-        big = bigraded_betti(prob)
+        assert tabs.eainf.diagonal(3) == hpp
+        big = tabs.bigraded
         assert big.totals == (1, 0, 4, 0, 10, 2, 1)
-        rep = verify(prob)
+        rep = verify(prob, tabs)
         assert rep.checks["euler_conserved"]
         assert rep.notes["chi_x"] == 14 == rep.notes["top_face_count"]
 
         d2 = make_problem(CONE, corpus("boundary_simplex(2)"), 2, RATIONALS)
-        big = bigraded_betti(d2)
+        big = solve(d2).bigraded
         assert big.totals == (1, 0, 1, 0, 1)
         _, h, _, _ = f_h_vectors(corpus("boundary_simplex(2)"))
         assert tuple(big.totals[2 * j] for j in range(3)) == h
@@ -173,14 +171,15 @@ def test_criterion_06_manifold_engine():
             betti_q=(1, 1, 0, 0), iota=(1, 1, 0, 0), orientable=True,
         )
         hp, _ = h_prime_double(corpus("torus7"), RATIONALS)
-        assert pages(prob)["ea2"].diagonal(3) == (1, 10, 4, 1)
-        assert pages(prob)["ea2"].diagonal(3) == tuple(hp[3 - q] for q in range(4))
-        big = bigraded_betti(prob)
+        tabs = solve(prob)
+        assert tabs.ea2.diagonal(3) == (1, 10, 4, 1)
+        assert tabs.ea2.diagonal(3) == tuple(hp[3 - q] for q in range(4))
+        big = tabs.bigraded
         assert dict(big.cells) == {
             (0, 0): 1, (1, 0): 1, (1, 1): 7, (2, 2): 7, (2, 3): 1, (3, 3): 1,
         }
         assert big.totals == (1, 1, 7, 0, 7, 1, 1)
-        assert verify(prob).checks["bigraded_duality"]
+        assert verify(prob, tabs).checks["bigraded_duality"]
 
 
 def test_criterion_07_cross_path_agreement():
@@ -197,12 +196,13 @@ def test_criterion_07_cross_path_agreement():
                     for e in S.elements()
                 )
                 orientable = reduced_betti(S, coeff).degree(S.n - 1) == 1
+                tabs = solve(prob)
                 if manifold_like and orientable:
-                    assert e1_diagonal_general(prob) == e1_diagonal_hprime_form(
+                    assert tabs.ea1.diagonal(S.n) == e1_diagonal_hprime_form(
                         prob
                     ), (name, coeff.label)
                     checked += 1
-                assert verify(prob).checks["pages_match_closed_forms"], name
+                assert verify(prob, tabs).checks["pages_match_closed_forms"], name
         assert checked >= 6  # all sphere-like entries plus torus7, rp2_6/F2
 
 

@@ -1,0 +1,100 @@
+"""Golden digests of full quotient reports.
+
+Each case runs one ``sposet quotient`` command and compares the sha256
+of its stdout with a digest recorded from a known-good build, so any
+change to a table, a check, a skip reason or the canonical encoding
+shows up here.
+"""
+import hashlib
+import json
+
+import pytest
+
+from sposet import io as io_mod
+from sposet.cli import main
+from sposet.corpus import corpus
+
+TORUS7_LAMBDA = {
+    "format": "charfn-v1",
+    "n": 3,
+    "assignment": {
+        "v1": [-1, 2, -2], "v2": [0, -2, 1], "v3": [1, 1, 1], "v4": [-1, -2, 1],
+        "v5": [-2, 1, 1], "v6": [2, -2, 1], "v7": [0, -1, 2],
+    },
+}
+
+SOLID_TORUS_BUNDLE = {
+    "format": "manifold-v1",
+    "n": 3,
+    "field": "q",
+    "bettiQ": [1, 1, 0, 0],
+    "iota": [1, 1, 0, 0],
+    "orientable": True,
+    "charfn": None,
+}
+
+CASES = {
+    "cone_torus7_q": (
+        ["quotient", "cone", "--corpus", "torus7", "--n", "3", "--field", "q", "--json"],
+        "b018baa21a80ad23b18250f4c21b82da94b3a45a5b8cc2044fa89ef422ec9654",
+    ),
+    "cone_torus7_f2": (
+        ["quotient", "cone", "--corpus", "torus7", "--n", "3", "--field", "fp:2", "--json"],
+        "46c71083eba3b38c6711b25f3ec3e25ee56f2c6bf502bf5aeb3445795bdfd586",
+    ),
+    "cone_torus7_q_charfn": (
+        ["quotient", "cone", "--corpus", "torus7", "--n", "3", "--field", "q",
+         "--charfn", "{lambda}", "--json"],
+        "39c1aa6b492293b0315dd359f41a0f78b22f768f755a3585115b894c6a6e78c9",
+    ),
+    "cone_torus7_q_text": (
+        ["quotient", "cone", "--corpus", "torus7", "--n", "3", "--field", "q"],
+        "82bda8e97bbf144030ea595b64c14400c9320270becdcf6be721cd0a35e0d410",
+    ),
+    "manifold_solid_torus_bundle": (
+        ["quotient", "manifold", "{bundle}", "--json"],
+        "7c9721eb8be62cc059199ace78685f2d02592ce928a90a7c4b1190b13d79e93a",
+    ),
+    "manifold_torus7_f2": (
+        ["quotient", "manifold", "--corpus", "torus7", "--n", "3", "--field", "fp:2",
+         "--betti-q", "1,1,0,0", "--iota", "1,1,0,0", "--json"],
+        "80a5d39c8c516f439468e6d5c862a6c7457ecc3c55afb32ac5b6f42c079cda81",
+    ),
+    "cone_boundary_simplex3_q": (
+        ["quotient", "cone", "--corpus", "boundary_simplex(3)", "--n", "3", "--json"],
+        "532ed2b8c616e038fb7a186afb80673d1edb7dd9359275df0d6df5d81858f480",
+    ),
+    "cone_boundary_simplex4_f3": (
+        ["quotient", "cone", "--corpus", "boundary_simplex(4)", "--n", "4",
+         "--field", "fp:3", "--json"],
+        "f84a0e3108da5d12881eda7efb313d2781508a2f2af58009ba0404b61b4ea655",
+    ),
+    "manifold_ball_boundary_simplex3_q": (
+        ["quotient", "manifold", "--corpus", "boundary_simplex(3)", "--n", "3",
+         "--betti-q", "1,0,0,0", "--iota", "1,0,0,0", "--json"],
+        "492b15e8276e6ee2d15e4cf3a17b9f81e2ae263c7598b731fe3266022658e8e9",
+    ),
+    "cone_rp2_q": (
+        ["quotient", "cone", "--corpus", "rp2_6", "--n", "3", "--json"],
+        "4beb0743c4d3b03990dfd97c4fecc051145e7a7970b759b90a5b4ad64f45a2db",
+    ),
+    "cone_rp2_f2": (
+        ["quotient", "cone", "--corpus", "rp2_6", "--n", "3", "--field", "fp:2", "--json"],
+        "c225a7ca1d18c13847a547a8d243825f69e9af438f881c78f79c2df4d191687c",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_digest(case, tmp_path, capsys):
+    argv, digest = CASES[case]
+    lam = tmp_path / "lambda.json"
+    lam.write_text(json.dumps(TORUS7_LAMBDA))
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(
+        json.dumps({**SOLID_TORUS_BUNDLE, "poset": io_mod.emit_poset(corpus("torus7"))})
+    )
+    argv = [a.format(**{"lambda": lam, "bundle": bundle}) for a in argv]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,9 +1,12 @@
 import random
+import time
 
 import pytest
 
+from sposet import homology
 from sposet.homology import (
     INTEGERS,
+    ChainData,
     RATIONALS,
     betti_crosscheck,
     boundary_matrices,
@@ -14,7 +17,7 @@ from sposet.homology import (
     smith_normal_form,
 )
 from sposet.poset import from_facets, link
-from sposet.errors import SposetError
+from sposet.errors import InternalError, SposetError
 
 from oracles import (
     matrix_product_is_zero,
@@ -40,6 +43,25 @@ class TestCoefficients:
     def test_bad_label(self):
         with pytest.raises(SposetError):
             parse_coefficients("fp:six")
+
+    def test_large_prime_parses_fast(self):
+        start = time.perf_counter()
+        assert parse_coefficients("fp:2305843009213693951").p == 2**61 - 1
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "p",
+        [561, 2**61 + 1, 3215031751, 3825123056546413051, 2**64, 2**64 + 13],
+        ids=["carmichael", "mersenne61_plus2", "spsp_2357", "spsp_to_23",
+             "two_64", "prime_above_two_64"],
+    )
+    def test_refused(self, p):
+        with pytest.raises(SposetError):
+            parse_coefficients(f"fp:{p}")
+
+    def test_bound_named_in_message(self):
+        with pytest.raises(SposetError, match=r"2\*\*64"):
+            parse_coefficients(f"fp:{2**64 + 13}")
 
 
 class TestSmithNormalForm:
@@ -85,6 +107,22 @@ class TestSmithNormalForm:
             mat = [[rng.randint(-20, 20) for _ in range(4)] for _ in range(4)]
             fac = smith_normal_form(mat).factors
             assert all(b % a == 0 for a, b in zip(fac, fac[1:]))
+
+
+class TestInternalErrors:
+    def test_corrupted_complex_raises(self):
+        # two vertices joined by an edge whose boundary is v1 + v2
+        data = ChainData(
+            generators=(("v1", "v2"), ("e",)),
+            boundaries=(((1, 1),), ((1,), (1,))),
+        )
+        with pytest.raises(InternalError):
+            homology._check_complex(data)
+
+    def test_broken_factor_chain_raises(self, monkeypatch):
+        monkeypatch.setattr(homology, "_invariant_factors", lambda A: [2, 3])
+        with pytest.raises(InternalError):
+            homology._snf_cached.__wrapped__(((2, 0), (0, 3)))
 
 
 class TestBoundaryMatrices:

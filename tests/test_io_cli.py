@@ -237,3 +237,72 @@ class TestMain:
 
         assert main(["stats"]) == 2
         capsys.readouterr()
+
+
+def _triangle_doc():
+    return io_mod.emit_poset(corpus("boundary_simplex(2)"))
+
+
+def _triangle_lambda(vector_v1):
+    return {
+        "format": "charfn-v1",
+        "n": 2,
+        "assignment": {"v1": vector_v1, "v2": [0, 1], "v3": [1, 1]},
+    }
+
+
+def _triangle_cone(**changes):
+    doc = {"format": "cone-v1", "poset": _triangle_doc(), "n": 2, "field": "q",
+           "charfn": None}
+    return {**doc, **changes}
+
+
+def _triangle_manifold(**changes):
+    doc = {"format": "manifold-v1", "poset": _triangle_doc(), "n": 2, "field": "q",
+           "bettiQ": [1, 0, 0], "iota": [1, 0, 0], "orientable": True, "charfn": None}
+    return {**doc, **changes}
+
+
+CHARFN_CHECK = ["charfn", "check", "{path}", "--corpus", "boundary_simplex(2)"]
+
+# document, then the CLI command that reads it from {path}
+MISTYPED_DOCUMENTS = {
+    "sposet_n_str": ({**_triangle_doc(), "n": "3"}, ["stats", "{path}"]),
+    "sposet_n_bool": ({**_triangle_doc(), "n": True}, ["stats", "{path}"]),
+    "sposet_vertex_object": (
+        {"format": "sposet-v1", "elements": [{"id": "a", "vertices": [{"x": 1}], "facets": []}]},
+        ["stats", "{path}"],
+    ),
+    "scomplex_facet_int": ({"format": "scomplex-v1", "facets": [5]}, ["stats", "{path}"]),
+    "scomplex_name_bool": (
+        {"format": "scomplex-v1", "facets": [["a", True]]}, ["stats", "{path}"],
+    ),
+    "scomplex_name_list": (
+        {"format": "scomplex-v1", "facets": [["a", ["b"]]]}, ["stats", "{path}"],
+    ),
+    "cone_n_bool": (_triangle_cone(n=True), ["quotient", "cone", "{path}"]),
+    "cone_n_str": (_triangle_cone(n="2"), ["quotient", "cone", "{path}"]),
+    "manifold_bettiq_str": (
+        _triangle_manifold(bettiQ=["1", "0", "0"]), ["quotient", "manifold", "{path}"],
+    ),
+    "manifold_iota_bool": (
+        _triangle_manifold(iota=[True, False, False]), ["quotient", "manifold", "{path}"],
+    ),
+    "charfn_n_bool": ({**_triangle_lambda([1, 0]), "n": True}, CHARFN_CHECK),
+    "charfn_entry_str": (_triangle_lambda(["1", 0]), CHARFN_CHECK),
+    "charfn_entry_float": (_triangle_lambda([1.0, 0]), CHARFN_CHECK),
+    "charfn_vector_int": (_triangle_lambda(1), CHARFN_CHECK),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED_DOCUMENTS))
+def test_mistyped_document_is_schema_violation(case, tmp_path, capsys):
+    doc, argv = MISTYPED_DOCUMENTS[case]
+    with pytest.raises(SchemaViolation):
+        io_mod.parse(json.dumps(doc))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([a.format(path=path) for a in argv]) != 0
+    err = capsys.readouterr().err
+    assert "SchemaViolation" in err
+    assert "Traceback" not in err

@@ -1,5 +1,7 @@
 import pytest
 
+from sposet import charfn as charfn_mod
+from sposet import homology
 from sposet.charfn import CharFunction, random_q_charfn
 from sposet.classify import buchsbaum_witnesses
 from sposet.errors import (
@@ -8,25 +10,27 @@ from sposet.errors import (
     NonFieldCoefficients,
     NotBuchsbaum,
 )
-from sposet.facevec import f_h_vectors, ft_vector, h_prime_double
+from sposet.corpus import corpus
+from sposet.facevec import f_h_vectors, ft_vector, h_prime_double, identity_report
 from sposet.homology import INTEGERS, RATIONALS, prime_field, reduced_betti
 from sposet.poset import link
 from sposet.spectral import (
     CONE,
     MANIFOLD,
-    bigraded_betti,
-    e1_diagonal_general,
     e1_diagonal_hprime_form,
-    e1_truncated,
     make_problem,
-    pages,
     relative_and_delta,
+    solve,
     verify,
 )
 
 
 def cone_over(S, coeff=RATIONALS, lam=None):
     return make_problem(CONE, S, S.n, coeff, charfn=lam)
+
+
+def solved(prob):
+    return prob, solve(prob)
 
 
 def solid_torus_problem(torus7):
@@ -59,7 +63,7 @@ class TestMakeProblem:
         S = corpus_posets["s1xI_faceposet"]
         assert buchsbaum_witnesses(S, RATIONALS, n=1) == ()
         prob = cone_over(S)
-        assert bigraded_betti(prob).totals[0] == 1
+        assert solve(prob).bigraded.totals[0] == 1
 
     def test_integer_coefficients_rejected(self, torus7):
         with pytest.raises(NonFieldCoefficients):
@@ -117,13 +121,13 @@ class TestRelativeAndDelta:
 
 class TestTruncatedFirstPage:
     def test_torus7_rows(self, torus7):
-        t = e1_truncated(cone_over(torus7))
+        t = solve(cone_over(torus7)).e1trunc
         assert [t.rank(p, 0) for p in range(3)] == [14, 21, 7]
         assert [t.rank(p, 1) for p in range(1, 3)] == [21, 14]
         assert t.rank(2, 2) == 7
 
     def test_boundary_triangle_row(self, bd_triangle):
-        t = e1_truncated(cone_over(bd_triangle))
+        t = solve(cone_over(bd_triangle)).e1trunc
         assert [t.rank(p, 0) for p in range(2)] == [3, 3]
 
     def test_row_euler_sums(self, corpus_posets):
@@ -134,7 +138,7 @@ class TestTruncatedFirstPage:
             if buchsbaum_witnesses(S, RATIONALS):
                 continue
             prob = cone_over(S)
-            t = e1_truncated(prob)
+            t = solve(prob).e1trunc
             _, h, chi, _ = f_h_vectors(S)
             n = S.n
             for q in range(n):
@@ -148,25 +152,25 @@ class TestTruncatedFirstPage:
 class TestPages:
     def test_cone_over_torus7(self, torus7):
         prob = cone_over(torus7)
-        tabs = pages(prob)
-        assert tabs["ea1"].diagonal(3) == (1, 10, 7, 1)
-        assert tabs["eainf"].diagonal(3) == (1, 4, 4, 1)
+        tabs = solve(prob)
+        assert tabs.ea1.diagonal(3) == (1, 10, 7, 1)
+        assert tabs.eainf.diagonal(3) == (1, 4, 4, 1)
         _, hpp = h_prime_double(torus7, RATIONALS)
-        assert tabs["eainf"].diagonal(3) == hpp
+        assert tabs.eainf.diagonal(3) == hpp
 
     def test_solid_torus_pages(self, torus7):
-        tabs = pages(solid_torus_problem(torus7))
-        assert tabs["ea1"].diagonal(3) == (1, 10, 7, 1)
+        tabs = solve(solid_torus_problem(torus7))
+        assert tabs.ea1.diagonal(3) == (1, 10, 7, 1)
         hp, _ = h_prime_double(torus7, RATIONALS)
-        assert tabs["ea2"].diagonal(3) == (1, 10, 4, 1)
-        assert tabs["ea2"].diagonal(3) == tuple(hp[3 - q] for q in range(4))
+        assert tabs.ea2.diagonal(3) == (1, 10, 4, 1)
+        assert tabs.ea2.diagonal(3) == tuple(hp[3 - q] for q in range(4))
 
     def test_cone_over_boundary_triangle(self, bd_triangle):
-        tabs = pages(cone_over(bd_triangle))
-        assert tabs["eainf"].diagonal(2) == (1, 1, 1)
+        tabs = solve(cone_over(bd_triangle))
+        assert tabs.eainf.diagonal(2) == (1, 1, 1)
         # Cohen-Macaulay input: off-diagonal and non-surviving column
         # entries die below total degree 2n
-        for (p, q), v in tabs["eainf"].cells.items():
+        for (p, q), v in tabs.eainf.cells.items():
             assert p == q or (p == 2 and p + q == 4) or v == 0
 
     def test_pages_monotone_nonincreasing(self, torus7, bd_triangle):
@@ -175,21 +179,21 @@ class TestPages:
             solid_torus_problem(torus7),
             cone_over(bd_triangle),
         ):
-            tabs = pages(prob)
-            cells = set(tabs["ea1"].cells) | set(tabs["ea2"].cells) | set(
-                tabs["eainf"].cells
+            tabs = solve(prob)
+            cells = set(tabs.ea1.cells) | set(tabs.ea2.cells) | set(
+                tabs.eainf.cells
             )
             for p, q in cells:
                 a, b, c = (
-                    tabs["ea1"].rank(p, q),
-                    tabs["ea2"].rank(p, q),
-                    tabs["eainf"].rank(p, q),
+                    tabs.ea1.rank(p, q),
+                    tabs.ea2.rank(p, q),
+                    tabs.eainf.rank(p, q),
                 )
                 assert a >= b >= c >= 0
 
     def test_vanishing_region(self, torus7):
-        tabs = pages(solid_torus_problem(torus7))
-        for (p, q), v in tabs["ea1"].cells.items():
+        tabs = solve(solid_torus_problem(torus7))
+        for (p, q), v in tabs.ea1.cells.items():
             if v:
                 assert q <= p or p == 3
 
@@ -208,14 +212,14 @@ class TestPages:
                 )
                 orientable = reduced_betti(S, coeff).degree(n - 1) == 1
                 if manifold_like and orientable:
-                    assert e1_diagonal_general(prob) == e1_diagonal_hprime_form(
+                    assert solve(prob).ea1.diagonal(n) == e1_diagonal_hprime_form(
                         prob
                     ), (name, coeff.label)
 
 
 class TestBigraded:
     def test_cone_over_torus7(self, torus7):
-        big = bigraded_betti(cone_over(torus7))
+        big = solve(cone_over(torus7)).bigraded
         assert big.dim(1, 1) == 4
         assert big.dim(2, 2) == 10
         assert big.dim(2, 3) == 2
@@ -223,7 +227,7 @@ class TestBigraded:
         assert big.totals == (1, 0, 4, 0, 10, 2, 1)
 
     def test_solid_torus(self, torus7):
-        big = bigraded_betti(solid_torus_problem(torus7))
+        big = solve(solid_torus_problem(torus7)).bigraded
         assert dict(big.cells) == {
             (0, 0): 1, (1, 0): 1, (1, 1): 7, (2, 2): 7, (2, 3): 1, (3, 3): 1,
         }
@@ -232,47 +236,79 @@ class TestBigraded:
     def test_cone_over_boundary_triangle_is_projective_plane_profile(
         self, bd_triangle
     ):
-        big = bigraded_betti(cone_over(bd_triangle))
+        big = solve(cone_over(bd_triangle)).bigraded
         assert big.totals == (1, 0, 1, 0, 1)
         _, h, _, _ = f_h_vectors(bd_triangle)
         assert tuple(big.totals[2 * j] for j in range(3)) == h
 
     def test_connected_input_has_unit_bottom(self, torus7, bd_triangle):
         for prob in (cone_over(torus7), solid_torus_problem(torus7)):
-            assert bigraded_betti(prob).totals[0] == 1
+            assert solve(prob).bigraded.totals[0] == 1
 
 
 class TestVerify:
     def test_cone_over_torus7(self, torus7):
-        rep = verify(cone_over(torus7))
+        rep = verify(*solved(cone_over(torus7)))
         assert rep.all_passed
         assert rep.checks["diagonal_is_h_double"]
         assert rep.notes["chi_x"] == 14
         assert rep.notes["chi_x_equals_top_face_count"]
 
     def test_solid_torus(self, torus7):
-        rep = verify(solid_torus_problem(torus7))
+        rep = verify(*solved(solid_torus_problem(torus7)))
         assert rep.all_passed
         assert rep.checks["bigraded_duality"]
         assert rep.checks["diagonal_is_h_prime"]
 
     def test_duality_pairs_explicitly(self, torus7):
-        big = bigraded_betti(solid_torus_problem(torus7))
+        big = solve(solid_torus_problem(torus7)).bigraded
         assert big.dim(1, 0) == big.dim(2, 3) == 1
         assert big.dim(1, 1) == big.dim(2, 2) == 7
 
     def test_cone_over_boundary_triangle_trivial(self, bd_triangle):
-        assert verify(cone_over(bd_triangle)).all_passed
+        assert verify(*solved(cone_over(bd_triangle))).all_passed
 
     def test_lambda_independence(self, torus7):
         lam = random_q_charfn(torus7, 3, seed=5, bound=5)
-        rep = verify(cone_over(torus7, lam=lam))
+        rep = verify(*solved(cone_over(torus7, lam=lam)))
         assert rep.checks["lambda_independent"]
 
     def test_euler_conserved_across_corpus_cones(self, corpus_posets):
         for S in corpus_posets.values():
             if buchsbaum_witnesses(S, RATIONALS):
                 continue
-            rep = verify(cone_over(S))
+            rep = verify(*solved(cone_over(S)))
             assert rep.checks["euler_conserved"], S.name
             assert rep.checks["pages_match_closed_forms"], S.name
+
+
+class TestComputeOnce:
+    def test_second_report_makes_no_smith_forms(self, monkeypatch):
+        calls = []
+        real = homology.smith_normal_form
+
+        def counting(matrix):
+            calls.append(matrix)
+            return real(matrix)
+
+        monkeypatch.setattr(homology, "smith_normal_form", counting)
+        monkeypatch.setattr(charfn_mod, "smith_normal_form", counting)
+        S = corpus("torus7")
+        problems = (
+            make_problem(CONE, S, 3, RATIONALS),
+            make_problem(
+                MANIFOLD, S, 3, RATIONALS,
+                betti_q=(1, 1, 0, 0), iota=(1, 1, 0, 0), orientable=True,
+            ),
+        )
+
+        def report():
+            identity_report(S, RATIONALS)
+            for prob in problems:
+                verify(prob, solve(prob))
+
+        report()
+        assert calls
+        calls.clear()
+        report()
+        assert calls == []

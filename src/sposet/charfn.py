@@ -15,6 +15,7 @@ from typing import Mapping
 
 from .errors import (
     BudgetExhausted,
+    InvalidCharFn,
     MissingVertexAssignment,
     NonPrimitiveVector,
     WrongVectorLength,
@@ -33,7 +34,10 @@ class CharFunction:
     def __post_init__(self):
         clean = {}
         for vid, vec in self.assignment.items():
-            vec = tuple(int(x) for x in vec)
+            vec = tuple(vec)
+            for x in vec:
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise InvalidCharFn(f"vertex {vid!r}: entry {x!r} is not an integer")
             if len(vec) != self.n:
                 raise WrongVectorLength(
                     f"vertex {vid!r}: vector has length {len(vec)}, expected {self.n}"
@@ -96,9 +100,13 @@ def random_q_charfn(
     with the most frequently failing simplex after ``budget`` attempts.
     """
     if S.dim != n - 1:
-        raise ValueError(f"poset has dimension {S.dim}, expected {n - 1}")
+        raise WrongVectorLength(
+            f"vectors of length {n} need a poset of dimension {n - 1}, not {S.dim}"
+        )
     if bound < 1:
-        raise ValueError("bound must be >= 1 (no nonzero vectors otherwise)")
+        raise NonPrimitiveVector(
+            f"bound {bound} leaves no primitive vectors: it must be >= 1"
+        )
     rng = random.Random(seed)
     vertices = [e.id for e in S.by_rank(1)]
     fail_counts: dict[str, int] = {}

@@ -359,12 +359,23 @@ def _problem_from_cli(kind, corpus_name, path, rank, field, charfn_path,
             raise click.UsageError(
                 "manifold problems need --betti-q and --iota (or a bundle file)"
             )
-        kwargs["betti_q"] = tuple(int(x) for x in betti_q.split(","))
-        kwargs["iota"] = tuple(int(x) for x in iota.split(","))
+        kwargs["betti_q"] = betti_q
+        kwargs["iota"] = iota
         kwargs["orientable"] = orientable
     return spectral.make_problem(
         kind, S, rank, parse_coefficients(field), charfn=lam, **kwargs
     )
+
+
+def _int_list(ctx, param, value):
+    if value is None:
+        return None
+    try:
+        return tuple(int(x) for x in value.split(","))
+    except ValueError:
+        raise click.BadParameter(
+            f"{value!r} is not a comma separated list of integers"
+        ) from None
 
 
 def _quotient_options(fn):
@@ -389,8 +400,10 @@ def quotient_cone(corpus_name, path, rank, field, charfn_path, as_json):
 
 @quotient.command(name="manifold")
 @_quotient_options
-@click.option("--betti-q", help="comma separated dims of H_*(Q)")
-@click.option("--iota", help="comma separated ranks of H_*(bd Q) -> H_*(Q)")
+@click.option("--betti-q", callback=_int_list, help="comma separated dims of H_*(Q)")
+@click.option(
+    "--iota", callback=_int_list, help="comma separated ranks of H_*(bd Q) -> H_*(Q)"
+)
 @click.option("--orientable/--no-orientable", default=True, show_default=True)
 @_friendly
 def quotient_manifold(corpus_name, path, rank, field, charfn_path, as_json,

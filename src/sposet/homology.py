@@ -7,18 +7,18 @@ implicit minimal face is kept as the degree-0 boundary, so every Betti
 number produced here is reduced and the empty poset correctly reports a
 single unit in degree -1.
 
-Smith normal forms are computed once per matrix over the integers and
-cached; ranks over Q and F_p are read off the invariant factors, so all
-coefficient systems share one exact elimination.
+Each poset keeps the integer Smith normal forms of its boundary
+matrices once computed; ranks over Q and F_p are read off the invariant
+factors, so all coefficient systems share one exact elimination per
+poset.  There is no process-wide cache.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Sequence
 
 from .errors import InternalError, SposetError
-from .poset import SimplicialPoset, barycentric
+from .poset import SimplicialPoset, barycentric, f_vector
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -127,91 +127,70 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SnfResult:
     """Smith normal form of an integer matrix, exact at any size.
 
     Returns the positive invariant factors in divisibility order.  Pure
-    integer arithmetic throughout; results are cached per matrix.
+    integer arithmetic throughout, on a private copy of the rows.
     """
-    return _snf_cached(tuple(tuple(int(x) for x in row) for row in matrix))
-
-
-@lru_cache(maxsize=None)
-def _snf_cached(mat: Matrix) -> SnfResult:
-    factors = _invariant_factors([list(row) for row in mat])
+    factors = _invariant_factors([list(row) for row in matrix])
     for a, b in zip(factors, factors[1:]):
         if b % a:
             raise InternalError(f"invariant factor {a} does not divide {b}")
     return SnfResult(tuple(factors), len(factors))
 
 
-def _invariant_factors(A: list[list[int]]) -> list[int]:
-    m = len(A)
-    n = len(A[0]) if m else 0
+def _invariant_factors(rows: list[list[int]]) -> list[int]:
+    # Each step turns one pivot into the next invariant factor and drops
+    # its row; its column is then zero in every row left, so it needs no
+    # bookkeeping.  Elimination runs in place on ``rows``.
     factors: list[int] = []
-    t = 0
-    while t < min(m, n):
-        # pivot: smallest nonzero absolute value in the trailing block
-        pi = pj = -1
-        best = 0
-        for i in range(t, m):
-            row = A[i]
-            for j in range(t, n):
-                v = row[j]
-                if v and (best == 0 or -best < v < best):
-                    best = abs(v)
-                    pi, pj = i, j
-                    if best == 1:
-                        break
-            if best == 1:
+    while rows:
+        # pivot: a unit if some row has one, else the smallest nonzero entry
+        for i, row in enumerate(rows):
+            if 1 in row or -1 in row:
+                j = row.index(1) if 1 in row else row.index(-1)
                 break
-        if pi < 0:
-            break
-        A[t], A[pi] = A[pi], A[t]
-        if pj != t:
-            for row in A:
-                row[t], row[pj] = row[pj], row[t]
-
-        dirty = True
-        while dirty:
-            dirty = False
-            if A[t][t] < 0:
-                A[t] = [-x for x in A[t]]
-            p = A[t][t]
-            for i in range(t + 1, m):
-                v = A[i][t]
-                if v:
+        else:
+            best = i = j = 0
+            for r, row in enumerate(rows):
+                for c, v in enumerate(row):
+                    if v and (best == 0 or abs(v) < best):
+                        best, i, j = abs(v), r, c
+            if best == 0:
+                break
+        while True:
+            piv = rows[i]
+            if piv[j] < 0:
+                piv = rows[i] = [-x for x in piv]
+            p = piv[j]
+            # clear column j in the other rows; a remainder becomes the pivot
+            for r, row in enumerate(rows):
+                v = row[j]
+                if v and r != i:
                     q = v // p
                     if q:
-                        At = A[t]
-                        A[i] = [a - q * b for a, b in zip(A[i], At)]
-                    if A[i][t]:
-                        # remainder beats the pivot; promote it
-                        A[t], A[i] = A[i], A[t]
-                        dirty = True
+                        row = rows[r] = [a - q * b for a, b in zip(row, piv)]
+                    if row[j]:
+                        i = r
                         break
-            if dirty:
-                continue
-            for j in range(t + 1, n):
-                v = A[t][j]
-                if v:
-                    q = v // p
-                    if q:
-                        for r in range(t, m):
-                            A[r][j] -= q * A[r][t]
-                    if A[t][j]:
-                        for r in range(t, m):
-                            A[r][t], A[r][j] = A[r][j], A[r][t]
-                        dirty = True
+            else:
+                if p == 1:
+                    break  # a unit divides everything left
+                # column j is clear in the other rows, so the column
+                # operations clearing row i change row i only
+                for c, v in enumerate(piv):
+                    if v and c != j:
+                        piv[c] = v % p
+                        if piv[c]:
+                            j = c
+                            break
+                else:
+                    # the pivot must divide every entry left
+                    for row in rows:
+                        if any(v % p for v in row):
+                            rows[i] = [a + b for a, b in zip(piv, row)]
+                            break
+                    else:
                         break
-            if dirty:
-                continue
-            # the pivot must divide the rest of the block
-            p = A[t][t]
-            for i in range(t + 1, m):
-                row = A[i]
-                if any(row[j] % p for j in range(t + 1, n)):
-                    A[t] = [a + b for a, b in zip(A[t], row)]
-                    dirty = True
-                    break
-        factors.append(A[t][t])
-        t += 1
+        factors.append(p)
+        del rows[i]
     return factors
 
 
@@ -241,10 +220,6 @@ def boundary_matrices(S: SimplicialPoset) -> ChainData:
     Verifies D_(k-1) . D_k = 0 before returning; entries are in
     {-1, 0, 1} by construction.
     """
-    cached = S._cache.get("chain")
-    if cached is not None:
-        return cached
-
     top = S.dim
     gens = tuple(
         tuple(e.id for e in S.by_rank(k + 1)) for k in range(top + 1)
@@ -269,7 +244,6 @@ def boundary_matrices(S: SimplicialPoset) -> ChainData:
 
     data = ChainData(gens, tuple(boundaries))
     _check_complex(data)
-    S._cache["chain"] = data
     return data
 
 
@@ -309,44 +283,36 @@ class BettiVector:
         return range(-1, len(self.reduced) - 1)
 
 
+def _smith_forms(S: SimplicialPoset) -> tuple[SnfResult, ...]:
+    # One integer Smith form per boundary matrix, computed once per poset
+    # and shared by every coefficient ring.
+    snfs = S._cache.get("snf")
+    if snfs is None:
+        snfs = tuple(smith_normal_form(d) for d in boundary_matrices(S).boundaries)
+        S._cache["snf"] = snfs
+    return snfs
+
+
 def reduced_betti(S: SimplicialPoset, coeff: Coefficients) -> BettiVector:
     """Reduced Betti numbers of the realization, padded to degree n-1.
 
     The augmentation is part of the complex, so b~_0 counts components
-    minus one and the empty poset has b~_(-1) = 1.  Computed once per
-    (poset, ring) and kept on the poset.
+    minus one and the empty poset has b~_(-1) = 1.  Read off the Smith
+    forms the poset keeps, so every ring shares one elimination.
     """
-    key = ("betti", coeff)
-    cached = S._cache.get(key)
-    if cached is not None:
-        return cached
-    data = boundary_matrices(S)
-    top = data.dim
-    snfs = [smith_normal_form(data.boundary(k)) for k in range(top + 1)]
-
-    def rank(k: int) -> int:
-        if 0 <= k <= top:
-            return snfs[k].rank_over(coeff)
-        return 0
-
-    reduced = [1 - rank(0)]
-    for k in range(top + 1):
-        reduced.append(len(data.generators[k]) - rank(k) - rank(k + 1))
-    reduced.extend(0 for _ in range(S.n - 1 - top))
+    snfs = _smith_forms(S)
+    f = f_vector(S)
+    # rank[i] is the rank of D_(i-1) : C_(i-1) -> C_(i-2), zero off the complex
+    rank = [0] + [snf.rank_over(coeff) for snf in snfs]
+    rank += [0] * (S.n + 2 - len(rank))
+    reduced = tuple(f[i] - rank[i] - rank[i + 1] for i in range(S.n + 1))
 
     torsion: tuple[tuple[int, ...], ...] = ()
     if coeff == INTEGERS:
-        tor = []
-        for k in range(-1, S.n):
-            if 0 <= k + 1 <= top:
-                tor.append(tuple(d for d in snfs[k + 1].factors if d > 1))
-            else:
-                tor.append(())
-        torsion = tuple(tor)
-
-    out = BettiVector(coeff, tuple(reduced), torsion)
-    S._cache[key] = out
-    return out
+        torsion = tuple(
+            tuple(d for d in snf.factors if d > 1) for snf in snfs
+        ) + ((),) * (S.n + 1 - len(snfs))
+    return BettiVector(coeff, reduced, torsion)
 
 
 def betti_crosscheck(S: SimplicialPoset, coeff: Coefficients) -> bool:

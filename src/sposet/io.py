@@ -125,7 +125,7 @@ def parse(source):
     if not isinstance(doc, dict):
         raise SchemaViolation("top level must be a JSON object")
     fmt = doc.get("format")
-    parser = _PARSERS.get(fmt)
+    parser = _PARSERS.get(fmt) if isinstance(fmt, str) else None
     if parser is None:
         raise UnknownFormat(f"unknown format tag {fmt!r}")
     return parser(doc)

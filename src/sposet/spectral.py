@@ -175,8 +175,11 @@ def make_problem(
             raise InconsistentBundle(
                 "manifold problems need betti_q, iota and the orientable flag"
             )
-        betti_q = tuple(int(x) for x in betti_q)
-        iota = tuple(int(x) for x in iota)
+        betti_q, iota = tuple(betti_q), tuple(iota)
+        for label, vec in (("betti_q", betti_q), ("iota", iota)):
+            for x in vec:
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise InconsistentBundle(f"{label} entry {x!r} is not an integer")
         if len(betti_q) != n + 1 or len(iota) != n + 1:
             raise InconsistentBundle(f"betti_q and iota must have length {n + 1}")
         if not orientable:

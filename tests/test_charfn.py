@@ -7,6 +7,7 @@ import pytest
 from sposet.charfn import CharFunction, check, random_q_charfn
 from sposet.errors import (
     BudgetExhausted,
+    InvalidCharFn,
     MissingVertexAssignment,
     NonPrimitiveVector,
     WrongVectorLength,
@@ -28,6 +29,11 @@ class TestCharFunction:
     def test_wrong_length(self):
         with pytest.raises(WrongVectorLength):
             CharFunction(2, {"v1": (1, 0, 0)})
+
+    @pytest.mark.parametrize("entry", ["1", True, 1.0, None])
+    def test_non_integer_entry_rejected(self, entry):
+        with pytest.raises(InvalidCharFn, match=repr(entry)):
+            CharFunction(2, {"v1": (entry, 0)})
 
     def test_missing_vertex(self, bd_triangle):
         lam = CharFunction(2, {"v1": (1, 0), "v2": (0, 1)})
@@ -105,8 +111,12 @@ class TestRandom:
         assert a.assignment == b.assignment
 
     def test_bound_zero_rejected(self, bd_triangle):
-        with pytest.raises(ValueError):
+        with pytest.raises(NonPrimitiveVector):
             random_q_charfn(bd_triangle, 2, seed=1, bound=0)
+
+    def test_wrong_rank_rejected(self, torus7):
+        with pytest.raises(WrongVectorLength):
+            random_q_charfn(torus7, 2, seed=1, bound=5)
 
     def test_budget_exhausted_reports_simplex(self):
         # K5 needs five pairwise independent directions in the plane,

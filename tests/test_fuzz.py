@@ -1,0 +1,85 @@
+"""Seeded fuzzing of the JSON formats.
+
+Every format's documents are mutated one change at a time: a key
+deleted, a value replaced by null, a bool, a string, a list, an object
+or a huge integer, or a list entry duplicated.  Whatever the mutation,
+parsing (and, for posets, validation and homology) must end in a value
+or in a SposetError, never in another exception.
+"""
+import copy
+import json
+import random
+
+from sposet import io as io_mod
+from sposet.charfn import CharFunction
+from sposet.corpus import corpus, corpus_names
+from sposet.errors import SposetError
+from sposet.homology import INTEGERS, RATIONALS, reduced_betti
+from sposet.poset import SimplicialPoset, validate_stats
+from sposet.spectral import CONE, MANIFOLD, make_problem
+
+CASES = 600
+REPLACEMENTS = (None, True, False, "x", ["x"], {"x": 1}, 10**30)
+
+
+def _seed_documents():
+    docs = [io_mod.emit_poset(corpus(name)) for name in corpus_names()]
+    docs.append({"format": "scomplex-v1", "name": "circle",
+                 "facets": [["a", "b"], ["b", "c"], ["a", "c"]]})
+    triangle = corpus("boundary_simplex(2)")
+    lam = CharFunction(2, {"v1": (1, 0), "v2": (0, 1), "v3": (1, 1)})
+    docs.append(io_mod.emit_charfn(lam))
+    docs.append(io_mod.emit_problem(
+        make_problem(CONE, triangle, 2, RATIONALS, charfn=lam)
+    ))
+    docs.append(io_mod.emit_problem(
+        make_problem(MANIFOLD, triangle, 2, RATIONALS,
+                     betti_q=(1, 0, 0), iota=(1, 0, 0), orientable=True)
+    ))
+    return docs
+
+
+def _slots(node):
+    # every (container, key) pair in the document tree, root first
+    out = []
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        out.append((node, key))
+        if isinstance(value, (dict, list)):
+            out.extend(_slots(value))
+    return out
+
+
+def _mutate(doc, rng):
+    doc = copy.deepcopy(doc)
+    container, key = rng.choice(_slots(doc))
+    op = rng.randrange(3)
+    if op == 0 and isinstance(container, dict):
+        del container[key]
+    elif op == 1 and isinstance(container, list):
+        container.insert(key, copy.deepcopy(container[key]))
+    else:
+        container[key] = copy.deepcopy(rng.choice(REPLACEMENTS))
+    return doc
+
+
+def test_mutated_documents_end_in_value_or_sposet_error():
+    rng = random.Random(20241018)
+    docs = _seed_documents()
+    outcomes = {"value": 0, "error": 0}
+    for case in range(CASES):
+        doc = _mutate(docs[case % len(docs)], rng)
+        try:
+            obj = io_mod.parse(json.dumps(doc))
+            if isinstance(obj, SimplicialPoset):
+                validate_stats(obj)
+                reduced_betti(obj, INTEGERS if case % 2 else RATIONALS)
+        except SposetError:
+            outcomes["error"] += 1
+        except Exception as exc:
+            raise AssertionError(f"case {case}: {type(exc).__name__}: {exc}\n{doc}")
+        else:
+            outcomes["value"] += 1
+    # the mutations reach both sides of the format boundary
+    assert outcomes["value"] > CASES // 10
+    assert outcomes["error"] > CASES // 10

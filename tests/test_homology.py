@@ -16,6 +16,7 @@ from sposet.homology import (
     reduced_betti,
     smith_normal_form,
 )
+from sposet.corpus import corpus
 from sposet.poset import from_facets, link
 from sposet.errors import InternalError, SposetError
 
@@ -64,6 +65,23 @@ class TestCoefficients:
             parse_coefficients(f"fp:{2**64 + 13}")
 
 
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _unimodular(rng, k):
+    # a product of random elementary row operations and row swaps
+    u = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(3 * k):
+        i, j = rng.sample(range(k), 2)
+        if rng.random() < 0.2:
+            u[i], u[j] = u[j], u[i]
+        else:
+            c = rng.randint(-3, 3)
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    return u
+
+
 class TestSmithNormalForm:
     def test_identity(self):
         assert smith_normal_form([[1, 0], [0, 1]]).factors == (1, 1)
@@ -86,6 +104,20 @@ class TestSmithNormalForm:
             n = rng.randint(1, 4)
             mat = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
             expected = minor_gcd_invariant_factors(mat)
+            got = smith_normal_form(mat)
+            assert got.factors == expected
+            assert got.rank == len(expected)
+        # U . diag(1, 2, 6, 0) . V with U, V unimodular: the unit pivot
+        # skips the divisibility scan, the 2 and 6 need its fix-up
+        for _ in range(30):
+            m = rng.randint(4, 6)
+            n = rng.randint(4, 6)
+            diag = [[0] * n for _ in range(m)]
+            for i, d in enumerate((1, 2, 6, 0)):
+                diag[i][i] = d
+            mat = _matmul(_matmul(_unimodular(rng, m), diag), _unimodular(rng, n))
+            expected = minor_gcd_invariant_factors(mat)
+            assert expected == (1, 2, 6)
             got = smith_normal_form(mat)
             assert got.factors == expected
             assert got.rank == len(expected)
@@ -122,7 +154,7 @@ class TestInternalErrors:
     def test_broken_factor_chain_raises(self, monkeypatch):
         monkeypatch.setattr(homology, "_invariant_factors", lambda A: [2, 3])
         with pytest.raises(InternalError):
-            homology._snf_cached.__wrapped__(((2, 0), (0, 3)))
+            smith_normal_form(((2, 0), (0, 3)))
 
 
 class TestBoundaryMatrices:
@@ -199,6 +231,22 @@ class TestReducedBetti:
     def test_disconnected_counts_components(self, corpus_posets):
         bv = reduced_betti(corpus_posets["s1xI_faceposet"], RATIONALS)
         assert bv.degree(-1) == 0 and bv.degree(0) == 1
+
+    def test_rings_share_smith_forms(self, monkeypatch):
+        calls = []
+        real = homology.smith_normal_form
+
+        def counting(matrix):
+            calls.append(matrix)
+            return real(matrix)
+
+        monkeypatch.setattr(homology, "smith_normal_form", counting)
+        rp2 = corpus("rp2_6")
+        for coeff in ALL_COEFFS:
+            reduced_betti(rp2, coeff)
+        assert calls == list(boundary_matrices(rp2).boundaries)
+        assert reduced_betti(rp2, INTEGERS).torsion_in(1) == (2,)
+        assert reduced_betti(rp2, prime_field(2)).degree(2) == 1
 
 
 class TestCrosschecksAndInvariants:

@@ -306,3 +306,32 @@ def test_mistyped_document_is_schema_violation(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "SchemaViolation" in err
     assert "Traceback" not in err
+
+
+# CLI input that once escaped as a Python traceback; {path} holds BAD_FORMAT_TAG
+BAD_FORMAT_TAG = {"format": ["sposet-v1"]}
+BAD_CLI_INPUTS = {
+    "betti_q_not_int": [
+        "quotient", "manifold", "--corpus", "torus7", "--n", "3",
+        "--betti-q", "1,a,0,0", "--iota", "1,1,0,0",
+    ],
+    "random_bound_zero": ["charfn", "random", "--corpus", "torus7", "--n", "3", "--bound", "0"],
+    "random_wrong_rank": ["charfn", "random", "--corpus", "torus7", "--n", "2"],
+    "format_tag_list": ["stats", "{path}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CLI_INPUTS))
+def test_bad_cli_input_is_clean_error(case, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(BAD_FORMAT_TAG))
+    assert main([a.format(path=path) for a in BAD_CLI_INPUTS[case]]) != 0
+    err = capsys.readouterr().err
+    assert "Error:" in err
+    assert "Traceback" not in err
+
+
+def test_unhashable_format_tag_is_unknown_format():
+    for tag in (["sposet-v1"], {"x": 1}):
+        with pytest.raises(UnknownFormat):
+            io_mod.parse({"format": tag})

@@ -94,6 +94,14 @@ class TestMakeProblem:
                 betti_q=(1, 0, 5, 0), iota=(1, 0, 1, 0), orientable=True,
             )
 
+    @pytest.mark.parametrize("entry", ["1", True, 1.0])
+    @pytest.mark.parametrize("field", ["betti_q", "iota"])
+    def test_non_integer_rank_entry_rejected(self, torus7, field, entry):
+        data = {"betti_q": [1, 1, 0, 0], "iota": [1, 1, 0, 0]}
+        data[field][0] = entry
+        with pytest.raises(InconsistentBundle, match=f"{field} entry {entry!r}"):
+            make_problem(MANIFOLD, torus7, 3, RATIONALS, orientable=True, **data)
+
     def test_non_orientable_rejected(self, torus7):
         with pytest.raises(InconsistentBundle):
             make_problem(

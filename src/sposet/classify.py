@@ -5,7 +5,8 @@ a ring when every proper link has reduced homology concentrated in its
 top degree n - 1 - |I|; Cohen-Macaulay additionally concentrates the
 poset's own homology in top degree, and the homology-manifold verdict
 asks every link's top homology to have dimension exactly one.  Over the
-integers "vanishing" includes torsion.
+integers "vanishing" includes torsion.  Each link row is read from the
+poset's own chain complex restricted to the faces above the face.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import NotConnected, NotPure
 from .homology import BettiVector, Coefficients, INTEGERS, reduced_betti
-from .poset import SimplicialPoset, link, validate_stats
+from .poset import SimplicialPoset, validate_stats
 
 # (element id or None for the poset itself, degree, offending Betti rank)
 Witness = tuple[str | None, int, int]
@@ -36,7 +37,7 @@ def _link_walk(S: SimplicialPoset, coeff: Coefficients) -> LinkTable:
     walk = S._cache.get(key)
     if walk is None:
         walk = tuple(
-            (e.id, reduced_betti(link(S, e.id), coeff)) for e in S.elements()
+            (e.id, reduced_betti(S, coeff, root=e.id)) for e in S.elements()
         )
         S._cache[key] = walk
     return walk

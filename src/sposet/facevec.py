@@ -87,17 +87,21 @@ def f_h_vectors(S: SimplicialPoset):
 
     h comes from the exact expansion of sum_i f_(i-1) t^i (1-t)^(n-i);
     chi is the alternating face-count sum and chitilde = chi - 1.
+    Expanded once per poset and kept on it.
     """
     _require_pure(S)
-    n = S.n
-    f = f_vector(S)
-    hpoly = [0]
-    for i in range(n + 1):
-        term = _poly_scale(_poly_mul(_poly_pow([0, 1], i), _poly_pow([1, -1], n - i)), f[i])
-        hpoly = _poly_add(hpoly, term)
-    h = tuple(hpoly[i] if i < len(hpoly) else 0 for i in range(n + 1))
-    chi = sum(f[i + 1] if i % 2 == 0 else -f[i + 1] for i in range(n))
-    return f, h, chi, chi - 1
+    cached = S._cache.get("f_h")
+    if cached is None:
+        n = S.n
+        f = f_vector(S)
+        hpoly = [0]
+        for i in range(n + 1):
+            term = _poly_scale(_poly_mul(_poly_pow([0, 1], i), _poly_pow([1, -1], n - i)), f[i])
+            hpoly = _poly_add(hpoly, term)
+        h = tuple(hpoly[i] if i < len(hpoly) else 0 for i in range(n + 1))
+        chi = sum(f[i + 1] if i % 2 == 0 else -f[i + 1] for i in range(n))
+        cached = S._cache["f_h"] = (f, h, chi, chi - 1)
+    return cached
 
 
 def ft_vector(S: SimplicialPoset, coeff: Coefficients) -> tuple[int, ...]:

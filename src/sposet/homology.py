@@ -5,12 +5,12 @@ of a face is the alternating sum of its facet list, which is well
 defined because lower intervals are Boolean.  The augmentation onto the
 implicit minimal face is kept as the degree-0 boundary, so every Betti
 number produced here is reduced and the empty poset correctly reports a
-single unit in degree -1.
+single unit in degree -1.  Link homology is read from the same complex
+restricted to the faces above each face, so no link poset is built.
 
 Each poset keeps the integer Smith normal forms of its boundary
-matrices once computed; ranks over Q and F_p are read off the invariant
-factors, so all coefficient systems share one exact elimination per
-poset.  There is no process-wide cache.
+matrices, per up-set root; ranks over Q and F_p are read off the
+invariant factors, so all rings share one exact elimination.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import InternalError, SposetError
-from .poset import SimplicialPoset, barycentric, f_vector
+from .poset import SimplicialPoset, barycentric
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -200,7 +200,8 @@ class ChainData:
 
     ``generators[k]`` lists the ids of the dimension-k faces in the
     canonical (rank, id) order; ``boundaries[k]`` maps C_k to C_(k-1).
-    Index 0 holds the augmentation row onto the implicit minimal face.
+    Index 0 holds the augmentation row onto the implicit minimal face,
+    or onto the root of a complex restricted to the faces above it.
     """
 
     generators: tuple[tuple[str, ...], ...]
@@ -214,33 +215,38 @@ class ChainData:
         return self.boundaries[k]
 
 
-def boundary_matrices(S: SimplicialPoset) -> ChainData:
+def _levels(S: SimplicialPoset, root: str | None):
+    # the faces of a complex by rank and its ambient rank; the bottom level
+    # holds the root, or None for the whole poset's implicit minimal element
+    if root is None:
+        return ((None,), *map(S.by_rank, range(1, S.dim + 2))), S.n
+    levels = S.above(root)
+    return levels, S.n - levels[0][0].rank
+
+
+def boundary_matrices(S: SimplicialPoset, root: str | None = None) -> ChainData:
     """Signed boundary matrices of the poset's cellular chain complex.
 
+    With ``root`` the complex is restricted to the faces above it, and
+    the root takes the place of the minimal element: the first matrix
+    maps the faces covering the root onto it.  Its homology is the
+    reduced homology of ``link(S, root)`` (Munkres, Lemma 63.1).
     Verifies D_(k-1) . D_k = 0 before returning; entries are in
     {-1, 0, 1} by construction.
     """
-    top = S.dim
-    gens = tuple(
-        tuple(e.id for e in S.by_rank(k + 1)) for k in range(top + 1)
-    )
-    index = [{eid: i for i, eid in enumerate(g)} for g in gens]
+    levels, _ = _levels(S, root)
+    gens = tuple(tuple(e.id for e in level) for level in levels[1:])
 
+    # vertices list no facet: their one face below is the minimal element
     boundaries = []
-    if top >= 0:
-        boundaries.append((tuple(1 for _ in gens[0]),))
-        for k in range(1, top + 1):
-            rows = len(gens[k - 1])
-            cols = [dict() for _ in gens[k]]
-            for j, eid in enumerate(gens[k]):
-                for pos, fid in enumerate(S.element(eid).facets):
-                    cols[j][index[k - 1][fid]] = 1 if pos % 2 == 0 else -1
-            boundaries.append(
-                tuple(
-                    tuple(cols[j].get(i, 0) for j in range(len(gens[k])))
-                    for i in range(rows)
-                )
-            )
+    for lower, level in zip(((root,), *gens), levels[1:]):
+        index = {eid: i for i, eid in enumerate(lower)}
+        rows = [[0] * len(level) for _ in lower]
+        for j, e in enumerate(level):
+            for pos, fid in enumerate(e.facets or (None,)):
+                if fid in index:
+                    rows[index[fid]][j] = 1 if pos % 2 == 0 else -1
+        boundaries.append(tuple(map(tuple, rows)))
 
     data = ChainData(gens, tuple(boundaries))
     _check_complex(data)
@@ -248,15 +254,12 @@ def boundary_matrices(S: SimplicialPoset) -> ChainData:
 
 
 def _check_complex(data: ChainData) -> None:
-    for k in range(1, len(data.boundaries)):
-        upper = data.boundaries[k]
-        lower = data.boundaries[k - 1]
-        cols = len(upper[0]) if upper else 0
-        for j in range(cols):
-            sparse = [(i, upper[i][j]) for i in range(len(upper)) if upper[i][j]]
-            for r in range(len(lower)):
-                if sum(lower[r][i] * v for i, v in sparse):
-                    raise InternalError(f"boundary squared nonzero in degree {k}")
+    pairs = zip(data.boundaries, data.boundaries[1:])
+    for k, (lower, upper) in enumerate(pairs, 1):
+        for col in zip(*upper):
+            sparse = [(i, v) for i, v in enumerate(col) if v]
+            if any(sum(row[i] * v for i, v in sparse) for row in lower):
+                raise InternalError(f"boundary squared nonzero in degree {k}")
 
 
 @dataclass(frozen=True)
@@ -283,35 +286,35 @@ class BettiVector:
         return range(-1, len(self.reduced) - 1)
 
 
-def _smith_forms(S: SimplicialPoset) -> tuple[SnfResult, ...]:
-    # One integer Smith form per boundary matrix, computed once per poset
-    # and shared by every coefficient ring.
-    snfs = S._cache.get("snf")
-    if snfs is None:
-        snfs = tuple(smith_normal_form(d) for d in boundary_matrices(S).boundaries)
-        S._cache["snf"] = snfs
-    return snfs
-
-
-def reduced_betti(S: SimplicialPoset, coeff: Coefficients) -> BettiVector:
+def reduced_betti(
+    S: SimplicialPoset, coeff: Coefficients, root: str | None = None
+) -> BettiVector:
     """Reduced Betti numbers of the realization, padded to degree n-1.
 
     The augmentation is part of the complex, so b~_0 counts components
-    minus one and the empty poset has b~_(-1) = 1.  Read off the Smith
-    forms the poset keeps, so every ring shares one elimination.
+    minus one and the empty poset has b~_(-1) = 1.  With ``root`` the
+    numbers are those of ``link(S, root)``, read off the complex
+    restricted to the faces above the root.  Read off the Smith forms
+    the poset keeps, so every ring shares one elimination.
     """
-    snfs = _smith_forms(S)
-    f = f_vector(S)
+    # per (poset, up-set root): the face counts f_(-1)..f_(n-1) and one
+    # integer Smith form per boundary matrix, shared by every ring
+    cache = S._cache.setdefault("snf", {})
+    if root not in cache:
+        levels, n = _levels(S, root)
+        f = [len(level) for level in levels] + [0] * (n + 1 - len(levels))
+        cache[root] = f, tuple(
+            smith_normal_form(d) for d in boundary_matrices(S, root).boundaries
+        )
+    f, snfs = cache[root]
     # rank[i] is the rank of D_(i-1) : C_(i-1) -> C_(i-2), zero off the complex
-    rank = [0] + [snf.rank_over(coeff) for snf in snfs]
-    rank += [0] * (S.n + 2 - len(rank))
-    reduced = tuple(f[i] - rank[i] - rank[i + 1] for i in range(S.n + 1))
+    rank = [0, *(snf.rank_over(coeff) for snf in snfs)] + [0] * (len(f) - len(snfs))
+    reduced = tuple(f[i] - rank[i] - rank[i + 1] for i in range(len(f)))
 
     torsion: tuple[tuple[int, ...], ...] = ()
     if coeff == INTEGERS:
-        torsion = tuple(
-            tuple(d for d in snf.factors if d > 1) for snf in snfs
-        ) + ((),) * (S.n + 1 - len(snfs))
+        torsion = tuple(tuple(d for d in snf.factors if d > 1) for snf in snfs)
+        torsion += ((),) * (len(f) - len(snfs))
     return BettiVector(coeff, reduced, torsion)
 
 

@@ -47,17 +47,21 @@ def _ints(value, where: str) -> tuple[int, ...]:
     return tuple(value)
 
 
+def _name(value, where: str) -> str:
+    if not (isinstance(value, str) or _is_int(value)):
+        raise SchemaViolation(f"{where}: expected a str or int name")
+    return str(value)
+
+
 def _names(value, where: str) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(
-        isinstance(x, str) or _is_int(x) for x in value
-    ):
+    if not isinstance(value, list):
         raise SchemaViolation(f"{where}: expected a list of str or int names")
-    return tuple(str(x) for x in value)
+    return tuple(_name(x, where) for x in value)
 
 
 def _parse_poset(doc: dict) -> SimplicialPoset:
     fmt = doc.get("format")
-    name = str(doc.get("name", ""))
+    name = _need(doc, "name", str) if "name" in doc else ""
     if fmt == "scomplex-v1":
         facets = _need(doc, "facets", list)
         return from_facets(
@@ -70,7 +74,7 @@ def _parse_poset(doc: dict) -> SimplicialPoset:
             raise SchemaViolation(f"elements[{idx}] is not an object")
         elems.append(
             SimplexElem(
-                str(_need(raw, "id")),
+                _name(_need(raw, "id"), f"elements[{idx}].id"),
                 _names(_need(raw, "vertices"), f"elements[{idx}].vertices"),
                 _names(_need(raw, "facets"), f"elements[{idx}].facets"),
             )

@@ -22,6 +22,10 @@ from .errors import (
     UnknownElement,
 )
 
+# Caps the ambient rank n, the length of the face and h-vectors; no face
+# comes near it, since a rank-k face brings 2**k - 1 faces with it.
+MAX_RANK = 64
+
 
 @dataclass(frozen=True)
 class SimplexElem:
@@ -101,22 +105,29 @@ class SimplicialPoset:
         return tuple(e.id for e in self.by_rank(1))
 
     def maximal_ids(self) -> tuple[str, ...]:
-        covered = {fid for e in self._sorted for fid in e.facets}
-        return tuple(e.id for e in self._sorted if e.id not in covered)
+        cofaces = self._cofaces()
+        return tuple(e.id for e in self._sorted if not cofaces[e.id])
 
-    def _descendant_map(self) -> dict[str, frozenset[str]]:
-        # desc[e] = all faces <= e, including e itself (the minimal
-        # element stays implicit).  Built bottom-up along the rank grading.
-        desc = self._cache.get("desc")
-        if desc is None:
-            desc = {}
+    def _cofaces(self) -> dict[str, list[SimplexElem]]:
+        # the faces covering each face, built once per poset
+        cofaces = self._cache.get("cofaces")
+        if cofaces is None:
+            cofaces = self._cache["cofaces"] = {e.id: [] for e in self._sorted}
             for e in self._sorted:
-                acc = {e.id}
                 for fid in e.facets:
-                    acc |= desc[fid]
-                desc[e.id] = frozenset(acc)
-            self._cache["desc"] = desc
-        return desc
+                    cofaces[fid].append(e)
+        return cofaces
+
+    def above(self, eid: str) -> tuple[tuple[SimplexElem, ...], ...]:
+        """The faces >= ``eid`` grouped by rank, each group in id order;
+        group 0 is the face itself.  Walks the cover map, not the poset."""
+        cofaces = self._cofaces()
+        levels = [(self.element(eid),)]
+        while True:
+            nxt = {c.id: c for e in levels[-1] for c in cofaces[e.id]}
+            if not nxt:
+                return tuple(levels)
+            levels.append(tuple(nxt[k] for k in sorted(nxt)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialPoset):
@@ -214,9 +225,13 @@ def from_face_lattice(
     max_rank = max((e.rank for e in elems.values()), default=0)
     if n is None:
         n = max_rank
-    elif n < max_rank:
+    if n < max_rank:
         raise PosetValidationError(
             "", "ambient-rank", f"n={n} below maximal rank {max_rank}"
+        )
+    if n > MAX_RANK:
+        raise PosetValidationError(
+            "", "ambient-rank", f"n={n} above the bound {MAX_RANK}"
         )
     return SimplicialPoset(elems, n, name)
 
@@ -273,44 +288,22 @@ def link(S: SimplicialPoset, eid: str) -> SimplicialPoset:
     rank is ``S.n - rank(eid)``.  The link of a maximal face is the
     empty poset.
     """
-    base = S.element(eid)
-    cached = S._cache.setdefault("links", {})
-    if eid in cached:
-        return cached[eid]
-
-    desc = S._descendant_map()
-    above = [e for e in S.elements() if eid in desc[e.id] and e.id != eid]
-    atom_rank = base.rank + 1
-    atoms = [e.id for e in above if e.rank == atom_rank]
-
-    def link_vertices(e: SimplexElem) -> tuple[str, ...]:
-        return tuple(sorted(a for a in atoms if a in desc[e.id]))
-
-    vsets = {e.id: link_vertices(e) for e in above}
-    elems = []
-    for e in above:
-        vs = vsets[e.id]
-        if len(vs) == 1:
-            facets: tuple[str, ...] = ()
-        else:
-            # candidates: facets of e in S that still contain the base face
-            cands = [f for f in e.facets if eid in desc[f]]
-            facets_list = []
-            for j in range(len(vs)):
-                want = vs[:j] + vs[j + 1 :]
-                match = [f for f in cands if vsets[f] == want]
-                if len(match) != 1:
-                    raise NonBooleanInterval(
-                        e.id, "boolean", "link interval is not Boolean"
-                    )
-                facets_list.append(match[0])
-            facets = tuple(facets_list)
-        elems.append(SimplexElem(e.id, vs, facets))
-    out = from_face_lattice(
-        elems, n=S.n - base.rank, name=f"lk({S.name or '?'};{eid})"
+    levels = S.above(eid)
+    atoms = levels[1] if len(levels) > 1 else ()
+    vsets = {a.id: (a.id,) for a in atoms}
+    elems = [SimplexElem(a.id, (a.id,), ()) for a in atoms]
+    for level in levels[2:]:
+        for e in level:
+            # the facets of e that still contain the base face, by link vertices
+            cands = {vsets[f]: f for f in e.facets if f in vsets}
+            vs = vsets[e.id] = tuple(sorted({a for key in cands for a in key}))
+            facets = tuple(cands.get(vs[:j] + vs[j + 1 :]) for j in range(len(vs)))
+            if None in facets:
+                raise NonBooleanInterval(e.id, "boolean", "link interval is not Boolean")
+            elems.append(SimplexElem(e.id, vs, facets))
+    return from_face_lattice(
+        elems, n=S.n - levels[0][0].rank, name=f"lk({S.name or '?'};{eid})"
     )
-    cached[eid] = out
-    return out
 
 
 def barycentric(S: SimplicialPoset) -> SimplicialPoset:
@@ -367,27 +360,20 @@ def validate_stats(S: SimplicialPoset) -> PosetStats:
     cached = S._cache.get("stats")
     if cached is not None:
         return cached
-    ranks = {e.id: i for i, e in enumerate(S.elements())}
-    parent = list(range(len(ranks)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in S.elements():
-        for fid in e.facets:
-            ra, rb = find(ranks[e.id]), find(ranks[fid])
-            if ra != rb:
-                parent[ra] = rb
-    components = len({find(i) for i in range(len(ranks))})
+    cofaces = S._cofaces()
+    reached, stack = set(), [e.id for e in S.elements()[:1]]
+    while stack:
+        eid = stack.pop()
+        if eid not in reached:
+            reached.add(eid)
+            stack += S.element(eid).facets
+            stack += (c.id for c in cofaces[eid])
 
     maximal_dims = {S.element(m).dim for m in S.maximal_ids()}
     out = PosetStats(
         dim=S.dim,
         pure=len(maximal_dims) <= 1,
-        connected=components == 1,
+        connected=len(S) > 0 and len(reached) == len(S),
         f=f_vector(S),
     )
     S._cache["stats"] = out

@@ -2,7 +2,7 @@
 
 Each helper re-derives an expected value along a path the production
 code does not share: subset enumeration for face posets, explicit
-downward closures for Boolean intervals, determinant divisors for
+downward closures for Boolean intervals and links, determinant divisors for
 Smith normal forms, fraction and mod-p Gaussian elimination for ranks,
 and Kunneth convolution for product Betti profiles.
 """
@@ -37,6 +37,35 @@ def interval_ids(S, eid):
                     nxt.append(fid)
         frontier = nxt
     return seen
+
+
+def oracle_link(S, eid):
+    """Link of a face by full scan: every face whose downward closure
+    holds ``eid`` is above it, and its link vertices are the faces
+    covering ``eid`` in that closure.  Quadratic in the poset size."""
+    from sposet.poset import SimplexElem, from_face_lattice
+
+    base = S.element(eid)
+    down = {e.id: interval_ids(S, e.id) for e in S.elements()}
+    above = [e for e in S.elements() if eid in down[e.id] and e.id != eid]
+    atoms = [e.id for e in above if e.rank == base.rank + 1]
+    vsets = {e.id: tuple(sorted(a for a in atoms if a in down[e.id])) for e in above}
+    elems = []
+    for e in above:
+        vs = vsets[e.id]
+        facets = ()
+        if len(vs) > 1:
+            facets = tuple(
+                next(
+                    f for f in e.facets
+                    if eid in down[f] and vsets[f] == vs[:j] + vs[j + 1 :]
+                )
+                for j in range(len(vs))
+            )
+        elems.append(SimplexElem(e.id, vs, facets))
+    return from_face_lattice(
+        elems, n=S.n - base.rank, name=f"lk({S.name or '?'};{eid})"
+    )
 
 
 def minor_gcd_invariant_factors(rows):

@@ -3,8 +3,9 @@ import pytest
 from sposet.classify import buchsbaum_witnesses, classify, link_table
 from sposet.errors import NotConnected, NotPure
 from sposet.facevec import ft_vector
-from sposet.homology import RATIONALS, prime_field
-from sposet.poset import SimplexElem, from_face_lattice, f_vector
+from sposet.corpus import corpus, corpus_names
+from sposet.homology import INTEGERS, RATIONALS, prime_field, reduced_betti
+from sposet.poset import SimplexElem, barycentric, from_face_lattice, from_facets, f_vector, link
 
 
 class TestLinkTable:
@@ -24,6 +25,23 @@ class TestLinkTable:
         table = dict(link_table(full_triangle, RATIONALS))
         for v in ("v1", "v2", "v3"):
             assert all(x == 0 for x in table[v].reduced)
+
+    def test_rows_match_link_posets(self):
+        # the restricted complexes against each link poset's own complex;
+        # the cone over rp2_6 has Z/2 torsion in the link of its apex
+        rp2 = corpus("rp2_6")
+        posets = [corpus(name) for name in corpus_names()] + [
+            barycentric(corpus("torus7")),
+            barycentric(rp2),
+            from_facets([(*f.vertices, "apex") for f in rp2.by_rank(3)], name="cone(rp2_6)"),
+        ]
+        torsion = 0
+        for S in posets:
+            for coeff in (INTEGERS, RATIONALS, prime_field(2), prime_field(3)):
+                for eid, row in link_table(S, coeff):
+                    assert row == reduced_betti(link(S, eid), coeff), (S.name, eid, coeff)
+                    torsion += any(row.torsion)
+        assert torsion == 1
 
     def test_not_pure(self):
         S = from_face_lattice(

@@ -2,9 +2,11 @@
 
 Every format's documents are mutated one change at a time: a key
 deleted, a value replaced by null, a bool, a string, a list, an object
-or a huge integer, or a list entry duplicated.  Whatever the mutation,
-parsing (and, for posets, validation and homology) must end in a value
-or in a SposetError, never in another exception.
+or a huge integer, a list entry duplicated, or two list entries
+swapped.  Whatever the mutation, parsing (and, for posets, validation
+and homology) must end in a value or in a SposetError, never in
+another exception, and a poset that parses kept its name and ids as
+the document wrote them.
 """
 import copy
 import json
@@ -53,11 +55,15 @@ def _slots(node):
 def _mutate(doc, rng):
     doc = copy.deepcopy(doc)
     container, key = rng.choice(_slots(doc))
-    op = rng.randrange(3)
+    op = rng.randrange(4)
     if op == 0 and isinstance(container, dict):
         del container[key]
     elif op == 1 and isinstance(container, list):
         container.insert(key, copy.deepcopy(container[key]))
+    elif op == 2 and isinstance(container, list) and len(container) > 1:
+        # keeps every type, so the document reaches validation
+        other = (key + rng.randrange(1, len(container))) % len(container)
+        container[key], container[other] = container[other], container[key]
     else:
         container[key] = copy.deepcopy(rng.choice(REPLACEMENTS))
     return doc
@@ -80,6 +86,13 @@ def test_mutated_documents_end_in_value_or_sposet_error():
             raise AssertionError(f"case {case}: {type(exc).__name__}: {exc}\n{doc}")
         else:
             outcomes["value"] += 1
+            if doc.get("format") == "sposet-v1":
+                # no silent str(): the name and every id already were names
+                assert isinstance(doc.get("name", ""), str), case
+                assert all(
+                    isinstance(raw["id"], (str, int)) and not isinstance(raw["id"], bool)
+                    for raw in doc["elements"]
+                ), case
     # the mutations reach both sides of the format boundary
     assert outcomes["value"] > CASES // 10
     assert outcomes["error"] > CASES // 10

@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 
+import sposet
 from sposet import homology
 from sposet.homology import (
     INTEGERS,
@@ -155,6 +159,54 @@ class TestInternalErrors:
         monkeypatch.setattr(homology, "_invariant_factors", lambda A: [2, 3])
         with pytest.raises(InternalError):
             smith_normal_form(((2, 0), (0, 3)))
+
+
+# Three corrupted inputs that must each raise InternalError with the
+# interpreter's asserts stripped; the exit code counts those that did not.
+UNDER_O = """
+import sys
+from sposet import homology
+from sposet.errors import InternalError
+from sposet.homology import ChainData, boundary_matrices, smith_normal_form
+from sposet.poset import SimplexElem, SimplicialPoset
+
+def bad_chain():
+    homology._check_complex(ChainData((("v1", "v2"), ("e",)), (((1, 1),), ((1,), (1,)))))
+
+def bad_factors():
+    homology._invariant_factors = lambda rows: [2, 3]
+    smith_normal_form(((2, 0), (0, 3)))
+
+def bad_restriction():
+    # the triangle lists its facets out of order, unseen by any validation
+    elems = [SimplexElem(v, (v,), ()) for v in "abc"] + [
+        SimplexElem("ab", ("a", "b"), ("b", "a")),
+        SimplexElem("ac", ("a", "c"), ("c", "a")),
+        SimplexElem("bc", ("b", "c"), ("c", "b")),
+        SimplexElem("abc", ("a", "b", "c"), ("ac", "bc", "ab")),
+    ]
+    boundary_matrices(SimplicialPoset({e.id: e for e in elems}, 3), root="a")
+
+missed = 0
+for case in (bad_chain, bad_factors, bad_restriction):
+    try:
+        case()
+    except InternalError:
+        continue
+    print(case.__name__, "did not raise")
+    missed += 1
+sys.exit(missed if sys.flags.optimize else 99)
+"""
+
+
+def test_invariants_hold_under_python_O():
+    src = os.path.dirname(os.path.dirname(sposet.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", UNDER_O], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
 
 
 class TestBoundaryMatrices:

@@ -280,6 +280,11 @@ MISTYPED_DOCUMENTS = {
     "scomplex_name_list": (
         {"format": "scomplex-v1", "facets": [["a", ["b"]]]}, ["stats", "{path}"],
     ),
+    "sposet_id_list": (
+        {"format": "sposet-v1", "elements": [{"id": ["x"], "vertices": ["x"], "facets": []}]},
+        ["stats", "{path}"],
+    ),
+    "sposet_name_object": ({**_triangle_doc(), "name": {"a": 1}}, ["stats", "{path}"]),
     "cone_n_bool": (_triangle_cone(n=True), ["quotient", "cone", "{path}"]),
     "cone_n_str": (_triangle_cone(n="2"), ["quotient", "cone", "{path}"]),
     "manifold_bettiq_str": (
@@ -305,6 +310,16 @@ def test_mistyped_document_is_schema_violation(case, tmp_path, capsys):
     assert main([a.format(path=path) for a in argv]) != 0
     err = capsys.readouterr().err
     assert "SchemaViolation" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", [10**9, 10**30])
+def test_huge_ambient_rank_is_clean_error(n, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**_triangle_doc(), "n": n}))
+    assert main(["stats", str(path)]) != 0
+    err = capsys.readouterr().err
+    assert "Error:" in err and "ambient-rank" in err
     assert "Traceback" not in err
 
 

@@ -17,7 +17,7 @@ from sposet.poset import (
     validate_stats,
 )
 
-from oracles import interval_ids, powerset_faces
+from oracles import interval_ids, oracle_link, powerset_faces
 
 
 def two_arc_circle_elems():
@@ -144,6 +144,18 @@ class TestLink:
         with pytest.raises(UnknownElement):
             link(bd_triangle, "nope")
 
+    def test_matches_full_scan_oracle(self, corpus_posets):
+        for name, S in corpus_posets.items():
+            for e in S.elements():
+                lk, want = link(S, e.id), oracle_link(S, e.id)
+                assert (lk, lk.name) == (want, want.name), (name, e.id)
+
+    def test_above_groups_faces_by_rank(self, torus7):
+        levels = torus7.above("v1")
+        assert [len(level) for level in levels] == [1, 6, 6]
+        assert levels[1] == tuple(sorted(levels[1], key=lambda e: e.id))
+        assert torus7.above("v1,v2")[0][0].id == "v1,v2"
+
     def test_link_revalidates(self, torus7):
         # links go through full construction, so Boolean checks rerun
         lk = link(torus7, "v1")
@@ -209,5 +221,6 @@ class TestStatsAndIntervals:
         S = from_face_lattice([SimplexElem("v", ("v",), ())], n=2)
         assert S.n == 2
         assert validate_stats(S).f == (1, 1, 0)
-        with pytest.raises(PosetValidationError):
-            from_face_lattice([SimplexElem("v", ("v",), ())], n=0)
+        for n in (0, 10**9, 10**30):
+            with pytest.raises(PosetValidationError, match="ambient-rank"):
+                from_face_lattice([SimplexElem("v", ("v",), ())], n=n)

@@ -1,6 +1,9 @@
+import sys
+
 import pytest
 
 from sposet import charfn as charfn_mod
+from sposet import facevec as facevec_mod
 from sposet import homology
 from sposet.charfn import CharFunction, random_q_charfn
 from sposet.classify import buchsbaum_witnesses
@@ -290,6 +293,26 @@ class TestVerify:
             assert rep.checks["pages_match_closed_forms"], S.name
 
 
+def _torus7_report():
+    # a fresh torus7, and one full report on it: identities, both quotient
+    # problems, their tables and their checks
+    S = corpus("torus7")
+
+    def report():
+        identity_report(S, RATIONALS)
+        problems = (
+            make_problem(CONE, S, 3, RATIONALS),
+            make_problem(
+                MANIFOLD, S, 3, RATIONALS,
+                betti_q=(1, 1, 0, 0), iota=(1, 1, 0, 0), orientable=True,
+            ),
+        )
+        for prob in problems:
+            verify(prob, solve(prob))
+
+    return S, report
+
+
 class TestComputeOnce:
     def test_second_report_makes_no_smith_forms(self, monkeypatch):
         calls = []
@@ -301,22 +324,35 @@ class TestComputeOnce:
 
         monkeypatch.setattr(homology, "smith_normal_form", counting)
         monkeypatch.setattr(charfn_mod, "smith_normal_form", counting)
-        S = corpus("torus7")
-        problems = (
-            make_problem(CONE, S, 3, RATIONALS),
-            make_problem(
-                MANIFOLD, S, 3, RATIONALS,
-                betti_q=(1, 1, 0, 0), iota=(1, 1, 0, 0), orientable=True,
-            ),
-        )
-
-        def report():
-            identity_report(S, RATIONALS)
-            for prob in problems:
-                verify(prob, solve(prob))
-
+        _, report = _torus7_report()
         report()
         assert calls
         calls.clear()
         report()
         assert calls == []
+
+    def test_h_polynomial_expanded_once_per_poset(self, monkeypatch):
+        expanded = []
+        real = facevec_mod.f_vector
+
+        def counting(S):
+            expanded.append(S)
+            return real(S)
+
+        monkeypatch.setattr(facevec_mod, "f_vector", counting)
+        S, report = _torus7_report()
+        report()
+        assert expanded == [S]
+        expanded.clear()
+        report()
+        assert expanded == []
+
+    def test_report_builds_no_link_posets(self, monkeypatch):
+        def no_link(S, eid):
+            raise AssertionError(f"link poset of {eid!r} built")
+
+        for mod in list(sys.modules.values()):
+            if mod and mod.__name__.startswith("sposet") and getattr(mod, "link", None) is link:
+                monkeypatch.setattr(mod, "link", no_link)
+        _, report = _torus7_report()
+        report()

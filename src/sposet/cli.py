@@ -277,10 +277,8 @@ def _emit_report(prob, as_json: bool) -> None:
     tables = spectral.solve(prob)
     ver = spectral.verify(prob, tables)
     idrep = identity_report(prob.poset, prob.coeff)
-    checks = dict(ver.checks)
-    checks.update({f"identity_{k}": v for k, v in idrep.checks.items()})
-    skipped = dict(ver.skipped)
-    skipped.update({f"identity_{k}": v for k, v in idrep.skipped.items()})
+    checks = {**ver.checks, **{f"identity_{k}": v for k, v in idrep.checks.items()}}
+    skipped = {**ver.skipped, **{f"identity_{k}": v for k, v in idrep.skipped.items()}}
     report = {
         "format": "report-v1",
         "inputs": {
@@ -353,17 +351,13 @@ def _problem_from_cli(kind, corpus_name, path, rank, field, charfn_path,
     if rank is None:
         raise click.UsageError("--n is required unless a bundle file is given")
     lam = io_mod.parse_path(charfn_path) if charfn_path else None
-    kwargs = {}
-    if kind == spectral.MANIFOLD:
-        if betti_q is None or iota is None:
-            raise click.UsageError(
-                "manifold problems need --betti-q and --iota (or a bundle file)"
-            )
-        kwargs["betti_q"] = betti_q
-        kwargs["iota"] = iota
-        kwargs["orientable"] = orientable
+    if kind == spectral.MANIFOLD and (betti_q is None or iota is None):
+        raise click.UsageError(
+            "manifold problems need --betti-q and --iota (or a bundle file)"
+        )
     return spectral.make_problem(
-        kind, S, rank, parse_coefficients(field), charfn=lam, **kwargs
+        kind, S, rank, parse_coefficients(field), charfn=lam,
+        betti_q=betti_q, iota=iota, orientable=orientable,
     )
 
 

@@ -95,5 +95,9 @@ class UnknownName(SposetError):
     """Requested corpus entry does not exist."""
 
 
+class InvalidArgument(SposetError, ValueError):
+    """A library call received an argument of the wrong type or value."""
+
+
 class InternalError(SposetError):
     """A computed invariant broke a condition that must always hold."""

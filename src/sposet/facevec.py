@@ -9,6 +9,7 @@ reduced Betti numbers, which is what the top h-number identity forces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from math import comb
 
 from .classify import buchsbaum_witnesses, classify, link_table
@@ -42,12 +43,7 @@ class IdentityReport:
 
 
 def _poly_add(a, b):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return out
+    return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
 
 
 def _poly_scale(a, c):
@@ -71,10 +67,7 @@ def _poly_pow(base, e):
 
 
 def _poly_eq(a, b) -> bool:
-    width = max(len(a), len(b))
-    a = list(a) + [0] * (width - len(a))
-    b = list(b) + [0] * (width - len(b))
-    return a == b
+    return all(x == y for x, y in zip_longest(a, b, fillvalue=0))
 
 
 def _require_pure(S: SimplicialPoset) -> None:

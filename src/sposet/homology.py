@@ -8,16 +8,17 @@ number produced here is reduced and the empty poset correctly reports a
 single unit in degree -1.  Link homology is read from the same complex
 restricted to the faces above each face, so no link poset is built.
 
-Each poset keeps the integer Smith normal forms of its boundary
-matrices, per up-set root; ranks over Q and F_p are read off the
-invariant factors, so all rings share one exact elimination.
+Each poset keeps one signed incidence, checked for d.d = 0 once, from
+which every boundary matrix is copied, and the integer Smith forms of
+those matrices per up-set root: Q and F_p ranks are read off them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import cycle
 from typing import Sequence
 
-from .errors import InternalError, SposetError
+from .errors import InternalError, InvalidArgument, SposetError
 from .poset import SimplicialPoset, barycentric
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -62,14 +63,16 @@ class Coefficients:
 
     def __post_init__(self):
         if self.kind not in (_INTEGERS, _RATIONALS, _PRIME_FIELD):
-            raise ValueError(f"unknown coefficient kind {self.kind!r}")
+            raise InvalidArgument(f"unknown coefficient kind {self.kind!r}")
         if self.kind == _PRIME_FIELD:
-            if self.p is not None and self.p >= 2**64:
-                raise ValueError(f"{self.p} is too large: p must be below 2**64")
-            if self.p is None or not _is_prime(self.p):
-                raise ValueError(f"{self.p!r} is not prime")
+            if not isinstance(self.p, int) or isinstance(self.p, bool):
+                raise InvalidArgument(f"p = {self.p!r} is not an integer")
+            if self.p >= 2**64:
+                raise InvalidArgument(f"{self.p} is too large: p must be below 2**64")
+            if not _is_prime(self.p):
+                raise InvalidArgument(f"{self.p!r} is not prime")
         elif self.p is not None:
-            raise ValueError("p only makes sense for prime fields")
+            raise InvalidArgument("p only makes sense for prime fields")
 
     @property
     def is_field(self) -> bool:
@@ -215,13 +218,30 @@ class ChainData:
         return self.boundaries[k]
 
 
-def _levels(S: SimplicialPoset, root: str | None):
-    # the faces of a complex by rank and its ambient rank; the bottom level
-    # holds the root, or None for the whole poset's implicit minimal element
-    if root is None:
-        return ((None,), *map(S.by_rank, range(1, S.dim + 2))), S.n
-    levels = S.above(root)
-    return levels, S.n - levels[0][0].rank
+def _incidence(S: SimplicialPoset) -> dict[str, tuple[tuple[str | None, int], ...]]:
+    # each face's boundary as (facet id, (-1)**pos) pairs, a vertex's one
+    # facet being the implicit minimal element, None; built and checked
+    # once per poset
+    incidence = S._cache.get("incidence")
+    if incidence is None:
+        incidence = {e.id: tuple(zip(e.facets or (None,), cycle((1, -1)))) for e in S}
+        _check_complex(incidence)
+        S._cache["incidence"] = incidence
+    return incidence
+
+
+def _check_complex(incidence) -> None:
+    # d.d = 0 on the whole complex, sparsely: each face against the
+    # facets of its facets, O(sum of rank**2).  The faces >= a root form
+    # the quotient of this complex by the subcomplex of faces not >= it,
+    # so every restricted complex inherits d.d = 0 and is not checked.
+    for eid, boundary in incidence.items():
+        total: dict[str | None, int] = {}
+        for fid, sign in boundary:
+            for gid, inner in incidence.get(fid, ()):
+                total[gid] = total.get(gid, 0) + sign * inner
+        if any(total.values()):
+            raise InternalError(f"boundary squared nonzero at face {eid!r}")
 
 
 def boundary_matrices(S: SimplicialPoset, root: str | None = None) -> ChainData:
@@ -230,36 +250,23 @@ def boundary_matrices(S: SimplicialPoset, root: str | None = None) -> ChainData:
     With ``root`` the complex is restricted to the faces above it, and
     the root takes the place of the minimal element: the first matrix
     maps the faces covering the root onto it.  Its homology is the
-    reduced homology of ``link(S, root)`` (Munkres, Lemma 63.1).
-    Verifies D_(k-1) . D_k = 0 before returning; entries are in
+    reduced homology of ``link(S, root)`` (Munkres, Lemma 63.1).  Every
+    matrix is copied from the poset's one signed incidence, on which
+    D_(k-1) . D_k = 0 is verified once per poset; entries are in
     {-1, 0, 1} by construction.
     """
-    levels, _ = _levels(S, root)
-    gens = tuple(tuple(e.id for e in level) for level in levels[1:])
-
-    # vertices list no facet: their one face below is the minimal element
+    incidence = _incidence(S)
+    gens = tuple(tuple(e.id for e in level) for level in S.above(root)[1:])
     boundaries = []
-    for lower, level in zip(((root,), *gens), levels[1:]):
+    for lower, upper in zip(((root,), *gens), gens):
         index = {eid: i for i, eid in enumerate(lower)}
-        rows = [[0] * len(level) for _ in lower]
-        for j, e in enumerate(level):
-            for pos, fid in enumerate(e.facets or (None,)):
+        rows = [[0] * len(upper) for _ in lower]
+        for j, eid in enumerate(upper):
+            for fid, sign in incidence[eid]:
                 if fid in index:
-                    rows[index[fid]][j] = 1 if pos % 2 == 0 else -1
+                    rows[index[fid]][j] = sign
         boundaries.append(tuple(map(tuple, rows)))
-
-    data = ChainData(gens, tuple(boundaries))
-    _check_complex(data)
-    return data
-
-
-def _check_complex(data: ChainData) -> None:
-    pairs = zip(data.boundaries, data.boundaries[1:])
-    for k, (lower, upper) in enumerate(pairs, 1):
-        for col in zip(*upper):
-            sparse = [(i, v) for i, v in enumerate(col) if v]
-            if any(sum(row[i] * v for i, v in sparse) for row in lower):
-                raise InternalError(f"boundary squared nonzero in degree {k}")
+    return ChainData(gens, tuple(boundaries))
 
 
 @dataclass(frozen=True)
@@ -278,9 +285,7 @@ class BettiVector:
         return self.reduced[i + 1]
 
     def torsion_in(self, i: int) -> tuple[int, ...]:
-        if not self.torsion:
-            return ()
-        return self.torsion[i + 1]
+        return self.torsion[i + 1] if self.torsion else ()
 
     def degrees(self):
         return range(-1, len(self.reduced) - 1)
@@ -301,11 +306,10 @@ def reduced_betti(
     # integer Smith form per boundary matrix, shared by every ring
     cache = S._cache.setdefault("snf", {})
     if root not in cache:
-        levels, n = _levels(S, root)
-        f = [len(level) for level in levels] + [0] * (n + 1 - len(levels))
-        cache[root] = f, tuple(
-            smith_normal_form(d) for d in boundary_matrices(S, root).boundaries
-        )
+        data = boundary_matrices(S, root)
+        n = S.n - (0 if root is None else S.element(root).rank)
+        f = [1, *map(len, data.generators)] + [0] * (n - 1 - data.dim)
+        cache[root] = f, tuple(smith_normal_form(d) for d in data.boundaries)
     f, snfs = cache[root]
     # rank[i] is the rank of D_(i-1) : C_(i-1) -> C_(i-2), zero off the complex
     rank = [0, *(snf.rank_over(coeff) for snf in snfs)] + [0] * (len(f) - len(snfs))
@@ -332,7 +336,4 @@ def betti_crosscheck(S: SimplicialPoset, coeff: Coefficients) -> bool:
 
 def euler_characteristic(S: SimplicialPoset) -> int:
     """Alternating face-count sum over the nonminimal elements."""
-    chi = 0
-    for e in S.elements():
-        chi += 1 if e.dim % 2 == 0 else -1
-    return chi
+    return sum((-1) ** e.dim for e in S.elements())

@@ -10,7 +10,7 @@ by the homology backend.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -108,23 +108,25 @@ class SimplicialPoset:
         cofaces = self._cofaces()
         return tuple(e.id for e in self._sorted if not cofaces[e.id])
 
-    def _cofaces(self) -> dict[str, list[SimplexElem]]:
-        # the faces covering each face, built once per poset
+    def _cofaces(self) -> dict[str | None, list[SimplexElem]]:
+        # the faces covering each face, built once per poset; the vertices
+        # cover the implicit minimal element, None
         cofaces = self._cache.get("cofaces")
         if cofaces is None:
-            cofaces = self._cache["cofaces"] = {e.id: [] for e in self._sorted}
+            cofaces = self._cache["cofaces"] = {eid: [] for eid in (None, *self._elems)}
             for e in self._sorted:
-                for fid in e.facets:
+                for fid in e.facets or (None,):
                     cofaces[fid].append(e)
         return cofaces
 
-    def above(self, eid: str) -> tuple[tuple[SimplexElem, ...], ...]:
+    def above(self, eid: str | None) -> tuple[tuple, ...]:
         """The faces >= ``eid`` grouped by rank, each group in id order;
-        group 0 is the face itself.  Walks the cover map, not the poset."""
+        group 0 is the face itself, or ``(None,)`` for the implicit minimal
+        element (``eid`` None).  Walks the cover map, not the poset."""
         cofaces = self._cofaces()
-        levels = [(self.element(eid),)]
+        levels = [(None if eid is None else self.element(eid),)]
         while True:
-            nxt = {c.id: c for e in levels[-1] for c in cofaces[e.id]}
+            nxt = {c.id: c for e in levels[-1] for c in cofaces[e.id if e else None]}
             if not nxt:
                 return tuple(levels)
             levels.append(tuple(nxt[k] for k in sorted(nxt)))
@@ -145,19 +147,14 @@ class SimplicialPoset:
 
 
 def _as_elem(raw) -> SimplexElem:
-    if isinstance(raw, SimplexElem):
-        eid, vertices, facets = raw.id, raw.vertices, raw.facets
-    elif isinstance(raw, Mapping):
-        try:
-            eid, vertices, facets = raw["id"], raw["vertices"], raw["facets"]
-        except KeyError as exc:
-            raise PosetValidationError(
-                raw.get("id", "?"), "element-shape", f"missing key {exc}"
-            ) from None
-    else:
-        eid, vertices, facets = raw
-    vertices = tuple(sorted(str(v) for v in vertices))
-    return SimplexElem(str(eid), vertices, tuple(str(f) for f in facets))
+    # a SimplexElem of a str id and tuples of strs, as given once sorted
+    if not (isinstance(raw, SimplexElem) and isinstance(raw.vertices, tuple)
+            and isinstance(raw.facets, tuple)
+            and all(isinstance(x, str) for x in (raw.id, *raw.vertices, *raw.facets))):
+        raise PosetValidationError(getattr(raw, "id", "?"), "element-shape",
+                                   f"not a SimplexElem of str ids and tuples: {raw!r}")
+    vertices = tuple(sorted(raw.vertices))
+    return raw if vertices == raw.vertices else replace(raw, vertices=vertices)
 
 
 def from_face_lattice(
@@ -165,10 +162,11 @@ def from_face_lattice(
 ) -> SimplicialPoset:
     """Build and validate a simplicial poset from explicit face data.
 
-    Each entry supplies ``(id, vertices, facets)`` as a SimplexElem,
-    mapping or triple.  Raises :class:`DanglingFaceRef`,
-    :class:`RankMismatch` or :class:`NonBooleanInterval` naming the
-    offending element when an axiom fails.
+    Each entry is a SimplexElem with a string id and tuples of string
+    vertices and facet ids; anything else is an ``element-shape`` error.
+    Raises :class:`DanglingFaceRef`, :class:`RankMismatch` or
+    :class:`NonBooleanInterval` naming the offending element when an
+    axiom fails.
     """
     elems: dict[str, SimplexElem] = {}
     for raw in elements:
@@ -288,6 +286,7 @@ def link(S: SimplicialPoset, eid: str) -> SimplicialPoset:
     rank is ``S.n - rank(eid)``.  The link of a maximal face is the
     empty poset.
     """
+    base = S.element(eid)  # first: above(None) would walk the whole poset
     levels = S.above(eid)
     atoms = levels[1] if len(levels) > 1 else ()
     vsets = {a.id: (a.id,) for a in atoms}
@@ -302,7 +301,7 @@ def link(S: SimplicialPoset, eid: str) -> SimplicialPoset:
                 raise NonBooleanInterval(e.id, "boolean", "link interval is not Boolean")
             elems.append(SimplexElem(e.id, vs, facets))
     return from_face_lattice(
-        elems, n=S.n - levels[0][0].rank, name=f"lk({S.name or '?'};{eid})"
+        elems, n=S.n - base.rank, name=f"lk({S.name or '?'};{eid})"
     )
 
 

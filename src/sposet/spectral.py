@@ -28,6 +28,7 @@ from .classify import buchsbaum_witnesses, classify
 from .errors import (
     BudgetExhausted,
     InconsistentBundle,
+    InvalidArgument,
     InvalidCharFn,
     NonFieldCoefficients,
     NotBuchsbaum,
@@ -138,7 +139,9 @@ def make_problem(
     exactness bounds on the manifold rank data.
     """
     if kind not in (CONE, MANIFOLD):
-        raise ValueError(f"unknown problem kind {kind!r}")
+        raise InvalidArgument(f"unknown problem kind {kind!r}")
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise InvalidArgument(f"torus rank n = {n!r} is not an integer")
     if not coeff.is_field:
         raise NonFieldCoefficients("quotient rank tables need field coefficients")
 
@@ -208,7 +211,8 @@ def relative_and_delta(prob: QuotientProblem):
     reduced boundary homology.  Manifold: dim H_i(Q, bd Q) = betti_q[n-i]
     by duality and rank delta_i = dim H_i(Q, bd Q) - betti_q[i] + iota[i]
     by exactness.  Raises InconsistentBundle when any derived rank
-    escapes its exactness bounds.
+    escapes its exactness bounds, or when delta_i + iota_(i-1) is not
+    dim H_(i-1)(bd Q) for some 1 <= i <= n.
     """
     n = prob.n
     bt = _btilde(prob)
@@ -224,6 +228,12 @@ def relative_and_delta(prob: QuotientProblem):
         if d < 0 or d > relative[i] or d > max(bt(i - 1), 0):
             raise InconsistentBundle(
                 f"rank delta_{i} = {d} violates exactness bounds"
+            )
+        # exactness at H_(i-1)(bd Q): im delta_i = ker iota_(i-1)
+        if i and d + prob.iota[i - 1] != boundary_unreduced[i - 1]:
+            raise InconsistentBundle(
+                f"rank delta_{i} + rank iota_{i - 1} = {d + prob.iota[i - 1]} "
+                f"!= {boundary_unreduced[i - 1]} = dim H_{i - 1}(bd Q)"
             )
         delta.append(d)
     for i in range(n + 1):
@@ -375,7 +385,6 @@ def verify(prob: QuotientProblem, tables: Tables) -> VerifyReport:
     n = prob.n
     checks: dict[str, bool] = {}
     skipped: dict[str, str] = {}
-    notes: dict[str, object] = {}
 
     big = tables.bigraded
     chi_page = sum(
@@ -430,8 +439,7 @@ def verify(prob: QuotientProblem, tables: Tables) -> VerifyReport:
         checks["lambda_independent"] = True
         skipped["lambda_independent_random"] = "no characteristic function supplied"
 
-    f, _, _, _ = f_h_vectors(prob.poset)
-    notes["chi_x"] = chi_x
-    notes["top_face_count"] = f[n]
-    notes["chi_x_equals_top_face_count"] = chi_x == f[n]
+    top = f_h_vectors(prob.poset)[0][n]
+    notes = {"chi_x": chi_x, "top_face_count": top,
+             "chi_x_equals_top_face_count": chi_x == top}
     return VerifyReport(checks=checks, skipped=skipped, notes=notes)

@@ -10,7 +10,6 @@ import sposet
 from sposet import homology
 from sposet.homology import (
     INTEGERS,
-    ChainData,
     RATIONALS,
     betti_crosscheck,
     boundary_matrices,
@@ -20,11 +19,12 @@ from sposet.homology import (
     reduced_betti,
     smith_normal_form,
 )
-from sposet.corpus import corpus
-from sposet.poset import from_facets, link
+from sposet.corpus import corpus, corpus_names
+from sposet.poset import SimplexElem, SimplicialPoset, barycentric, from_facets, link
 from sposet.errors import InternalError, SposetError
 
 from oracles import (
+    interval_ids,
     matrix_product_is_zero,
     minor_gcd_invariant_factors,
     rank_mod_p,
@@ -147,13 +147,15 @@ class TestSmithNormalForm:
 
 class TestInternalErrors:
     def test_corrupted_complex_raises(self):
-        # two vertices joined by an edge whose boundary is v1 + v2
-        data = ChainData(
-            generators=(("v1", "v2"), ("e",)),
-            boundaries=(((1, 1),), ((1,), (1,))),
-        )
-        with pytest.raises(InternalError):
-            homology._check_complex(data)
+        # the boundary of every face is checked on the whole poset, so a
+        # triangle whose facet list is rotated breaks d.d = 0 for any root
+        S = corpus("boundary_simplex(3)")
+        t = S.by_rank(3)[0]
+        elems = {e.id: e for e in S.elements()}
+        elems[t.id] = SimplexElem(t.id, t.vertices, t.facets[1:] + t.facets[:1])
+        for root in (None, t.id, t.vertices[0]):
+            with pytest.raises(InternalError):
+                boundary_matrices(SimplicialPoset(elems, S.n), root=root)
 
     def test_broken_factor_chain_raises(self, monkeypatch):
         monkeypatch.setattr(homology, "_invariant_factors", lambda A: [2, 3])
@@ -161,39 +163,47 @@ class TestInternalErrors:
             smith_normal_form(((2, 0), (0, 3)))
 
 
-# Three corrupted inputs that must each raise InternalError with the
+# Corrupted inputs that must each raise InternalError with the
 # interpreter's asserts stripped; the exit code counts those that did not.
 UNDER_O = """
 import sys
 from sposet import homology
 from sposet.errors import InternalError
-from sposet.homology import ChainData, boundary_matrices, smith_normal_form
+from sposet.homology import boundary_matrices, smith_normal_form
 from sposet.poset import SimplexElem, SimplicialPoset
 
-def bad_chain():
-    homology._check_complex(ChainData((("v1", "v2"), ("e",)), (((1, 1),), ((1,), (1,)))))
-
-def bad_factors():
-    homology._invariant_factors = lambda rows: [2, 3]
-    smith_normal_form(((2, 0), (0, 3)))
-
-def bad_restriction():
-    # the triangle lists its facets out of order, unseen by any validation
+def misordered():
+    # a fresh triangle listing its facets out of order, unseen by any validation
     elems = [SimplexElem(v, (v,), ()) for v in "abc"] + [
         SimplexElem("ab", ("a", "b"), ("b", "a")),
         SimplexElem("ac", ("a", "c"), ("c", "a")),
         SimplexElem("bc", ("b", "c"), ("c", "b")),
         SimplexElem("abc", ("a", "b", "c"), ("ac", "bc", "ab")),
     ]
-    boundary_matrices(SimplicialPoset({e.id: e for e in elems}, 3), root="a")
+    return SimplicialPoset({e.id: e for e in elems}, 3)
 
+def bad_chain():
+    boundary_matrices(misordered())
+
+def bad_factors():
+    homology._invariant_factors = lambda rows: [2, 3]
+    smith_normal_form(((2, 0), (0, 3)))
+
+def bad_restriction(root):
+    # the first complex asked of the poset is the one restricted to root
+    boundary_matrices(misordered(), root=root)
+
+cases = [("bad_chain", bad_chain), ("bad_factors", bad_factors)] + [
+    (f"bad_restriction({root})", lambda root=root: bad_restriction(root))
+    for root in ("a", "b", "c", "ab", "ac", "bc", "abc")
+]
 missed = 0
-for case in (bad_chain, bad_factors, bad_restriction):
+for name, case in cases:
     try:
         case()
     except InternalError:
         continue
-    print(case.__name__, "did not raise")
+    print(name, "did not raise")
     missed += 1
 sys.exit(missed if sys.flags.optimize else 99)
 """
@@ -241,6 +251,32 @@ class TestBoundaryMatrices:
                 assert matrix_product_is_zero(
                     data.boundary(k - 1), data.boundary(k)
                 )
+
+    def test_restrictions_are_submatrices_on_up_sets(self):
+        # d.d = 0 is checked on the whole complex only, so each restricted
+        # complex must be exactly its submatrix on the faces >= the root
+        rp2 = corpus("rp2_6")
+        posets = [corpus(name) for name in corpus_names()] + [
+            barycentric(corpus("torus7")),
+            from_facets([(*f.vertices, "apex") for f in rp2.by_rank(3)], name="cone(rp2_6)"),
+        ]
+        for S in posets:
+            whole = boundary_matrices(S)
+            index = [{g: i for i, g in enumerate(level)} for level in whole.generators]
+            down = {e.id: interval_ids(S, e.id) for e in S.elements()}
+            for root in S.elements():
+                data = boundary_matrices(S, root=root.id)
+                up_set = {eid for eid, ids in down.items() if root.id in ids} - {root.id}
+                assert {g for level in data.generators for g in level} == up_set
+                lower = ((root.id,), *data.generators)
+                for k, matrix in enumerate(data.boundaries):
+                    d = root.rank + k
+                    rows = [index[d - 1][g] for g in lower[k]]
+                    cols = [index[d][g] for g in data.generators[k]]
+                    full = whole.boundary(d)
+                    assert matrix == tuple(tuple(full[i][j] for j in cols) for i in rows)
+                for k in range(1, data.dim + 1):
+                    assert matrix_product_is_zero(data.boundary(k - 1), data.boundary(k))
 
     def test_entries_in_unit_range(self, corpus_posets):
         for S in corpus_posets.values():

@@ -7,9 +7,17 @@ from sposet import io as io_mod
 from sposet.charfn import CharFunction
 from sposet.cli import cli, main
 from sposet.corpus import corpus, corpus_entry, corpus_names
-from sposet.errors import SchemaViolation, UnknownFormat, UnknownName
-from sposet.poset import validate_stats
-from sposet.spectral import CONE, QuotientProblem
+from sposet.errors import (
+    InvalidArgument,
+    PosetValidationError,
+    SchemaViolation,
+    UnknownElement,
+    UnknownFormat,
+    UnknownName,
+)
+from sposet.homology import RATIONALS, Coefficients, prime_field
+from sposet.poset import SimplexElem, from_face_lattice, link, validate_stats
+from sposet.spectral import CONE, QuotientProblem, make_problem
 
 runner = CliRunner()
 
@@ -313,6 +321,38 @@ def test_mistyped_document_is_schema_violation(case, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# library calls with malformed arguments, and the SposetError each ends in
+BAD_LIBRARY_CALLS = {
+    "face_lattice_int": (lambda: from_face_lattice([5]), PosetValidationError),
+    "face_lattice_tuple": (lambda: from_face_lattice([("a",)]), PosetValidationError),
+    "face_lattice_int_vertices": (
+        lambda: from_face_lattice([SimplexElem("a", 5, ())]), PosetValidationError,
+    ),
+    "prime_field_str": (lambda: prime_field("7"), InvalidArgument),
+    "prime_field_float": (lambda: prime_field(7.0), InvalidArgument),
+    "prime_field_composite": (lambda: prime_field(4), InvalidArgument),
+    "coefficients_kind": (lambda: Coefficients("x"), InvalidArgument),
+    "link_of_minimal_element": (lambda: link(corpus("torus7"), None), UnknownElement),
+    "problem_kind": (
+        lambda: make_problem("x", corpus("boundary_simplex(2)"), 2, RATIONALS),
+        InvalidArgument,
+    ),
+    "problem_n_str": (
+        lambda: make_problem(CONE, corpus("boundary_simplex(2)"), "3", RATIONALS),
+        InvalidArgument,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LIBRARY_CALLS))
+def test_bad_library_call_is_sposet_error(case):
+    call, error = BAD_LIBRARY_CALLS[case]
+    with pytest.raises(error) as err:
+        call()
+    if error is PosetValidationError:
+        assert err.value.axiom == "element-shape"
+
+
 @pytest.mark.parametrize("n", [10**9, 10**30])
 def test_huge_ambient_rank_is_clean_error(n, tmp_path, capsys):
     path = tmp_path / "doc.json"
@@ -321,6 +361,16 @@ def test_huge_ambient_rank_is_clean_error(n, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Error:" in err and "ambient-rank" in err
     assert "Traceback" not in err
+
+
+def test_manifold_rank_data_breaking_exactness_is_refused(capsys):
+    argv = ["quotient", "manifold", "--corpus", "torus7", "--n", "3",
+            "--betti-q", "1,0,0,0", "--iota", "1,0,0,0", "--json"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Error: InconsistentBundle" in captured.err
+    assert "Traceback" not in captured.err
 
 
 # CLI input that once escaped as a Python traceback; {path} holds BAD_FORMAT_TAG

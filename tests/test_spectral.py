@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 
 import pytest
 
@@ -16,7 +17,8 @@ from sposet.errors import (
 from sposet.corpus import corpus
 from sposet.facevec import f_h_vectors, ft_vector, h_prime_double, identity_report
 from sposet.homology import INTEGERS, RATIONALS, prime_field, reduced_betti
-from sposet.poset import link
+from sposet.cli import main
+from sposet.poset import SimplicialPoset, link
 from sposet.spectral import (
     CONE,
     MANIFOLD,
@@ -95,6 +97,14 @@ class TestMakeProblem:
             make_problem(
                 MANIFOLD, torus7, 3, RATIONALS,
                 betti_q=(1, 0, 5, 0), iota=(1, 0, 1, 0), orientable=True,
+            )
+
+    def test_exactness_at_boundary_homology(self, torus7):
+        # every bound holds, but delta_2 + iota_1 = 0 misses dim H_1(bd Q) = 2
+        with pytest.raises(InconsistentBundle, match=r"delta_2 \+ rank iota_1 = 0 != 2"):
+            make_problem(
+                MANIFOLD, torus7, 3, RATIONALS,
+                betti_q=(1, 0, 0, 0), iota=(1, 0, 0, 0), orientable=True,
             )
 
     @pytest.mark.parametrize("entry", ["1", True, 1.0])
@@ -356,3 +366,26 @@ class TestComputeOnce:
                 monkeypatch.setattr(mod, "link", no_link)
         _, report = _torus7_report()
         report()
+
+    def test_cone_report_checks_once_and_walks_each_up_set_once(self, monkeypatch, capsys):
+        # d.d = 0 once per poset, and one up-set walk per complex: the
+        # whole poset from its minimal element (None) and each face
+        checks, walks = [], Counter()
+        real_check, real_above = homology._check_complex, SimplicialPoset.above
+
+        def check(incidence):
+            checks.append(incidence)
+            real_check(incidence)
+
+        def above(S, eid):
+            walks[eid] += 1
+            return real_above(S, eid)
+
+        monkeypatch.setattr(homology, "_check_complex", check)
+        monkeypatch.setattr(SimplicialPoset, "above", above)
+        assert main(["quotient", "cone", "--corpus", "torus7", "--n", "3", "--json"]) == 0
+        assert '"euler_conserved":true' in capsys.readouterr().out
+        faces = [e.id for e in corpus("torus7").elements()]
+        assert len(checks) == 1
+        assert walks == Counter([None, *faces]) and len(faces) == 42
+

@@ -3,8 +3,10 @@
 An assignment is valid on a simplex over the integers when the matrix
 of its vertices' vectors has all Smith invariant factors equal to one
 (the subtorus inclusion is injective and splits); over a field, full
-row rank suffices.  One integer Smith form per simplex answers every
-coefficient ring at once.
+row rank suffices.  Validity passes down to faces: part of a basis of a
+direct summand of Z^n spans a direct summand, and part of an
+independent set over Q or F_p is independent.  So a face with a valid
+coface is valid, and only the faces with none take a Smith form.
 """
 from __future__ import annotations
 
@@ -21,12 +23,12 @@ from .errors import (
     WrongVectorLength,
 )
 from .homology import Coefficients, INTEGERS, RATIONALS, smith_normal_form
-from .poset import SimplicialPoset
+from .poset import SimplicialPoset, is_name
 
 
 @dataclass(frozen=True)
 class CharFunction:
-    """Vertex id -> primitive integer vector of length n."""
+    """Vertex id (a str, or an int taken as its str) -> primitive vector of length n."""
 
     n: int
     assignment: Mapping[str, tuple[int, ...]]
@@ -34,6 +36,8 @@ class CharFunction:
     def __post_init__(self):
         clean = {}
         for vid, vec in self.assignment.items():
+            if not is_name(vid):
+                raise InvalidCharFn(f"vertex {vid!r} is not a str or int name")
             vec = tuple(vec)
             for x in vec:
                 if not isinstance(x, int) or isinstance(x, bool):
@@ -67,26 +71,29 @@ class CharCheckReport:
 def check(S: SimplicialPoset, lam: CharFunction, coeff: Coefficients) -> CharCheckReport:
     """Per-simplex validity of the assignment over one coefficient ring.
 
-    Walks every face in (rank, id) order; records the first failure and
-    its invariant factors.
+    Walks the faces from the top rank down.  A facet of a valid face is
+    valid, so a Smith form is taken only for the faces with no valid
+    coface: the maximal faces and the faces under failing ones.  Every
+    failing face is reduced, so the verdicts, in (rank, id) order, and
+    the first failure with its invariant factors are as if each face
+    were reduced on its own.
     """
-    verdicts = []
-    first_failure = None
-    passed = True
-    for e in S.elements():
-        rows = [lam.vector(v) for v in e.vertices]
-        snf = smith_normal_form(rows)
-        k = e.rank
-        if coeff == INTEGERS:
-            ok = snf.rank == k and all(d == 1 for d in snf.factors)
-        else:
-            ok = snf.rank_over(coeff) == k
-        verdicts.append((e.id, ok))
-        if not ok:
-            passed = False
-            if first_failure is None:
-                first_failure = (e.id, snf.factors)
-    return CharCheckReport(coeff, passed, tuple(verdicts), first_failure)
+    # looked up in (rank, id) order, so the first missing vertex is the one named
+    vectors = {v: lam.vector(v) for e in S.by_rank(1) for v in e.vertices}
+    valid, failures = set(), {}
+    for e in reversed(S.elements()):
+        if e.id not in valid:
+            snf = smith_normal_form([vectors[v] for v in e.vertices])
+            ok = (snf.factors == (1,) * e.rank if coeff == INTEGERS
+                  else snf.rank_over(coeff) == e.rank)
+            if not ok:
+                failures[e.id] = snf.factors
+                continue
+            valid.add(e.id)
+        valid.update(e.facets)
+    verdicts = tuple((e.id, e.id in valid) for e in S.elements())
+    first_failure = next(((eid, failures[eid]) for eid, ok in verdicts if not ok), None)
+    return CharCheckReport(coeff, not failures, verdicts, first_failure)
 
 
 def random_q_charfn(

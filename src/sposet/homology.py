@@ -19,7 +19,7 @@ from itertools import cycle
 from typing import Sequence
 
 from .errors import InternalError, InvalidArgument, SposetError
-from .poset import SimplicialPoset, barycentric
+from .poset import SimplicialPoset
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -320,20 +320,3 @@ def reduced_betti(
         torsion = tuple(tuple(d for d in snf.factors if d > 1) for snf in snfs)
         torsion += ((),) * (len(f) - len(snfs))
     return BettiVector(coeff, reduced, torsion)
-
-
-def betti_crosscheck(S: SimplicialPoset, coeff: Coefficients) -> bool:
-    """Cell complex versus barycentric subdivision, entrywise.
-
-    True iff the poset's own cellular homology agrees with the
-    simplicial homology of its barycentric subdivision, torsion
-    included over the integers.
-    """
-    a = reduced_betti(S, coeff)
-    b = reduced_betti(barycentric(S), coeff)
-    return a.reduced == b.reduced and a.torsion == b.torsion
-
-
-def euler_characteristic(S: SimplicialPoset) -> int:
-    """Alternating face-count sum over the nonminimal elements."""
-    return sum((-1) ** e.dim for e in S.elements())

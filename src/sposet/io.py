@@ -15,7 +15,7 @@ from . import spectral
 from .charfn import CharFunction
 from .errors import SchemaViolation, UnknownFormat
 from .homology import parse_coefficients
-from .poset import SimplexElem, SimplicialPoset, from_face_lattice, from_facets
+from .poset import SimplexElem, SimplicialPoset, from_face_lattice, from_facets, is_name
 from .spectral import QuotientProblem
 
 
@@ -48,7 +48,7 @@ def _ints(value, where: str) -> tuple[int, ...]:
 
 
 def _name(value, where: str) -> str:
-    if not (isinstance(value, str) or _is_int(value)):
+    if not is_name(value):
         raise SchemaViolation(f"{where}: expected a str or int name")
     return str(value)
 

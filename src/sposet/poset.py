@@ -146,6 +146,11 @@ class SimplicialPoset:
         )
 
 
+def is_name(value) -> bool:
+    """A name as callers may give it: a str, or an int that is not a bool."""
+    return isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool))
+
+
 def _as_elem(raw) -> SimplexElem:
     # a SimplexElem of a str id and tuples of strs, as given once sorted
     if not (isinstance(raw, SimplexElem) and isinstance(raw.vertices, tuple)
@@ -243,11 +248,16 @@ def from_facets(facet_vertex_sets: Iterable[Iterable], name: str = "") -> Simpli
     """Face poset of the simplicial complex generated by the given facets.
 
     Every nonempty subset of a facet becomes one face, identified by its
-    vertex set, so the result is a genuine simplicial complex.
+    vertex set, so the result is a genuine simplicial complex.  Vertex
+    names are strs or ints, an int taken as its str.
     """
     sets = []
     for fs in facet_vertex_sets:
-        vs = tuple(sorted({str(v) for v in fs}))
+        fs = tuple(fs)
+        if not all(map(is_name, fs)):
+            raise PosetValidationError(
+                "", "element-shape", f"facet {fs!r}: a vertex name is not a str or int")
+        vs = tuple(sorted(set(map(str, fs))))
         if not vs:
             raise EmptyInput("empty facet vertex set")
         sets.append(vs)

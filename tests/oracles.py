@@ -4,7 +4,9 @@ Each helper re-derives an expected value along a path the production
 code does not share: subset enumeration for face posets, explicit
 downward closures for Boolean intervals and links, determinant divisors for
 Smith normal forms, fraction and mod-p Gaussian elimination for ranks,
-and Kunneth convolution for product Betti profiles.
+Kunneth convolution for product Betti profiles, the barycentric
+subdivision for cellular homology, and a face-by-face check of
+characteristic functions.
 """
 from __future__ import annotations
 
@@ -100,6 +102,33 @@ def minor_gcd_invariant_factors(rows):
     )
 
 
+def oracle_charfn_check(S, lam, coeff):
+    """Validity of an assignment on every face, each face on its own.
+
+    Over z the k vectors of a rank-k face must have k invariant factors,
+    all 1, by determinant divisors; over q or fp:p they must have rank k
+    by exact elimination.  Returns (verdicts, passed, first_failure) in
+    the shape of the library's report: verdicts in (rank, id) order, and
+    the first failing face with its invariant factors.
+    """
+    verdicts = []
+    first_failure = None
+    for e in S.elements():
+        rows = [lam.assignment[v] for v in e.vertices]
+        k = e.rank
+        factors = minor_gcd_invariant_factors(rows)
+        if coeff.label == "z":
+            ok = len(factors) == k and all(d == 1 for d in factors)
+        elif coeff.label == "q":
+            ok = rank_over_q(rows) == k
+        else:
+            ok = rank_mod_p(rows, coeff.p) == k
+        verdicts.append((e.id, ok))
+        if not ok and first_failure is None:
+            first_failure = (e.id, factors)
+    return tuple(verdicts), first_failure is None, first_failure
+
+
 def rank_over_q(rows):
     """Rank by Gaussian elimination over exact rationals."""
     mat = [[Fraction(x) for x in row] for row in rows]
@@ -183,3 +212,20 @@ def matrix_product_is_zero(A, B):
             if sum(A[i][k] * B[k][j] for k in range(inner)) != 0:
                 return False
     return True
+
+
+def betti_crosscheck(S, coeff):
+    """Cell complex versus barycentric subdivision, entrywise: True iff
+    the poset's own cellular homology agrees with the simplicial
+    homology of its subdivision, torsion included over the integers."""
+    from sposet.homology import reduced_betti
+    from sposet.poset import barycentric
+
+    a = reduced_betti(S, coeff)
+    b = reduced_betti(barycentric(S), coeff)
+    return a.reduced == b.reduced and a.torsion == b.torsion
+
+
+def euler_characteristic(S):
+    """Alternating face-count sum over the nonminimal elements."""
+    return sum((-1) ** e.dim for e in S.elements())

@@ -27,7 +27,6 @@ from sposet.facevec import (
 from sposet.homology import (
     INTEGERS,
     RATIONALS,
-    betti_crosscheck,
     boundary_matrices,
     prime_field,
     reduced_betti,
@@ -42,7 +41,7 @@ from sposet.spectral import (
     verify,
 )
 
-from oracles import kunneth, matrix_product_is_zero
+from oracles import betti_crosscheck, kunneth, matrix_product_is_zero
 
 runner = CliRunner()
 

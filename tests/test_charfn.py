@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from sposet import charfn as charfn_mod
 from sposet.charfn import CharFunction, check, random_q_charfn
 from sposet.errors import (
     BudgetExhausted,
@@ -13,10 +14,30 @@ from sposet.errors import (
     WrongVectorLength,
 )
 from sposet.homology import INTEGERS, RATIONALS, prime_field
-from sposet.poset import from_facets
+from sposet.poset import barycentric, from_facets
+
+from oracles import interval_ids, oracle_charfn_check
 
 CP2 = {"v1": (1, 0), "v2": (0, 1), "v3": (1, 1)}
 DET2 = {"v1": (1, 0), "v2": (0, 1), "v3": (1, 2)}
+ALL_COEFFS = (INTEGERS, RATIONALS, prime_field(2), prime_field(3))
+
+
+def _primitive(vec):
+    g = gcd(*map(abs, vec))
+    return tuple(x // g for x in vec)
+
+
+def _random_lam(S, rng, bound=2):
+    # a seeded assignment with small entries, valid or not
+    assignment = {}
+    for vid in S.vertex_ids():
+        while True:
+            vec = tuple(rng.randint(-bound, bound) for _ in range(S.n))
+            if any(vec):
+                break
+        assignment[vid] = _primitive(vec)
+    return CharFunction(S.n, assignment)
 
 
 class TestCharFunction:
@@ -35,10 +56,17 @@ class TestCharFunction:
         with pytest.raises(InvalidCharFn, match=repr(entry)):
             CharFunction(2, {"v1": (entry, 0)})
 
-    def test_missing_vertex(self, bd_triangle):
+    def test_int_ids_are_taken_as_strs(self):
+        assert CharFunction(2, {1: (1, 0), "v2": (0, 1)}).assignment == {
+            "1": (1, 0), "v2": (0, 1)}
+
+    def test_missing_vertex(self, bd_triangle, torus7):
         lam = CharFunction(2, {"v1": (1, 0), "v2": (0, 1)})
         with pytest.raises(MissingVertexAssignment):
             check(bd_triangle, lam, INTEGERS)
+        # the first missing vertex in (rank, id) order is named
+        with pytest.raises(MissingVertexAssignment, match="'v1'"):
+            check(torus7, CharFunction(3, {"v7": (1, 0, 0)}), INTEGERS)
 
 
 class TestCheck:
@@ -96,6 +124,117 @@ class TestCheck:
         assert seen_pass > 0 and seen_fail > 0
 
 
+def _agrees_with_oracle(S, lam):
+    for coeff in ALL_COEFFS:
+        rep = check(S, lam, coeff)
+        want = oracle_charfn_check(S, lam, coeff)
+        assert (rep.verdicts, rep.passed, rep.first_failure) == want, (S.name, coeff.label)
+        assert rep.coeff == coeff
+
+
+class TestAgainstOracle:
+    def test_corpus(self, corpus_posets):
+        rng = random.Random(20261018)
+        for name, S in corpus_posets.items():
+            lams = [_random_lam(S, rng) for _ in range(6)]
+            lams.append(random_q_charfn(S, S.n, seed=len(name), bound=3))
+            for lam in lams:
+                _agrees_with_oracle(S, lam)
+            if name in ("two_arc_circle", "triangle_2gon"):
+                # two faces on one vertex set: both outcomes are exercised
+                assert {check(S, lam, INTEGERS).passed for lam in lams} == {True, False}
+
+    def test_subdivided_torus(self, torus7):
+        S = barycentric(torus7)
+        rng = random.Random(7)
+        for lam in (random_q_charfn(S, 3, seed=7, bound=5), _random_lam(S, rng, 3)):
+            _agrees_with_oracle(S, lam)
+
+    def test_non_pure(self):
+        # the edge c,d is maximal: it has no coface and takes its own Smith form
+        S = from_facets([{"a", "b", "c"}, {"c", "d"}], name="non_pure")
+        rng = random.Random(11)
+        for _ in range(20):
+            _agrees_with_oracle(S, _random_lam(S, rng))
+        lam = CharFunction(3, {"a": (1, 0, 0), "b": (0, 1, 0), "c": (0, 0, 1),
+                               "d": (0, 0, 1)})
+        rep = check(S, lam, RATIONALS)
+        assert rep.first_failure == ("c,d", (1,))
+        assert [eid for eid, ok in rep.verdicts if not ok] == ["c,d"]
+
+    @pytest.mark.parametrize("vectors", [
+        # repeated vectors: an edge and both triangles fail over every ring
+        {"v1": (1, 0, 0), "v2": (1, 0, 0), "v3": (0, 1, 0), "v4": (0, 0, 1)},
+        # a non-unimodular edge: fails over z and fp:2 only
+        {"v1": (1, 0, 0), "v2": (1, 2, 0), "v3": (0, 0, 1), "v4": (0, 1, 1)},
+        # a dependent facet with independent edges
+        {"v1": (1, 0, 0), "v2": (0, 1, 0), "v3": (1, 1, 0), "v4": (0, 0, 1)},
+        # a facet of determinant 2, dependent over fp:2 only
+        {"v1": (1, 0, 0), "v2": (0, 1, 0), "v3": (1, 1, 2), "v4": (1, 0, 1)},
+    ])
+    def test_failures_at_every_rank(self, vectors):
+        S = from_facets([("v1", "v2", "v3"), ("v2", "v3", "v4"), ("v1", "v4")])
+        _agrees_with_oracle(S, CharFunction(3, vectors))
+
+
+class TestSmithFormCount:
+    @pytest.fixture
+    def snf_calls(self, monkeypatch):
+        calls = []
+        real = charfn_mod.smith_normal_form
+
+        def counting(rows):
+            calls.append(rows)
+            return real(rows)
+
+        monkeypatch.setattr(charfn_mod, "smith_normal_form", counting)
+        return calls
+
+    @staticmethod
+    def _without_valid_coface(S, lam, coeff):
+        # faces none of whose covering faces the oracle finds valid
+        verdict = dict(oracle_charfn_check(S, lam, coeff)[0])
+        return {e.id for e in S if not any(verdict[c.id] for c in S if e.id in c.facets)}
+
+    def test_one_per_facet_when_valid(self, torus7, snf_calls):
+        S = barycentric(torus7)
+        lam = random_q_charfn(S, 3, seed=7, bound=5)
+        snf_calls.clear()
+        assert check(S, lam, RATIONALS).passed
+        assert len(snf_calls) == len(S.by_rank(3)) == 84
+
+    def test_dependent_facet(self, torus7, snf_calls):
+        # make the first facet that allows it dependent, and no other face
+        S = barycentric(torus7)
+        valid = random_q_charfn(S, 3, seed=7, bound=5).assignment
+        for facet in S.by_rank(3):
+            x, y, z = facet.vertices
+            vectors = {**valid, z: _primitive([a + b for a, b in zip(valid[x], valid[y])])}
+            lam = CharFunction(3, vectors)
+            verdicts = oracle_charfn_check(S, lam, RATIONALS)[0]
+            if [eid for eid, ok in verdicts if not ok] == [facet.id]:
+                break
+        else:
+            pytest.fail("no facet can be made the only dependent face")
+        snf_calls.clear()
+        assert check(S, lam, RATIONALS).first_failure[0] == facet.id
+        lonely = self._without_valid_coface(S, lam, RATIONALS)
+        under = lonely & (interval_ids(S, facet.id) - {facet.id})
+        assert len(snf_calls) == 84 + len(under) == len(lonely)
+
+    def test_repeated_vector_reduces_the_failing_edge(self, torus7, snf_calls):
+        # v1 and v2 share a vector: the edge and both its triangles fail,
+        # and the edge, with no valid coface, takes one more Smith form
+        lam = random_q_charfn(torus7, 3, seed=1, bound=5)
+        lam = CharFunction(3, {**lam.assignment, "v2": lam.assignment["v1"]})
+        snf_calls.clear()
+        rep = check(torus7, lam, RATIONALS)
+        failing = {eid for eid, ok in rep.verdicts if not ok}
+        assert "v1,v2" in failing and len(failing) == 3
+        lonely = self._without_valid_coface(torus7, lam, RATIONALS)
+        assert len(snf_calls) == 14 + 1 == len(lonely)
+
+
 class TestRandom:
     def test_boundary_triangle(self, bd_triangle):
         lam = random_q_charfn(bd_triangle, 2, seed=1, bound=3)
@@ -127,3 +266,7 @@ class TestRandom:
             random_q_charfn(k5, 2, seed=3, bound=1, budget=300)
         assert err.value.failing_simplex in {e.id for e in k5.elements()}
         assert err.value.attempts == 300
+        assert str(err.value) == (
+            "no valid assignment in 300 attempts; simplex 'v1,v2' failed 80 times"
+        )
+        assert err.value.failing_simplex == "v1,v2"

@@ -1,9 +1,9 @@
-"""Golden digests of full quotient reports.
+"""Golden digests of full quotient reports and characteristic-function output.
 
-Each case runs one ``sposet quotient`` command and compares the sha256
-of its stdout with a digest recorded from a known-good build, so any
-change to a table, a check, a skip reason or the canonical encoding
-shows up here.
+Each case runs one ``sposet quotient`` or ``sposet charfn`` command and
+compares the sha256 of its stdout with a digest recorded from a
+known-good build, so any change to a table, a check, a skip reason, a
+verdict or the canonical encoding shows up here.
 """
 import hashlib
 import json
@@ -85,9 +85,29 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_report_digest(case, tmp_path, capsys):
-    argv, digest = CASES[case]
+# (argv, exit code, digest): a check that finds a failing face exits 1
+CHARFN_CASES = {
+    "check_torus7_z": (
+        ["charfn", "check", "{lambda}", "--corpus", "torus7", "--coeff", "z", "--json"], 1,
+        "da9b664acc895ef97722c927343bdfe280d00418e4c4ebfb78b78bb96609d858",
+    ),
+    "check_torus7_q": (
+        ["charfn", "check", "{lambda}", "--corpus", "torus7", "--coeff", "q", "--json"], 0,
+        "76e22e40019fac195463ca0714fa5c416eb88fe776a74fa4dcb5e38605debadb",
+    ),
+    "check_torus7_f2": (
+        ["charfn", "check", "{lambda}", "--corpus", "torus7", "--coeff", "fp:2", "--json"], 1,
+        "cc11dafa51c1e3a58ddf0761e98e7feb65d4cce255d116ab203e13f415dced9b",
+    ),
+    "random_torus7": (
+        ["charfn", "random", "--corpus", "torus7", "--n", "3", "--seed", "1",
+         "--bound", "5"], 0,
+        "70e5946824a1841c1aa2cd08794c4f46c3b59e7d7482048781b909baa5b1f97f",
+    ),
+}
+
+
+def _run(argv, tmp_path, capsys):
     lam = tmp_path / "lambda.json"
     lam.write_text(json.dumps(TORUS7_LAMBDA))
     bundle = tmp_path / "bundle.json"
@@ -95,6 +115,17 @@ def test_report_digest(case, tmp_path, capsys):
         json.dumps({**SOLID_TORUS_BUNDLE, "poset": io_mod.emit_poset(corpus("torus7"))})
     )
     argv = [a.format(**{"lambda": lam, "bundle": bundle}) for a in argv]
-    assert main(argv) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    code = main(argv)
+    return code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_digest(case, tmp_path, capsys):
+    argv, digest = CASES[case]
+    assert _run(argv, tmp_path, capsys) == (0, digest)
+
+
+@pytest.mark.parametrize("case", sorted(CHARFN_CASES))
+def test_charfn_digest(case, tmp_path, capsys):
+    argv, code, digest = CHARFN_CASES[case]
+    assert _run(argv, tmp_path, capsys) == (code, digest)

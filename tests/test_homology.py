@@ -11,9 +11,7 @@ from sposet import homology
 from sposet.homology import (
     INTEGERS,
     RATIONALS,
-    betti_crosscheck,
     boundary_matrices,
-    euler_characteristic,
     parse_coefficients,
     prime_field,
     reduced_betti,
@@ -24,6 +22,8 @@ from sposet.poset import SimplexElem, SimplicialPoset, barycentric, from_facets,
 from sposet.errors import InternalError, SposetError
 
 from oracles import (
+    betti_crosscheck,
+    euler_characteristic,
     interval_ids,
     matrix_product_is_zero,
     minor_gcd_invariant_factors,

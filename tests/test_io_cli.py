@@ -9,6 +9,7 @@ from sposet.cli import cli, main
 from sposet.corpus import corpus, corpus_entry, corpus_names
 from sposet.errors import (
     InvalidArgument,
+    InvalidCharFn,
     PosetValidationError,
     SchemaViolation,
     UnknownElement,
@@ -16,7 +17,7 @@ from sposet.errors import (
     UnknownName,
 )
 from sposet.homology import RATIONALS, Coefficients, prime_field
-from sposet.poset import SimplexElem, from_face_lattice, link, validate_stats
+from sposet.poset import SimplexElem, from_face_lattice, from_facets, link, validate_stats
 from sposet.spectral import CONE, QuotientProblem, make_problem
 
 runner = CliRunner()
@@ -328,6 +329,11 @@ BAD_LIBRARY_CALLS = {
     "face_lattice_int_vertices": (
         lambda: from_face_lattice([SimplexElem("a", 5, ())]), PosetValidationError,
     ),
+    "facets_list_name": (lambda: from_facets([["a", ["b"]], [1, "c"]]), PosetValidationError),
+    "facets_bool_name": (lambda: from_facets([[True, "c"]]), PosetValidationError),
+    "facets_float_name": (lambda: from_facets([["a", 1.5]]), PosetValidationError),
+    "charfn_tuple_key": (lambda: CharFunction(2, {("x",): (1, 0)}), InvalidCharFn),
+    "charfn_bool_key": (lambda: CharFunction(2, {False: (1, 0)}), InvalidCharFn),
     "prime_field_str": (lambda: prime_field("7"), InvalidArgument),
     "prime_field_float": (lambda: prime_field(7.0), InvalidArgument),
     "prime_field_composite": (lambda: prime_field(4), InvalidArgument),

@@ -17,6 +17,7 @@ from typing import Mapping
 
 from .errors import (
     BudgetExhausted,
+    InvalidArgument,
     InvalidCharFn,
     MissingVertexAssignment,
     NonPrimitiveVector,
@@ -28,16 +29,20 @@ from .poset import SimplicialPoset, is_name
 
 @dataclass(frozen=True)
 class CharFunction:
-    """Vertex id (a str, or an int taken as its str) -> primitive vector of length n."""
+    """Vertex name (a str, or an int taken as its str) -> primitive length-n vector."""
 
     n: int
     assignment: Mapping[str, tuple[int, ...]]
 
     def __post_init__(self):
+        if not isinstance(self.assignment, Mapping):
+            raise InvalidCharFn(f"assignment {self.assignment!r} is not a mapping")
         clean = {}
         for vid, vec in self.assignment.items():
             if not is_name(vid):
                 raise InvalidCharFn(f"vertex {vid!r} is not a str or int name")
+            if not isinstance(vec, (tuple, list)):
+                raise InvalidCharFn(f"vertex {vid!r}: {vec!r} is not a tuple or list")
             vec = tuple(vec)
             for x in vec:
                 if not isinstance(x, int) or isinstance(x, bool):
@@ -102,9 +107,10 @@ def random_q_charfn(
     """Seeded rejection sampling for an assignment valid over Q.
 
     Draws integer vectors with entries in [-bound, bound], primitivizes
-    them, and retries whole assignments until the rational check
-    passes.  Deterministic for a fixed seed; raises BudgetExhausted
-    with the most frequently failing simplex after ``budget`` attempts.
+    them, one per vertex name in (rank, id) order, and retries whole
+    assignments until the rational check passes.  Deterministic for a
+    fixed seed; raises BudgetExhausted with the most frequently failing
+    simplex after ``budget`` attempts.
     """
     if S.dim != n - 1:
         raise WrongVectorLength(
@@ -114,8 +120,10 @@ def random_q_charfn(
         raise NonPrimitiveVector(
             f"bound {bound} leaves no primitive vectors: it must be >= 1"
         )
+    if budget < 1:
+        raise InvalidArgument(f"budget {budget} allows no attempt: it must be >= 1")
     rng = random.Random(seed)
-    vertices = [e.id for e in S.by_rank(1)]
+    vertices = dict.fromkeys(v for e in S.by_rank(1) for v in e.vertices)
     fail_counts: dict[str, int] = {}
     for _ in range(budget):
         assignment = {}

@@ -11,6 +11,7 @@ by the homology backend.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import combinations
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -239,49 +240,33 @@ def from_face_lattice(
     return SimplicialPoset(elems, n, name)
 
 
-def subset_id(vertices: Iterable[str]) -> str:
-    """Canonical id used by :func:`from_facets` for a vertex subset."""
-    return ",".join(sorted(vertices))
-
-
 def from_facets(facet_vertex_sets: Iterable[Iterable], name: str = "") -> SimplicialPoset:
     """Face poset of the simplicial complex generated by the given facets.
 
-    Every nonempty subset of a facet becomes one face, identified by its
-    vertex set, so the result is a genuine simplicial complex.  Vertex
-    names are strs or ints, an int taken as its str.
+    Each facet is a collection (not a str) of vertex names, strs or ints,
+    an int taken as its str.  Every nonempty subset of a facet becomes one
+    face whose id is its sorted vertex names joined by commas, so a vertex
+    is named by itself and the result is a genuine simplicial complex.
     """
-    sets = []
-    for fs in facet_vertex_sets:
-        fs = tuple(fs)
-        if not all(map(is_name, fs)):
+    faces: set[tuple[str, ...]] = set()
+    for raw in facet_vertex_sets:
+        shaped = isinstance(raw, Iterable) and not isinstance(raw, (str, bytes))
+        fs = tuple(raw) if shaped else ()
+        if not shaped or not all(map(is_name, fs)):
             raise PosetValidationError(
-                "", "element-shape", f"facet {fs!r}: a vertex name is not a str or int")
-        vs = tuple(sorted(set(map(str, fs))))
+                "", "element-shape", f"facet {raw!r} is not a collection of str or int names")
+        vs = sorted(set(map(str, fs)))
         if not vs:
             raise EmptyInput("empty facet vertex set")
-        sets.append(vs)
-    if not sets:
+        faces.update(c for k in range(1, len(vs) + 1) for c in combinations(vs, k))
+    if not faces:
         raise EmptyInput("no facets given")
 
-    subsets: set[tuple[str, ...]] = set()
-    for vs in sets:
-        k = len(vs)
-        for mask in range(1, 1 << k):
-            subsets.add(tuple(v for i, v in enumerate(vs) if mask >> i & 1))
-
-    elems = []
-    for vs in sorted(subsets, key=lambda s: (len(s), s)):
-        eid = vs[0] if len(vs) == 1 else subset_id(vs)
-        if len(vs) == 1:
-            facets: tuple[str, ...] = ()
-        else:
-            faces = []
-            for j in range(len(vs)):
-                sub = vs[:j] + vs[j + 1 :]
-                faces.append(sub[0] if len(sub) == 1 else subset_id(sub))
-            facets = tuple(faces)
-        elems.append(SimplexElem(eid, vs, facets))
+    elems = [
+        SimplexElem(",".join(vs), vs, tuple(
+            ",".join(vs[:j] + vs[j + 1 :]) for j in range(len(vs)) if len(vs) > 1))
+        for vs in sorted(faces, key=lambda vs: (len(vs), vs))
+    ]
     if len({e.id for e in elems}) != len(elems):
         raise PosetValidationError(
             "", "vertex-name", "vertex names collide under subset naming"

@@ -111,15 +111,6 @@ class VerifyReport:
         return all(self.checks.values())
 
 
-def _btilde(prob: QuotientProblem):
-    bt = reduced_betti(prob.poset, prob.coeff)
-
-    def at(p: int) -> int:
-        return bt.degree(p) if -1 <= p <= prob.n - 1 else 0
-
-    return at
-
-
 def make_problem(
     kind: str,
     poset: SimplicialPoset,
@@ -210,12 +201,16 @@ def relative_and_delta(prob: QuotientProblem):
     Cone: dim H_i(P, bd P) = b~_(i-1)(S) and delta is injective onto the
     reduced boundary homology.  Manifold: dim H_i(Q, bd Q) = betti_q[n-i]
     by duality and rank delta_i = dim H_i(Q, bd Q) - betti_q[i] + iota[i]
-    by exactness.  Raises InconsistentBundle when any derived rank
-    escapes its exactness bounds, or when delta_i + iota_(i-1) is not
-    dim H_(i-1)(bd Q) for some 1 <= i <= n.
+    by exactness.  Raises InconsistentBundle when the poset's rank is
+    not n, when any derived rank escapes its exactness bounds, or when
+    delta_i + iota_(i-1) is not dim H_(i-1)(bd Q) for some 1 <= i <= n.
     """
     n = prob.n
-    bt = _btilde(prob)
+    if prob.poset.n != n:
+        raise InconsistentBundle(
+            f"poset ambient rank {prob.poset.n} does not match problem rank {n}"
+        )
+    bt = reduced_betti(prob.poset, prob.coeff).degree
     if prob.kind == CONE:
         relative = tuple(bt(i - 1) for i in range(n + 1))
     else:
@@ -284,8 +279,8 @@ def solve(prob: QuotientProblem) -> Tables:
     if not prob.coeff.is_field:
         raise NonFieldCoefficients("quotient rank tables need field coefficients")
     n = prob.n
-    bt = _btilde(prob)
     relative, delta = relative_and_delta(prob)
+    bt = reduced_betti(prob.poset, prob.coeff).degree
     boundary_unreduced = tuple(bt(p) + (1 if p == 0 else 0) for p in range(n))
     _, h, _, _ = f_h_vectors(prob.poset)
 

@@ -4,6 +4,7 @@ Each helper re-derives an expected value along a path the production
 code does not share: subset enumeration for face posets, explicit
 downward closures for Boolean intervals and links, determinant divisors for
 Smith normal forms, fraction and mod-p Gaussian elimination for ranks,
+products of coefficient lists for the h-vector and the link identities,
 Kunneth convolution for product Betti profiles, the barycentric
 subdivision for cellular homology, and a face-by-face check of
 characteristic functions.
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd
+from math import gcd
 
 
 def powerset_faces(facet_sets):
@@ -179,13 +180,43 @@ def rank_mod_p(rows, p):
     return rank
 
 
-def h_from_f_binomial(f, n):
-    """h-numbers by the closed binomial formula, no polynomial algebra:
-    h_k = sum_i (-1)^(k-i) C(n-i, k-i) f_(i-1)."""
-    return tuple(
-        sum((-1) ** (k - i) * comb(n - i, k - i) * f[i] for i in range(k + 1))
-        for k in range(n + 1)
-    )
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _expand(terms):
+    """Coefficient list of sum c * prod(factors) over (c, factors) pairs,
+    each factor a coefficient list, by repeated list multiplication."""
+    out = []
+    for c, factors in terms:
+        poly = [c]
+        for fac in factors:
+            poly = _poly_mul(poly, fac)
+        out += [0] * (len(poly) - len(out))
+        for i, x in enumerate(poly):
+            out[i] += x
+    return tuple(out)
+
+
+def h_from_f_polynomial(f, n):
+    """h-numbers as the coefficients of sum_i f_(i-1) t^i (1-t)^(n-i)."""
+    return _expand((f[i], [[0, 1]] * i + [[1, -1]] * (n - i)) for i in range(n + 1))
+
+
+def f_from_link_polynomial(ft, n, chi):
+    """Right side of f_S(t) = (1 - chi) + (-1)^n sum_k ft_k (-t-1)^(k+1)."""
+    return _expand([(1 - chi, [])] + [
+        ((-1) ** n * ft[k], [[-1, -1]] * (k + 1)) for k in range(n)])
+
+
+def h_from_link_polynomial(ft, n, chi):
+    """Right side of sum h_i t^i = (1-t)^n (1-chi) + sum_k ft_k (t-1)^(n-k-1)."""
+    return _expand([(1 - chi, [[1, -1]] * n)] + [
+        (ft[k], [[-1, 1]] * (n - k - 1)) for k in range(n)])
 
 
 def kunneth(*profiles):

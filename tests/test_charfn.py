@@ -8,13 +8,14 @@ from sposet import charfn as charfn_mod
 from sposet.charfn import CharFunction, check, random_q_charfn
 from sposet.errors import (
     BudgetExhausted,
+    InvalidArgument,
     InvalidCharFn,
     MissingVertexAssignment,
     NonPrimitiveVector,
     WrongVectorLength,
 )
 from sposet.homology import INTEGERS, RATIONALS, prime_field
-from sposet.poset import barycentric, from_facets
+from sposet.poset import SimplexElem, barycentric, from_face_lattice, from_facets
 
 from oracles import interval_ids, oracle_charfn_check
 
@@ -256,6 +257,22 @@ class TestRandom:
     def test_wrong_rank_rejected(self, torus7):
         with pytest.raises(WrongVectorLength):
             random_q_charfn(torus7, 2, seed=1, bound=5)
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, bd_triangle, budget):
+        with pytest.raises(InvalidArgument):
+            random_q_charfn(bd_triangle, 2, seed=1, bound=3, budget=budget)
+
+    def test_keyed_by_vertex_name_not_id(self):
+        # vertex ids x, y differ from their names a, b; check looks up names
+        S = from_face_lattice([
+            SimplexElem("x", ("a",), ()),
+            SimplexElem("y", ("b",), ()),
+            SimplexElem("xy", ("a", "b"), ("y", "x")),
+        ])
+        lam = random_q_charfn(S, 2, seed=1, bound=3)
+        assert set(lam.assignment) == {"a", "b"}
+        assert check(S, lam, RATIONALS).passed
 
     def test_budget_exhausted_reports_simplex(self):
         # K5 needs five pairwise independent directions in the plane,

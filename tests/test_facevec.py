@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import sposet
+from sposet import facevec
 from sposet.errors import NonFieldCoefficients, NotPure
 from sposet.facevec import (
     f_h_vectors,
@@ -9,11 +15,17 @@ from sposet.facevec import (
     identity_report,
 )
 from sposet.homology import INTEGERS, RATIONALS, prime_field, reduced_betti
-from sposet.poset import SimplexElem, from_face_lattice
+from sposet.poset import SimplexElem, barycentric, from_face_lattice
 
-from oracles import h_from_f_binomial
+from oracles import f_from_link_polynomial, h_from_f_polynomial, h_from_link_polynomial
 
 FIELDS = (RATIONALS, prime_field(2), prime_field(3))
+
+
+def _with_subdivisions(corpus_posets):
+    for S in corpus_posets.values():
+        yield S
+        yield barycentric(S)
 
 
 class TestFH:
@@ -34,10 +46,10 @@ class TestFH:
         assert (f, h) == ((1, 6, 15, 10), (1, 3, 6, 0))
         assert chit == 0
 
-    def test_matches_binomial_oracle(self, corpus_posets):
-        for S in corpus_posets.values():
+    def test_matches_polynomial_oracle(self, corpus_posets):
+        for S in _with_subdivisions(corpus_posets):
             f, h, _, _ = f_h_vectors(S)
-            assert h == h_from_f_binomial(f, S.n), S.name
+            assert h == h_from_f_polynomial(f, S.n), S.name
 
     def test_h_sum_counts_facets(self, corpus_posets):
         for S in corpus_posets.values():
@@ -141,6 +153,17 @@ class TestIdentityReport:
             "dehn_sommerville_h_double"
         ]
 
+    def test_link_identities_match_polynomial_oracle(self, corpus_posets):
+        for S in _with_subdivisions(corpus_posets):
+            for coeff in (RATIONALS, prime_field(2)):
+                rep = identity_report(S, coeff)
+                n, ft, chi = S.n, rep.report.ft, rep.report.chi
+                f_ok = rep.report.f == f_from_link_polynomial(ft, n, chi)
+                h_ok = rep.report.h == h_from_link_polynomial(ft, n, chi)
+                assert f_ok and h_ok, (S.name, coeff.label)
+                assert rep.checks["f_from_link_homology"] is f_ok
+                assert rep.checks["h_from_link_f"] is h_ok
+
     def test_h_double_nonneg_on_buchsbaum_corpus(self, corpus_posets):
         for name, S in corpus_posets.items():
             rep = identity_report(S, RATIONALS)
@@ -154,3 +177,53 @@ class TestReportAssembly:
         assert rep.n == 3
         assert rep.coeff == RATIONALS
         assert rep.chi == rep.chitilde + 1
+
+
+class TestLinkIdentitiesCanFail:
+    """One ft entry raised by one must break both link identities."""
+
+    def test_bumped_ft_fails_both(self, corpus_posets, monkeypatch):
+        for name in ("torus7", "rp2_6", "two_arc_circle", "boundary_simplex(3)"):
+            S = corpus_posets[name]
+            good = ft_vector(S, RATIONALS)
+            for k in range(S.n):
+                ft = good[:k] + (good[k] + 1,) + good[k + 1 :]
+                monkeypatch.setattr(facevec, "ft_vector", lambda S, coeff, ft=ft: ft)
+                rep = identity_report(S, RATIONALS)
+                assert rep.report.ft == ft
+                assert rep.report.f != f_from_link_polynomial(ft, S.n, rep.report.chi)
+                assert rep.report.h != h_from_link_polynomial(ft, S.n, rep.report.chi)
+                assert not rep.checks["f_from_link_homology"], (name, k)
+                assert not rep.checks["h_from_link_f"], (name, k)
+                assert rep.checks["h_top_is_euler"] and rep.checks["h_prime_top_is_betti"]
+
+
+# exits with the number of corrupted cases that passed; 99 if asserts are on
+UNDER_O = """
+import sys
+from sposet import corpus, facevec
+from sposet.homology import RATIONALS
+
+S = corpus("torus7")
+good = facevec.ft_vector(S, RATIONALS)
+missed = 0
+for k in range(S.n):
+    ft = good[:k] + (good[k] + 1,) + good[k + 1:]
+    facevec.ft_vector = lambda S, coeff, ft=ft: ft
+    checks = facevec.identity_report(S, RATIONALS).checks
+    for name in ("f_from_link_homology", "h_from_link_f"):
+        if checks[name]:
+            print(name, "held with ft_%d raised" % k)
+            missed += 1
+sys.exit(missed if sys.flags.optimize else 99)
+"""
+
+
+def test_bumped_ft_fails_under_python_O():
+    src = os.path.dirname(os.path.dirname(sposet.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", UNDER_O], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stdout + run.stderr

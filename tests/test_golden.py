@@ -1,7 +1,7 @@
-"""Golden digests of full quotient reports and characteristic-function output.
+"""Golden digests of quotient reports, characteristic-function output and
+the per-poset JSON reports (stats, homology, fvec, classify, identities).
 
-Each case runs one ``sposet quotient`` or ``sposet charfn`` command and
-compares the sha256 of its stdout with a digest recorded from a
+Each case runs one ``sposet`` command and compares the sha256 of its stdout with a digest recorded from a
 known-good build, so any change to a table, a check, a skip reason, a
 verdict or the canonical encoding shows up here.
 """
@@ -107,6 +107,91 @@ CHARFN_CASES = {
 }
 
 
+# --json reports of the per-poset commands, all exiting 0
+POSET_CASES = {
+    "stats_torus7": (
+        ["stats", "--corpus", "torus7", "--json"],
+        "bc563d4209e0b9708f0e9ce745561b371c1c8adde685cfa69cbf10f062725d6c",
+    ),
+    "homology_torus7": (
+        ["homology", "--corpus", "torus7", "--json"],
+        "61bd27430bbf725b381d93d5fec800513705ef34e5f54a9b252519d37a3e50af",
+    ),
+    "fvec_torus7": (
+        ["fvec", "--corpus", "torus7", "--json"],
+        "588acb76e203acf6b6bffc982f36414ecf95a5606a13324dcf6675c2a3309a21",
+    ),
+    "classify_torus7": (
+        ["classify", "--corpus", "torus7", "--json"],
+        "ba89376cc1ae5ed6ac22acef74c72a15a27573de1fd9a54c821c54505a3492f4",
+    ),
+    "identities_torus7": (
+        ["identities", "--corpus", "torus7", "--json"],
+        "d5dcaa5322302b1f7dfa3a54af96e3c662b8f7bc48dd38ae81ed244ebc8ad643",
+    ),
+    "homology_rp2_z": (
+        ["homology", "--corpus", "rp2_6", "--coeff", "z", "--json"],
+        "893909c26ac263a58a19fced0c5d0705316225c486c962b842019830f03ac0c8",
+    ),
+    "homology_rp2_f2": (
+        ["homology", "--corpus", "rp2_6", "--coeff", "fp:2", "--json"],
+        "985dc85f221c5de982c61615ba6a17730bfa096cc6136d355d20dc1f7aabb201",
+    ),
+    "fvec_rp2_f2": (
+        ["fvec", "--corpus", "rp2_6", "--field", "fp:2", "--json"],
+        "814465a527d85cfa05743886b9e7d31cc6df54e072123717a52716e6990e142e",
+    ),
+    "classify_rp2_f2": (
+        ["classify", "--corpus", "rp2_6", "--field", "fp:2", "--json"],
+        "54d294dfb613a26816ca3975d96197c7310b88c0c78369e7ee41d12ac9c9ea58",
+    ),
+    "identities_rp2_f2": (
+        ["identities", "--corpus", "rp2_6", "--field", "fp:2", "--json"],
+        "337f85a02034e39792a9ec04184b0cab32d2e1eb30658ae0e5d3ad9ae94ac9a7",
+    ),
+    "stats_two_arc_circle": (
+        ["stats", "--corpus", "two_arc_circle", "--json"],
+        "bee6c977d6cea99cdd0914f604df392b7187a00c9c0c2777dd95bba03096f7b9",
+    ),
+    "homology_two_arc_circle_z": (
+        ["homology", "--corpus", "two_arc_circle", "--coeff", "z", "--json"],
+        "a1af7298015cd91e7e05e81f07d2753251c4767c38dc7766f82f70798a32b9db",
+    ),
+    "fvec_two_arc_circle": (
+        ["fvec", "--corpus", "two_arc_circle", "--json"],
+        "324897202fe4932740a95b288bd538d6bb8a6899487e1e2ad986f44379617677",
+    ),
+    "classify_two_arc_circle": (
+        ["classify", "--corpus", "two_arc_circle", "--json"],
+        "426a973efce0bac74fd3db1704cbc82d2394a16ccabede183df164c4e102bc6f",
+    ),
+    "identities_two_arc_circle": (
+        ["identities", "--corpus", "two_arc_circle", "--json"],
+        "65f9910ec43ad2a1add798ddf656cccb90538d0c7825dd43a89067afcd2690e6",
+    ),
+    "stats_triangle_2gon": (
+        ["stats", "--corpus", "triangle_2gon", "--json"],
+        "15e8c80a6c1553bd1d360d0e407db266278a76a6925e75742825be1f82847185",
+    ),
+    "homology_triangle_2gon_z": (
+        ["homology", "--corpus", "triangle_2gon", "--coeff", "z", "--json"],
+        "5969d5bf6c2c2c1df70e56fb4f2221dc8bbfb804a4b0897dc7e7d3b582ccc4ee",
+    ),
+    "fvec_triangle_2gon": (
+        ["fvec", "--corpus", "triangle_2gon", "--json"],
+        "1772643577910e3f5fbd4dfff8566ff779200d15795dbfce283d9b77d430e32a",
+    ),
+    "classify_triangle_2gon": (
+        ["classify", "--corpus", "triangle_2gon", "--json"],
+        "caf4c8f2a6b8a58b2f2f8aa816a83d4f49c09c3a874b2d4b7b5401f4fcc0424e",
+    ),
+    "identities_triangle_2gon": (
+        ["identities", "--corpus", "triangle_2gon", "--json"],
+        "83d940380cf15b9de5489509c0a2dd0ed91fb8cc6ba5b4b3e68be550760b2094",
+    ),
+}
+
+
 def _run(argv, tmp_path, capsys):
     lam = tmp_path / "lambda.json"
     lam.write_text(json.dumps(TORUS7_LAMBDA))
@@ -129,3 +214,9 @@ def test_report_digest(case, tmp_path, capsys):
 def test_charfn_digest(case, tmp_path, capsys):
     argv, code, digest = CHARFN_CASES[case]
     assert _run(argv, tmp_path, capsys) == (code, digest)
+
+
+@pytest.mark.parametrize("case", sorted(POSET_CASES))
+def test_poset_report_digest(case, tmp_path, capsys):
+    argv, digest = POSET_CASES[case]
+    assert _run(argv, tmp_path, capsys) == (0, digest)

@@ -332,6 +332,10 @@ BAD_LIBRARY_CALLS = {
     "facets_list_name": (lambda: from_facets([["a", ["b"]], [1, "c"]]), PosetValidationError),
     "facets_bool_name": (lambda: from_facets([[True, "c"]]), PosetValidationError),
     "facets_float_name": (lambda: from_facets([["a", 1.5]]), PosetValidationError),
+    "facets_str_facet": (lambda: from_facets(["abc"]), PosetValidationError),
+    "facets_int_facet": (lambda: from_facets([5]), PosetValidationError),
+    "charfn_int_vector": (lambda: CharFunction(2, {"v1": 5}), InvalidCharFn),
+    "charfn_pair_list": (lambda: CharFunction(2, [("v1", (1, 0))]), InvalidCharFn),
     "charfn_tuple_key": (lambda: CharFunction(2, {("x",): (1, 0)}), InvalidCharFn),
     "charfn_bool_key": (lambda: CharFunction(2, {False: (1, 0)}), InvalidCharFn),
     "prime_field_str": (lambda: prime_field("7"), InvalidArgument),

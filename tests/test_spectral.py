@@ -1,5 +1,6 @@
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -124,6 +125,15 @@ class TestMakeProblem:
 
 
 class TestRelativeAndDelta:
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_hand_built_problem_with_other_rank_refused(self, torus7, n):
+        # make_problem pins poset.n == n; a problem built by hand must not
+        # read Betti numbers past degree n - 1 or wrap to a negative index
+        prob = replace(cone_over(torus7), n=n)
+        for call in (relative_and_delta, solve, e1_diagonal_hprime_form):
+            with pytest.raises(InconsistentBundle, match="ambient rank 3"):
+                call(prob)
+
     def test_cone_over_torus7(self, torus7):
         relative, delta = relative_and_delta(cone_over(torus7))
         assert relative == (0, 0, 2, 1)

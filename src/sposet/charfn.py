@@ -35,6 +35,8 @@ class CharFunction:
     assignment: Mapping[str, tuple[int, ...]]
 
     def __post_init__(self):
+        if not isinstance(self.n, int) or isinstance(self.n, bool):
+            raise InvalidCharFn(f"n = {self.n!r} is not an integer")
         if not isinstance(self.assignment, Mapping):
             raise InvalidCharFn(f"assignment {self.assignment!r} is not a mapping")
         clean = {}
@@ -112,6 +114,9 @@ def random_q_charfn(
     fixed seed; raises BudgetExhausted with the most frequently failing
     simplex after ``budget`` attempts.
     """
+    for name, value in (("n", n), ("seed", seed), ("bound", bound), ("budget", budget)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise InvalidArgument(f"{name} = {value!r} is not an integer")
     if S.dim != n - 1:
         raise WrongVectorLength(
             f"vectors of length {n} need a poset of dimension {n - 1}, not {S.dim}"

@@ -8,9 +8,12 @@ number produced here is reduced and the empty poset correctly reports a
 single unit in degree -1.  Link homology is read from the same complex
 restricted to the faces above each face, so no link poset is built.
 
-Each poset keeps one signed incidence, checked for d.d = 0 once, from
-which every boundary matrix is copied, and the integer Smith forms of
-those matrices per up-set root: Q and F_p ranks are read off them.
+Each poset keeps one signed incidence, checked for d.d = 0 once.  Every
+boundary matrix, of the whole poset or of an up-set, is taken from it as
+sparse columns and eliminated by unit pivots; only the leftover core,
+which holds all torsion, goes to the dense Smith form.  The integer
+Smith forms are kept per up-set root, and Q and F_p ranks are read off
+them.  ``boundary_matrices`` is the dense view.
 """
 from __future__ import annotations
 
@@ -253,7 +256,8 @@ def boundary_matrices(S: SimplicialPoset, root: str | None = None) -> ChainData:
     reduced homology of ``link(S, root)`` (Munkres, Lemma 63.1).  Every
     matrix is copied from the poset's one signed incidence, on which
     D_(k-1) . D_k = 0 is verified once per poset; entries are in
-    {-1, 0, 1} by construction.
+    {-1, 0, 1} by construction.  ``reduced_betti`` does not build these:
+    it eliminates the same incidence sparsely.
     """
     incidence = _incidence(S)
     gens = tuple(tuple(e.id for e in level) for level in S.above(root)[1:])
@@ -291,6 +295,56 @@ class BettiVector:
         return range(-1, len(self.reduced) - 1)
 
 
+def _unit_smith_form(columns: list[dict]) -> SnfResult:
+    """Smith form of the integer matrix with these columns (row id -> nonzero entry).
+
+    Each column in turn that holds an entry +-1 gives a pivot: column
+    operations clear its row from every other column, so the row
+    operations clearing its column change nothing else, and the pivot's
+    row and column are dropped as one unit invariant factor (Dumas,
+    Saunders and Villard, JSC 2001).  The columns that held no unit in
+    their turn go, if any is nonzero, to the dense ``smith_normal_form``:
+    torsion always ends there.  The column dicts are reduced in place.
+    """
+    cols = dict(enumerate(columns))
+    rows: dict = {}  # row id -> the columns with an entry there
+    for j, col in cols.items():
+        for r in col:
+            rows.setdefault(r, set()).add(j)
+    units = 0
+    for j in range(len(columns)):
+        col = cols[j]
+        # the first unit; the row id None is the augmentation's minimal
+        # element, so no row id can mark "none found"
+        for r, v in col.items():
+            if v == 1 or v == -1:
+                break
+        else:
+            continue
+        del cols[j], col[r]
+        for i in col:
+            rows[i].discard(j)
+        for k in rows.pop(r) - {j}:
+            other = cols[k]
+            q = other.pop(r) * v
+            for i, u in col.items():
+                # q * u is nonzero, so a zero sum cancels an entry of other
+                w = other.get(i, 0) - q * u
+                if w:
+                    other[i] = w
+                    rows[i].add(k)
+                else:
+                    del other[i]
+                    rows[i].discard(k)
+        units += 1
+    left = [col for col in cols.values() if col]
+    core = SnfResult((), 0)
+    if left:
+        index = dict.fromkeys(r for col in left for r in col)
+        core = smith_normal_form([[col.get(r, 0) for r in index] for col in left])
+    return SnfResult((1,) * units + core.factors, units + core.rank)
+
+
 def reduced_betti(
     S: SimplicialPoset, coeff: Coefficients, root: str | None = None
 ) -> BettiVector:
@@ -306,10 +360,18 @@ def reduced_betti(
     # integer Smith form per boundary matrix, shared by every ring
     cache = S._cache.setdefault("snf", {})
     if root not in cache:
-        data = boundary_matrices(S, root)
+        incidence = _incidence(S)
+        levels = S.above(root)[1:]
         n = S.n - (0 if root is None else S.element(root).rank)
-        f = [1, *map(len, data.generators)] + [0] * (n - 1 - data.dim)
-        cache[root] = f, tuple(smith_normal_form(d) for d in data.boundaries)
+        f = [1, *map(len, levels)] + [0] * (n - len(levels))
+        # each boundary matrix as the columns of its faces on the rank
+        # below: first the root, or None for the whole poset
+        snfs, lower = [], {root}
+        for level in levels:
+            snfs.append(_unit_smith_form(
+                [{fid: s for fid, s in incidence[e.id] if fid in lower} for e in level]))
+            lower = {e.id for e in level}
+        cache[root] = f, tuple(snfs)
     f, snfs = cache[root]
     # rank[i] is the rank of D_(i-1) : C_(i-1) -> C_(i-2), zero off the complex
     rank = [0, *(snf.rank_over(coeff) for snf in snfs)] + [0] * (len(f) - len(snfs))

@@ -86,6 +86,23 @@ def _unimodular(rng, k):
     return u
 
 
+def _columns(matrix, row_ids):
+    # the sparse columns (row id -> nonzero entry) of a dense matrix
+    return [{r: v for r, v in zip(row_ids, column) if v} for column in zip(*matrix)]
+
+
+# row ids start with None, the key of the augmentation row
+ROW_IDS = (None, *(f"r{i}" for i in range(12)))
+
+
+def _check_both(mat):
+    # the dense Smith form and the sparse unit-pivot elimination
+    expected = minor_gcd_invariant_factors(mat)
+    for got in (smith_normal_form(mat), homology._unit_smith_form(_columns(mat, ROW_IDS))):
+        assert got.factors == expected, mat
+        assert got.rank == len(expected)
+
+
 class TestSmithNormalForm:
     def test_identity(self):
         assert smith_normal_form([[1, 0], [0, 1]]).factors == (1, 1)
@@ -106,11 +123,7 @@ class TestSmithNormalForm:
         for _ in range(60):
             m = rng.randint(1, 4)
             n = rng.randint(1, 4)
-            mat = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
-            expected = minor_gcd_invariant_factors(mat)
-            got = smith_normal_form(mat)
-            assert got.factors == expected
-            assert got.rank == len(expected)
+            _check_both([[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)])
         # U . diag(1, 2, 6, 0) . V with U, V unimodular: the unit pivot
         # skips the divisibility scan, the 2 and 6 need its fix-up
         for _ in range(30):
@@ -120,11 +133,8 @@ class TestSmithNormalForm:
             for i, d in enumerate((1, 2, 6, 0)):
                 diag[i][i] = d
             mat = _matmul(_matmul(_unimodular(rng, m), diag), _unimodular(rng, n))
-            expected = minor_gcd_invariant_factors(mat)
-            assert expected == (1, 2, 6)
-            got = smith_normal_form(mat)
-            assert got.factors == expected
-            assert got.rank == len(expected)
+            assert minor_gcd_invariant_factors(mat) == (1, 2, 6)
+            _check_both(mat)
 
     def test_rank_matches_gauss_oracles(self):
         rng = random.Random(77)
@@ -143,6 +153,76 @@ class TestSmithNormalForm:
             mat = [[rng.randint(-20, 20) for _ in range(4)] for _ in range(4)]
             fac = smith_normal_form(mat).factors
             assert all(b % a == 0 for a, b in zip(fac, fac[1:]))
+
+
+class TestUnitSmithForm:
+    def test_sparse_against_minor_gcd_oracle(self):
+        rng = random.Random(20260901)
+        for entries in ((-1, 1), (-2, 2)):
+            for _ in range(80):
+                m, n = rng.randint(1, 5), rng.randint(1, 5)
+                _check_both([[rng.randint(*entries) * (rng.random() < 0.6)
+                              for _ in range(n)] for _ in range(m)])
+
+    def test_non_unit_columns_and_zero_lines(self):
+        rng = random.Random(8)
+        for _ in range(60):
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            mat = [[rng.choice((-4, -2, 0, 0, 2, 3, 6)) for _ in range(n)] for _ in range(m)]
+            # a unit column now and then, so cores mix with unit pivots
+            if rng.random() < 0.5:
+                j = rng.randrange(n)
+                for row in mat:
+                    row[j] = rng.choice((-1, 0, 1))
+            mat.insert(rng.randint(0, m), [0] * n)
+            for row in mat:
+                row.insert(n // 2, 0)
+            _check_both(mat)
+
+    def test_empty(self):
+        assert homology._unit_smith_form([]) == homology.SnfResult((), 0)
+        assert homology._unit_smith_form([{}, {}]) == homology.SnfResult((), 0)
+
+
+class TestAgainstDenseRoute:
+    def test_every_root_matches_dense_smith_forms(self):
+        # the dense route the sparse elimination replaced, as the reference
+        rp2 = corpus("rp2_6")
+        posets = [corpus(name) for name in corpus_names()] + [
+            barycentric(corpus("torus7")),
+            from_facets([(*f.vertices, "apex") for f in rp2.by_rank(3)], name="cone(rp2_6)"),
+        ]
+        for S in posets:
+            for root in (None, *(e.id for e in S.elements())):
+                dense = tuple(map(smith_normal_form, boundary_matrices(S, root).boundaries))
+                reduced_betti(S, INTEGERS, root=root)
+                assert S._cache["snf"][root][1] == dense, (S.name, root)
+
+    def test_torsion_free_ladder_sends_nothing_to_dense(self, monkeypatch):
+        cores = []
+        real = homology.smith_normal_form
+
+        def recording(matrix):
+            cores.append(matrix)
+            return real(matrix)
+
+        monkeypatch.setattr(homology, "smith_normal_form", recording)
+        # the torsion-free rungs of the benchmark's ladder
+        t7 = corpus("torus7")
+        ladder = [
+            t7,
+            barycentric(t7),
+            from_facets([[f"v{j}" for j in range(7) if j != i] for i in range(7)]),
+            barycentric(barycentric(corpus("boundary_simplex(3)"))),
+            barycentric(barycentric(t7)),
+        ]
+        for S in ladder:
+            for root in (None, *(e.id for e in S.elements())):
+                reduced_betti(S, INTEGERS, root=root)
+            assert cores == [], S.name
+        # torsion does reach the dense core
+        assert reduced_betti(corpus("rp2_6"), INTEGERS).torsion_in(1) == (2,)
+        assert cores
 
 
 class TestInternalErrors:
@@ -169,7 +249,8 @@ UNDER_O = """
 import sys
 from sposet import homology
 from sposet.errors import InternalError
-from sposet.homology import boundary_matrices, smith_normal_form
+from sposet.corpus import corpus
+from sposet.homology import INTEGERS, boundary_matrices, reduced_betti, smith_normal_form
 from sposet.poset import SimplexElem, SimplicialPoset
 
 def misordered():
@@ -189,11 +270,16 @@ def bad_factors():
     homology._invariant_factors = lambda rows: [2, 3]
     smith_normal_form(((2, 0), (0, 3)))
 
+def bad_core():
+    # rp2_6 has torsion, so its core reaches the dense Smith form
+    homology._invariant_factors = lambda rows: [2, 3]
+    reduced_betti(corpus("rp2_6"), INTEGERS)
+
 def bad_restriction(root):
     # the first complex asked of the poset is the one restricted to root
     boundary_matrices(misordered(), root=root)
 
-cases = [("bad_chain", bad_chain), ("bad_factors", bad_factors)] + [
+cases = [("bad_chain", bad_chain), ("bad_factors", bad_factors), ("bad_core", bad_core)] + [
     (f"bad_restriction({root})", lambda root=root: bad_restriction(root))
     for root in ("a", "b", "c", "ab", "ac", "bc", "abc")
 ]
@@ -322,19 +408,36 @@ class TestReducedBetti:
 
     def test_rings_share_smith_forms(self, monkeypatch):
         calls = []
-        real = homology.smith_normal_form
+        real = homology._unit_smith_form
 
-        def counting(matrix):
-            calls.append(matrix)
-            return real(matrix)
+        def counting(columns):
+            calls.append([dict(col) for col in columns])
+            return real(columns)
 
-        monkeypatch.setattr(homology, "smith_normal_form", counting)
+        monkeypatch.setattr(homology, "_unit_smith_form", counting)
         rp2 = corpus("rp2_6")
         for coeff in ALL_COEFFS:
             reduced_betti(rp2, coeff)
-        assert calls == list(boundary_matrices(rp2).boundaries)
+        # one elimination per boundary matrix, on that matrix's columns
+        data = boundary_matrices(rp2)
+        assert calls == [
+            _columns(matrix, row_ids)
+            for matrix, row_ids in zip(data.boundaries, ((None,), *data.generators))
+        ]
         assert reduced_betti(rp2, INTEGERS).torsion_in(1) == (2,)
         assert reduced_betti(rp2, prime_field(2)).degree(2) == 1
+
+    def test_iterated_subdivisions_keep_their_type(self):
+        # whole-poset homology of 1000-plus faces, all by sparse elimination
+        for name, over_z, over_f2 in (
+            ("rp2_6", ((0, 0, 0, 0), (2,)), (0, 0, 1, 1)),
+            ("torus7", ((0, 0, 2, 1), ()), (0, 0, 2, 1)),
+        ):
+            S = barycentric(barycentric(corpus(name)))
+            bv = reduced_betti(S, INTEGERS)
+            assert (bv.reduced, bv.torsion_in(1)) == over_z, name
+            assert reduced_betti(S, prime_field(2)).reduced == over_f2, name
+            assert reduced_betti(S, RATIONALS).reduced == over_z[0], name
 
 
 class TestCrosschecksAndInvariants:

@@ -4,7 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from sposet import io as io_mod
-from sposet.charfn import CharFunction
+from sposet.charfn import CharFunction, random_q_charfn
 from sposet.cli import cli, main
 from sposet.corpus import corpus, corpus_entry, corpus_names
 from sposet.errors import (
@@ -338,6 +338,29 @@ BAD_LIBRARY_CALLS = {
     "charfn_pair_list": (lambda: CharFunction(2, [("v1", (1, 0))]), InvalidCharFn),
     "charfn_tuple_key": (lambda: CharFunction(2, {("x",): (1, 0)}), InvalidCharFn),
     "charfn_bool_key": (lambda: CharFunction(2, {False: (1, 0)}), InvalidCharFn),
+    "charfn_n_float": (lambda: CharFunction(2.0, {"v1": (1, 0)}), InvalidCharFn),
+    "charfn_n_bool": (lambda: CharFunction(True, {"v1": (1,)}), InvalidCharFn),
+    "charfn_n_str": (lambda: CharFunction("2", {"v1": (1, 0)}), InvalidCharFn),
+    "random_n_str": (
+        lambda: random_q_charfn(corpus("boundary_simplex(2)"), "2", seed=1, bound=2),
+        InvalidArgument,
+    ),
+    "random_seed_none": (
+        lambda: random_q_charfn(corpus("boundary_simplex(2)"), 2, seed=None, bound=2),
+        InvalidArgument,
+    ),
+    "random_bound_float": (
+        lambda: random_q_charfn(corpus("boundary_simplex(2)"), 2, seed=1, bound=2.5),
+        InvalidArgument,
+    ),
+    "random_budget_float": (
+        lambda: random_q_charfn(corpus("boundary_simplex(2)"), 2, seed=1, bound=2, budget=2.5),
+        InvalidArgument,
+    ),
+    "random_bound_bool": (
+        lambda: random_q_charfn(corpus("boundary_simplex(2)"), 2, seed=1, bound=True),
+        InvalidArgument,
+    ),
     "prime_field_str": (lambda: prime_field("7"), InvalidArgument),
     "prime_field_float": (lambda: prime_field(7.0), InvalidArgument),
     "prime_field_composite": (lambda: prime_field(4), InvalidArgument),

@@ -19,7 +19,8 @@ from sposet.corpus import corpus
 from sposet.facevec import f_h_vectors, ft_vector, h_prime_double, identity_report
 from sposet.homology import INTEGERS, RATIONALS, prime_field, reduced_betti
 from sposet.cli import main
-from sposet.poset import SimplicialPoset, link
+from sposet.io import dumps_canonical, emit_poset
+from sposet.poset import SimplicialPoset, barycentric, link
 from sposet.spectral import (
     CONE,
     MANIFOLD,
@@ -335,15 +336,18 @@ def _torus7_report():
 
 class TestComputeOnce:
     def test_second_report_makes_no_smith_forms(self, monkeypatch):
+        # the sparse elimination, the dense Smith forms of its cores and of λ
         calls = []
-        real = homology.smith_normal_form
 
-        def counting(matrix):
-            calls.append(matrix)
-            return real(matrix)
+        def counting(real):
+            def wrapper(matrix):
+                calls.append(matrix)
+                return real(matrix)
+            return wrapper
 
-        monkeypatch.setattr(homology, "smith_normal_form", counting)
-        monkeypatch.setattr(charfn_mod, "smith_normal_form", counting)
+        for mod, name in ((homology, "_unit_smith_form"), (homology, "smith_normal_form"),
+                          (charfn_mod, "smith_normal_form")):
+            monkeypatch.setattr(mod, name, counting(getattr(mod, name)))
         _, report = _torus7_report()
         report()
         assert calls
@@ -376,6 +380,17 @@ class TestComputeOnce:
                 monkeypatch.setattr(mod, "link", no_link)
         _, report = _torus7_report()
         report()
+
+    def test_cone_report_builds_no_dense_boundary_matrices(self, monkeypatch, capsys, tmp_path):
+        def no_dense(S, root=None):
+            raise AssertionError(f"dense boundary matrices of {root!r} built")
+
+        monkeypatch.setattr(homology, "boundary_matrices", no_dense)
+        path = tmp_path / "sd_torus7.json"
+        path.write_text(dumps_canonical(emit_poset(barycentric(corpus("torus7")))))
+        for source in (["--corpus", "torus7"], [str(path)]):
+            assert main(["quotient", "cone", *source, "--n", "3", "--json"]) == 0
+            assert '"euler_conserved":true' in capsys.readouterr().out
 
     def test_cone_report_checks_once_and_walks_each_up_set_once(self, monkeypatch, capsys):
         # d.d = 0 once per poset, and one up-set walk per complex: the

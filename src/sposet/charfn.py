@@ -3,10 +3,13 @@
 An assignment is valid on a simplex over the integers when the matrix
 of its vertices' vectors has all Smith invariant factors equal to one
 (the subtorus inclusion is injective and splits); over a field, full
-row rank suffices.  Validity passes down to faces: part of a basis of a
-direct summand of Z^n spans a direct summand, and part of an
-independent set over Q or F_p is independent.  So a face with a valid
-coface is valid, and only the faces with none take a Smith form.
+row rank suffices.  A square simplex, of rank n, is valid exactly when
+its determinant is a unit: +-1 over Z, nonzero over Q, nonzero mod p
+over F_p, so it takes one fraction-free elimination (Bareiss, Math.
+Comp. 1968) instead of a Smith form.  Validity passes down to faces:
+part of a basis of a direct summand of Z^n spans a direct summand, and
+part of an independent set over Q or F_p is independent.  So a face
+with a valid coface is valid, and only the faces with none are reduced.
 """
 from __future__ import annotations
 
@@ -75,32 +78,61 @@ class CharCheckReport:
     first_failure: tuple[str, tuple[int, ...]] | None
 
 
+def _determinant(rows: list[tuple[int, ...]]) -> int:
+    # Bareiss elimination: every entry stays an integer minor, so each
+    # division is exact; a zero pivot swaps in a lower row or ends at 0
+    m = [list(row) for row in rows]
+    sign, prev = 1, 1
+    for k in range(len(m) - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        piv = m[k][k]
+        for row in m[k + 1 :]:
+            row[k + 1 :] = [(a * piv - row[k] * b) // prev
+                            for a, b in zip(row[k + 1 :], m[k][k + 1 :])]
+        prev = piv
+    return sign * m[-1][-1] if m else 1
+
+
 def check(S: SimplicialPoset, lam: CharFunction, coeff: Coefficients) -> CharCheckReport:
     """Per-simplex validity of the assignment over one coefficient ring.
 
-    Walks the faces from the top rank down.  A facet of a valid face is
-    valid, so a Smith form is taken only for the faces with no valid
-    coface: the maximal faces and the faces under failing ones.  Every
-    failing face is reduced, so the verdicts, in (rank, id) order, and
-    the first failure with its invariant factors are as if each face
-    were reduced on its own.
+    The vectors must have length ``S.n``.  Walks the faces from the top
+    rank down; a facet of a valid face is valid, so only the faces with
+    no valid coface are judged: the maximal faces and the faces under
+    failing ones.  A face of rank n is judged by its determinant, any
+    other by its Smith form.  The verdicts, in (rank, id) order, are as
+    if each face were judged on its own; the first failure carries its
+    invariant factors, and no face takes a Smith form twice.
     """
+    if lam.n != S.n:
+        raise WrongVectorLength(f"vectors of length {lam.n} on a poset of ambient rank {S.n}")
+    over_z, p = coeff == INTEGERS, coeff.p
     # looked up in (rank, id) order, so the first missing vertex is the one named
     vectors = {v: lam.vector(v) for e in S.by_rank(1) for v in e.vertices}
-    valid, failures = set(), {}
+    valid, snfs = set(), {}
     for e in reversed(S.elements()):
         if e.id not in valid:
-            snf = smith_normal_form([vectors[v] for v in e.vertices])
-            ok = (snf.factors == (1,) * e.rank if coeff == INTEGERS
-                  else snf.rank_over(coeff) == e.rank)
+            rows = [vectors[v] for v in e.vertices]
+            if e.rank == S.n:
+                d = _determinant(rows)
+                ok = abs(d) == 1 if over_z else (d % p if p else d) != 0
+            else:
+                snf = snfs[e.id] = smith_normal_form(rows)
+                ok = snf.factors == (1,) * e.rank if over_z else snf.rank_over(coeff) == e.rank
             if not ok:
-                failures[e.id] = snf.factors
                 continue
             valid.add(e.id)
         valid.update(e.facets)
     verdicts = tuple((e.id, e.id in valid) for e in S.elements())
-    first_failure = next(((eid, failures[eid]) for eid, ok in verdicts if not ok), None)
-    return CharCheckReport(coeff, not failures, verdicts, first_failure)
+    bad = next((eid for eid, ok in verdicts if not ok), None)
+    if bad is not None and bad not in snfs:
+        snfs[bad] = smith_normal_form([vectors[v] for v in S.element(bad).vertices])
+    first_failure = None if bad is None else (bad, snfs[bad].factors)
+    return CharCheckReport(coeff, bad is None, verdicts, first_failure)
 
 
 def random_q_charfn(

@@ -243,10 +243,12 @@ def from_face_lattice(
 def from_facets(facet_vertex_sets: Iterable[Iterable], name: str = "") -> SimplicialPoset:
     """Face poset of the simplicial complex generated by the given facets.
 
-    Each facet is a collection (not a str) of vertex names, strs or ints,
-    an int taken as its str.  Every nonempty subset of a facet becomes one
-    face whose id is its sorted vertex names joined by commas, so a vertex
-    is named by itself and the result is a genuine simplicial complex.
+    Each facet is a collection (not a str) of at most ``MAX_RANK`` vertex
+    names, strs or ints, an int taken as its str.  Every nonempty subset
+    of a facet becomes one face whose id is its sorted vertex names joined
+    by commas, so a vertex is named by itself and the result is a genuine
+    simplicial complex.  Built in one pass: faces made this way satisfy
+    every axiom ``from_face_lattice`` checks once no two ids collide.
     """
     faces: set[tuple[str, ...]] = set()
     for raw in facet_vertex_sets:
@@ -258,20 +260,23 @@ def from_facets(facet_vertex_sets: Iterable[Iterable], name: str = "") -> Simpli
         vs = sorted(set(map(str, fs)))
         if not vs:
             raise EmptyInput("empty facet vertex set")
+        if len(vs) > MAX_RANK:
+            raise PosetValidationError(
+                "", "ambient-rank", f"facet of {len(vs)} vertices above the bound {MAX_RANK}")
         faces.update(c for k in range(1, len(vs) + 1) for c in combinations(vs, k))
     if not faces:
         raise EmptyInput("no facets given")
 
-    elems = [
-        SimplexElem(",".join(vs), vs, tuple(
+    elems = {}
+    for vs in faces:  # SimplicialPoset sorts them
+        e = SimplexElem(",".join(vs), vs, tuple(
             ",".join(vs[:j] + vs[j + 1 :]) for j in range(len(vs)) if len(vs) > 1))
-        for vs in sorted(faces, key=lambda vs: (len(vs), vs))
-    ]
-    if len({e.id for e in elems}) != len(elems):
+        elems[e.id] = e
+    if len(elems) != len(faces):
         raise PosetValidationError(
             "", "vertex-name", "vertex names collide under subset naming"
         )
-    return from_face_lattice(elems, name=name)
+    return SimplicialPoset(elems, max(map(len, faces)), name)
 
 
 def link(S: SimplicialPoset, eid: str) -> SimplicialPoset:

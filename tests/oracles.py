@@ -2,12 +2,12 @@
 
 Each helper re-derives an expected value along a path the production
 code does not share: subset enumeration for face posets, explicit
-downward closures for Boolean intervals and links, determinant divisors for
-Smith normal forms, fraction and mod-p Gaussian elimination for ranks,
-products of coefficient lists for the h-vector and the link identities,
-Kunneth convolution for product Betti profiles, the barycentric
-subdivision for cellular homology, and a face-by-face check of
-characteristic functions.
+downward closures for Boolean intervals and links, cofactor expansion
+for determinants, determinant divisors for Smith normal forms, fraction
+and mod-p Gaussian elimination for ranks, products of coefficient lists
+for the h-vector and the link identities, Kunneth convolution for
+product Betti profiles, the barycentric subdivision for cellular
+homology, and a face-by-face check of characteristic functions.
 """
 from __future__ import annotations
 
@@ -71,30 +71,34 @@ def oracle_link(S, eid):
     )
 
 
+def cofactor_determinant(rows, idx_r=None, idx_c=None):
+    """Determinant of a square matrix, or of its minor on the given row
+    and column indices, by cofactor expansion along the first row; the
+    empty matrix has determinant 1.  No elimination, no division."""
+    if idx_r is None:
+        idx_r = idx_c = tuple(range(len(rows)))
+    if not idx_r:
+        return 1
+    total = 0
+    for pos, c in enumerate(idx_c):
+        sub = cofactor_determinant(rows, idx_r[1:], idx_c[:pos] + idx_c[pos + 1 :])
+        term = rows[idx_r[0]][c] * sub
+        total += term if pos % 2 == 0 else -term
+    return total
+
+
 def minor_gcd_invariant_factors(rows):
     """Invariant factors via determinant divisors: d_k = D_k / D_(k-1)
     where D_k is the gcd of all k x k minors.  Only viable for small
     matrices; completely independent of any elimination."""
     m = len(rows)
     n = len(rows[0]) if m else 0
-
-    def det(idx_r, idx_c):
-        k = len(idx_r)
-        if k == 1:
-            return rows[idx_r[0]][idx_c[0]]
-        total = 0
-        for pos, c in enumerate(idx_c):
-            sub = det(idx_r[1:], idx_c[:pos] + idx_c[pos + 1 :])
-            term = rows[idx_r[0]][c] * sub
-            total += term if pos % 2 == 0 else -term
-        return total
-
     divisors = [1]
     for k in range(1, min(m, n) + 1):
         g = 0
         for idx_r in combinations(range(m), k):
             for idx_c in combinations(range(n), k):
-                g = gcd(g, abs(det(idx_r, idx_c)))
+                g = gcd(g, abs(cofactor_determinant(rows, idx_r, idx_c)))
         if g == 0:
             break
         divisors.append(g)

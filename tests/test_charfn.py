@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import combinations
 from math import gcd
@@ -5,7 +6,10 @@ from math import gcd
 import pytest
 
 from sposet import charfn as charfn_mod
+from sposet import io as io_mod
 from sposet.charfn import CharFunction, check, random_q_charfn
+from sposet.cli import main
+from sposet.corpus import corpus
 from sposet.errors import (
     BudgetExhausted,
     InvalidArgument,
@@ -17,7 +21,7 @@ from sposet.errors import (
 from sposet.homology import INTEGERS, RATIONALS, prime_field
 from sposet.poset import SimplexElem, barycentric, from_face_lattice, from_facets
 
-from oracles import interval_ids, oracle_charfn_check
+from oracles import cofactor_determinant, interval_ids, oracle_charfn_check
 
 CP2 = {"v1": (1, 0), "v2": (0, 1), "v3": (1, 1)}
 DET2 = {"v1": (1, 0), "v2": (0, 1), "v3": (1, 2)}
@@ -178,18 +182,72 @@ class TestAgainstOracle:
         _agrees_with_oracle(S, CharFunction(3, vectors))
 
 
+class TestDeterminant:
+    @staticmethod
+    def _agrees(rows):
+        assert charfn_mod._determinant(rows) == cofactor_determinant(rows), rows
+
+    def test_seeded_against_cofactor_expansion(self):
+        rng = random.Random(20261018)
+        for size in range(7):
+            for _ in range(60):
+                # small entries make zero pivots and singular matrices common
+                self._agrees([tuple(rng.randint(-2, 2) for _ in range(size))
+                              for _ in range(size)])
+            for _ in range(10):
+                self._agrees([tuple(rng.randint(-10**12, 10**12) for _ in range(size))
+                              for _ in range(size)])
+
+    def test_zero_leading_pivot(self):
+        # each needs a row swap, one of them at the second step
+        for rows in ([(0, 1), (1, 0)],
+                     [(0, 0, 1), (0, 1, 0), (1, 0, 0)],
+                     [(1, 2, 3), (2, 4, 5), (1, 3, 3)]):
+            assert abs(charfn_mod._determinant(rows)) == 1
+            self._agrees(rows)
+
+    def test_singular(self):
+        for rows in ([(0, 0), (0, 0)],
+                     [(1, 2, 3), (2, 4, 6), (0, 1, 1)],
+                     [(1, 0, 0), (0, 0, 0), (0, 0, 1)],
+                     [(1, 2, 3), (4, 5, 6), (7, 8, 9)]):
+            assert charfn_mod._determinant(rows) == 0
+            self._agrees(rows)
+
+    def test_large_prime_determinant(self):
+        # the facet has determinant p = 2**61 - 1 and every edge is unimodular
+        p = 2**61 - 1
+        S = from_facets([("a", "b", "c")])
+        lam = CharFunction(3, {"a": (1, 0, 0), "b": (0, 1, 0), "c": (1, 1, p)})
+        for coeff in (INTEGERS, prime_field(p)):
+            rep = check(S, lam, coeff)
+            assert rep.first_failure == ("a,b,c", (1, 1, p))
+            assert [eid for eid, ok in rep.verdicts if not ok] == ["a,b,c"]
+        for coeff in (RATIONALS, prime_field(2)):
+            assert check(S, lam, coeff).passed
+        _agrees_with_oracle(S, lam)
+
+
 class TestSmithFormCount:
+    """Faces of rank n take one determinant, others one Smith form."""
+
     @pytest.fixture
-    def snf_calls(self, monkeypatch):
-        calls = []
-        real = charfn_mod.smith_normal_form
+    def calls(self, monkeypatch):
+        calls = {"det": [], "snf": []}
+        for key, name in (("det", "_determinant"), ("snf", "smith_normal_form")):
+            real = getattr(charfn_mod, name)
 
-        def counting(rows):
-            calls.append(rows)
-            return real(rows)
+            def counting(rows, real=real, log=calls[key]):
+                log.append(rows)
+                return real(rows)
 
-        monkeypatch.setattr(charfn_mod, "smith_normal_form", counting)
+            monkeypatch.setattr(charfn_mod, name, counting)
         return calls
+
+    @staticmethod
+    def _reset(calls):
+        for log in calls.values():
+            log.clear()
 
     @staticmethod
     def _without_valid_coface(S, lam, coeff):
@@ -197,14 +255,15 @@ class TestSmithFormCount:
         verdict = dict(oracle_charfn_check(S, lam, coeff)[0])
         return {e.id for e in S if not any(verdict[c.id] for c in S if e.id in c.facets)}
 
-    def test_one_per_facet_when_valid(self, torus7, snf_calls):
+    def test_one_per_facet_when_valid(self, torus7, calls):
         S = barycentric(torus7)
         lam = random_q_charfn(S, 3, seed=7, bound=5)
-        snf_calls.clear()
+        self._reset(calls)
         assert check(S, lam, RATIONALS).passed
-        assert len(snf_calls) == len(S.by_rank(3)) == 84
+        assert len(calls["det"]) == len(S.by_rank(3)) == 84
+        assert calls["snf"] == []
 
-    def test_dependent_facet(self, torus7, snf_calls):
+    def test_dependent_facet(self, torus7, calls):
         # make the first facet that allows it dependent, and no other face
         S = barycentric(torus7)
         valid = random_q_charfn(S, 3, seed=7, bound=5).assignment
@@ -217,23 +276,43 @@ class TestSmithFormCount:
                 break
         else:
             pytest.fail("no facet can be made the only dependent face")
-        snf_calls.clear()
+        self._reset(calls)
         assert check(S, lam, RATIONALS).first_failure[0] == facet.id
         lonely = self._without_valid_coface(S, lam, RATIONALS)
         under = lonely & (interval_ids(S, facet.id) - {facet.id})
-        assert len(snf_calls) == 84 + len(under) == len(lonely)
+        assert lonely == under | {e.id for e in S.by_rank(3)}
+        assert len(calls["det"]) == 84
+        # the edges with no valid coface, then the failing facet's factors
+        assert len(calls["snf"]) == len(under) + 1
 
-    def test_repeated_vector_reduces_the_failing_edge(self, torus7, snf_calls):
+    def test_repeated_vector_reduces_the_failing_edge(self, torus7, calls):
         # v1 and v2 share a vector: the edge and both its triangles fail,
-        # and the edge, with no valid coface, takes one more Smith form
+        # and the edge, with no valid coface, takes the one Smith form,
+        # which also gives the first failure its factors
         lam = random_q_charfn(torus7, 3, seed=1, bound=5)
         lam = CharFunction(3, {**lam.assignment, "v2": lam.assignment["v1"]})
-        snf_calls.clear()
+        self._reset(calls)
         rep = check(torus7, lam, RATIONALS)
         failing = {eid for eid, ok in rep.verdicts if not ok}
         assert "v1,v2" in failing and len(failing) == 3
+        assert rep.first_failure[0] == "v1,v2"
         lonely = self._without_valid_coface(torus7, lam, RATIONALS)
-        assert len(snf_calls) == 14 + 1 == len(lonely)
+        assert len(calls["det"]) == 14
+        assert calls["snf"] == [[lam.assignment["v1"]] * 2]
+        assert lonely == {e.id for e in torus7.by_rank(3)} | {"v1,v2"}
+
+    def test_cli_check_over_q_takes_no_smith_form(self, tmp_path, capsys, calls):
+        S = barycentric(barycentric(corpus("boundary_simplex(3)")))
+        lam = random_q_charfn(S, 3, seed=1, bound=5)
+        poset_path, lam_path = tmp_path / "poset.json", tmp_path / "lam.json"
+        poset_path.write_text(json.dumps(io_mod.emit_poset(S)))
+        lam_path.write_text(json.dumps(io_mod.emit_charfn(lam)))
+        self._reset(calls)
+        assert main(["charfn", "check", str(lam_path), str(poset_path),
+                     "--coeff", "q", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+        assert len(calls["det"]) == len(S.by_rank(3)) == 144
+        assert calls["snf"] == []
 
 
 class TestRandom:

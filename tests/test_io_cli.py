@@ -5,6 +5,7 @@ from click.testing import CliRunner
 
 from sposet import io as io_mod
 from sposet.charfn import CharFunction, random_q_charfn
+from sposet.charfn import check as charfn_check
 from sposet.cli import cli, main
 from sposet.corpus import corpus, corpus_entry, corpus_names
 from sposet.errors import (
@@ -15,6 +16,7 @@ from sposet.errors import (
     UnknownElement,
     UnknownFormat,
     UnknownName,
+    WrongVectorLength,
 )
 from sposet.homology import RATIONALS, Coefficients, prime_field
 from sposet.poset import SimplexElem, from_face_lattice, from_facets, link, validate_stats
@@ -322,6 +324,9 @@ def test_mistyped_document_is_schema_violation(case, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# primitive and valid over Q on every face of torus7, but of length 4, not 3
+TORUS7_LAMBDA4 = {f"v{i}": (1, i, i * i, i**3) for i in range(1, 8)}
+
 # library calls with malformed arguments, and the SposetError each ends in
 BAD_LIBRARY_CALLS = {
     "face_lattice_int": (lambda: from_face_lattice([5]), PosetValidationError),
@@ -374,6 +379,15 @@ BAD_LIBRARY_CALLS = {
         lambda: make_problem(CONE, corpus("boundary_simplex(2)"), "3", RATIONALS),
         InvalidArgument,
     ),
+    "check_wrong_length": (
+        lambda: charfn_check(corpus("torus7"), CharFunction(4, TORUS7_LAMBDA4), RATIONALS),
+        WrongVectorLength,
+    ),
+    "problem_wrong_length": (
+        lambda: make_problem(CONE, corpus("torus7"), 3, RATIONALS,
+                             charfn=CharFunction(4, TORUS7_LAMBDA4)),
+        InvalidCharFn,
+    ),
 }
 
 
@@ -394,6 +408,20 @@ def test_huge_ambient_rank_is_clean_error(n, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Error:" in err and "ambient-rank" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["charfn", "check", "{path}", "--corpus", "torus7", "--coeff", "q"],
+    ["quotient", "cone", "--corpus", "torus7", "--n", "3", "--charfn", "{path}", "--json"],
+])
+def test_wrong_length_charfn_is_refused(argv, tmp_path, capsys):
+    path = tmp_path / "lam4.json"
+    path.write_text(json.dumps(io_mod.emit_charfn(CharFunction(4, TORUS7_LAMBDA4))))
+    assert main([a.format(path=path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "length 4 on a poset of ambient rank 3" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_manifold_rank_data_breaking_exactness_is_refused(capsys):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from sposet.errors import (
@@ -9,6 +11,7 @@ from sposet.errors import (
     UnknownElement,
 )
 from sposet.poset import (
+    MAX_RANK,
     SimplexElem,
     barycentric,
     from_face_lattice,
@@ -115,6 +118,45 @@ class TestFromFacets:
             from_facets([])
         with pytest.raises(EmptyInput):
             from_facets([set()])
+
+    def test_facet_above_max_rank_refused_before_enumeration(self):
+        # enumerating its 2**65 subsets first would never end
+        with pytest.raises(PosetValidationError, match="ambient-rank"):
+            from_facets([["a", "b"], range(MAX_RANK + 1)])
+
+    @staticmethod
+    def _agrees_with_face_lattice(facets):
+        # from_facets builds in one pass; from_face_lattice reruns every check
+        faces = powerset_faces([{str(v) for v in f} for f in facets])
+        if len({",".join(sorted(f)) for f in faces}) < len(faces):
+            with pytest.raises(PosetValidationError, match="vertex-name"):
+                from_facets(facets)
+            return False
+        S = from_facets(facets)
+        assert from_face_lattice(S.elements()) == S
+        assert {frozenset(e.vertices) for e in S.elements()} == faces
+        assert S.n == max(map(len, faces))
+        return True
+
+    def test_one_pass_matches_face_lattice(self, corpus_posets):
+        t7 = corpus_posets["torus7"]
+        ladder = [t7, barycentric(t7),
+                  from_facets([[f"v{j}" for j in range(7) if j != i] for i in range(7)]),
+                  barycentric(barycentric(corpus_posets["boundary_simplex(3)"])),
+                  barycentric(barycentric(t7))]
+        for S in (*corpus_posets.values(), *ladder):
+            assert self._agrees_with_face_lattice(
+                [S.element(m).vertices for m in S.maximal_ids()]), S.name
+
+    def test_one_pass_matches_face_lattice_fuzzed(self):
+        # names with commas make some subset ids collide
+        names = ["a", "b", "c", "d", 1, "1", "a,b", "b,c", "1,a", ""]
+        rng = random.Random(20261018)
+        outcomes = set()
+        for _ in range(300):
+            facets = [rng.sample(names, rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
+            outcomes.add(self._agrees_with_face_lattice(facets))
+        assert outcomes == {True, False}
 
 
 class TestLink:

@@ -8,12 +8,15 @@ number produced here is reduced and the empty poset correctly reports a
 single unit in degree -1.  Link homology is read from the same complex
 restricted to the faces above each face, so no link poset is built.
 
-Each poset keeps one signed incidence, checked for d.d = 0 once.  Every
-boundary matrix, of the whole poset or of an up-set, is taken from it as
-sparse columns and eliminated by unit pivots; only the leftover core,
-which holds all torsion, goes to the dense Smith form.  The integer
-Smith forms are kept per up-set root, and Q and F_p ranks are read off
-them.  ``boundary_matrices`` is the dense view.
+Each poset keeps one signed incidence, checked for d.d = 0 once.  The two
+lowest boundary matrices of an up-set, of the whole poset or of the faces
+above a root, are closed forms: the augmentation row, and a graph's
+incidence up to unit row signs whose rank V - c comes from union-find on
+the covers and their covers.  Every higher matrix is taken from the
+incidence as sparse columns and eliminated by unit pivots; only the
+leftover core, which holds all torsion, goes to the dense Smith form.  The
+integer Smith forms are kept per up-set root, and Q and F_p ranks are read
+off them.  ``boundary_matrices`` is the dense view.
 """
 from __future__ import annotations
 
@@ -345,6 +348,25 @@ def _unit_smith_form(columns: list[dict]) -> SnfResult:
     return SnfResult((1,) * units + core.factors, units + core.rank)
 
 
+def _components(nodes: int, edges) -> int:
+    # the components of a graph with this many nodes, by union-find over
+    # its edges as node pairs; a representative has no parent entry, and
+    # each find halves its path
+    parent: dict = {}
+
+    def find(v):
+        while v in parent:
+            parent[v] = v = parent.get(parent[v], parent[v])
+        return v
+
+    for a, b in edges:
+        a, b = find(a), find(b)
+        if a != b:
+            parent[a] = b
+            nodes -= 1
+    return nodes
+
+
 def reduced_betti(
     S: SimplicialPoset, coeff: Coefficients, root: str | None = None
 ) -> BettiVector:
@@ -354,20 +376,35 @@ def reduced_betti(
     minus one and the empty poset has b~_(-1) = 1.  With ``root`` the
     numbers are those of ``link(S, root)``, read off the complex
     restricted to the faces above the root.  Read off the Smith forms
-    the poset keeps, so every ring shares one elimination.
+    the poset keeps, so every ring shares them; a root of codimension
+    <= 2 needs no elimination, only its covers and their covers.
     """
     # per (poset, up-set root): the face counts f_(-1)..f_(n-1) and one
     # integer Smith form per boundary matrix, shared by every ring
     cache = S._cache.setdefault("snf", {})
     if root not in cache:
-        incidence = _incidence(S)
-        levels = S.above(root)[1:]
+        incidence = _incidence(S)  # checks d.d = 0, which the closed forms rest on
         n = S.n - (0 if root is None else S.element(root).rank)
-        f = [1, *map(len, levels)] + [0] * (n - len(levels))
-        # each boundary matrix as the columns of its faces on the rank
-        # below: first the root, or None for the whole poset
-        snfs, lower = [], {root}
-        for level in levels:
+        cofaces = S._cofaces()
+        covers = cofaces[root]
+        # each face two ranks up, once per cover below it
+        joins = [(e.id, c.id) for e in covers for c in cofaces[e.id]]
+        twos = {c for _, c in joins}
+        higher = S.above(root)[3:] if n > 2 else ()  # none at codimension <= 2
+        f = [1, len(covers), len(twos), *map(len, higher)][:n + 1]
+        f += [0] * (n + 1 - len(f))
+        # The augmentation row has rank 1 once the root has a cover.  A face
+        # two ranks up lies over two covers (its interval from the root is
+        # Boolean), so by d.d = 0 the next matrix is a graph's incidence up
+        # to unit row signs: rank V - c over every ring, all factors 1.  The
+        # joins link each such face to its two covers and keep c components.
+        ranks = [1] if covers else []
+        if twos:
+            ranks.append(len(covers) - _components(len(covers) + len(twos), joins))
+        snfs = [SnfResult((1,) * r, r) for r in ranks]
+        # each higher matrix as the columns of its faces on the rank below
+        lower = twos
+        for level in higher:
             snfs.append(_unit_smith_form(
                 [{fid: s for fid, s in incidence[e.id] if fid in lower} for e in level]))
             lower = {e.id for e in level}

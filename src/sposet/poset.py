@@ -26,6 +26,9 @@ from .errors import (
 # Caps the ambient rank n, the length of the face and h-vectors; no face
 # comes near it, since a rank-k face brings 2**k - 1 faces with it.
 MAX_RANK = 64
+# Caps the faces from_facets enumerates, 2**k - 1 per facet of k vertices,
+# so one large facet is refused before it exhausts memory.
+MAX_FACES = 2**18
 
 
 @dataclass(frozen=True)
@@ -244,13 +247,15 @@ def from_facets(facet_vertex_sets: Iterable[Iterable], name: str = "") -> Simpli
     """Face poset of the simplicial complex generated by the given facets.
 
     Each facet is a collection (not a str) of at most ``MAX_RANK`` vertex
-    names, strs or ints, an int taken as its str.  Every nonempty subset
+    names, strs or ints, an int taken as its str, and the facets have at
+    most ``MAX_FACES`` nonempty subsets in all.  Every nonempty subset
     of a facet becomes one face whose id is its sorted vertex names joined
     by commas, so a vertex is named by itself and the result is a genuine
     simplicial complex.  Built in one pass: faces made this way satisfy
     every axiom ``from_face_lattice`` checks once no two ids collide.
     """
     faces: set[tuple[str, ...]] = set()
+    total = 0
     for raw in facet_vertex_sets:
         shaped = isinstance(raw, Iterable) and not isinstance(raw, (str, bytes))
         fs = tuple(raw) if shaped else ()
@@ -263,6 +268,10 @@ def from_facets(facet_vertex_sets: Iterable[Iterable], name: str = "") -> Simpli
         if len(vs) > MAX_RANK:
             raise PosetValidationError(
                 "", "ambient-rank", f"facet of {len(vs)} vertices above the bound {MAX_RANK}")
+        total += 2 ** len(vs) - 1
+        if total > MAX_FACES:
+            raise PosetValidationError("", "face-count", (
+                f"facets with {total} faces counted per facet, above the bound {MAX_FACES}"))
         faces.update(c for k in range(1, len(vs) + 1) for c in combinations(vs, k))
     if not faces:
         raise EmptyInput("no facets given")

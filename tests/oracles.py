@@ -7,6 +7,7 @@ for determinants, determinant divisors for Smith normal forms, fraction
 and mod-p Gaussian elimination for ranks, products of coefficient lists
 for the h-vector and the link identities, Kunneth convolution for
 product Betti profiles, the barycentric subdivision for cellular
+homology, dense boundary matrices and their Smith forms for (link)
 homology, and a face-by-face check of characteristic functions.
 """
 from __future__ import annotations
@@ -259,6 +260,27 @@ def betti_crosscheck(S, coeff):
     a = reduced_betti(S, coeff)
     b = reduced_betti(barycentric(S), coeff)
     return a.reduced == b.reduced and a.torsion == b.torsion
+
+
+def dense_betti(S, coeff, root=None):
+    """Reduced Betti numbers, and the torsion over the integers, of the
+    complex restricted to the faces above ``root`` (the whole poset for
+    None), from its dense boundary matrices and their Smith forms, padded
+    to the ambient rank as ``reduced_betti`` pads them."""
+    from sposet.homology import INTEGERS, boundary_matrices, smith_normal_form
+
+    data = boundary_matrices(S, root)
+    n = S.n - (0 if root is None else S.element(root).rank)
+    f = [1, *map(len, data.generators)] + [0] * (n - len(data.generators))
+    snfs = [smith_normal_form(m) for m in data.boundaries]
+    snfs += [None] * (len(f) - len(snfs))
+    # snfs[i] maps the faces counted by f[i + 1] onto those counted by f[i]
+    rank = [0] + [0 if s is None else s.rank_over(coeff) for s in snfs]
+    reduced = tuple(f[i] - rank[i] - rank[i + 1] for i in range(len(f)))
+    if coeff != INTEGERS:
+        return reduced, ()
+    return reduced, tuple(() if s is None else tuple(d for d in s.factors if d > 1)
+                          for s in snfs)
 
 
 def euler_characteristic(S):

@@ -23,6 +23,7 @@ from sposet.errors import InternalError, SposetError
 
 from oracles import (
     betti_crosscheck,
+    dense_betti,
     euler_characteristic,
     interval_ids,
     matrix_product_is_zero,
@@ -184,19 +185,29 @@ class TestUnitSmithForm:
         assert homology._unit_smith_form([{}, {}]) == homology.SnfResult((), 0)
 
 
+def _cone(S, name):
+    return from_facets([(*f.vertices, "apex") for f in S.by_rank(S.n)], name=name)
+
+
+def _assert_matches_dense_route(S):
+    # every up-set of S, the whole poset included, over all four rings
+    for root in (None, *(e.id for e in S.elements())):
+        for coeff in ALL_COEFFS:
+            bv = reduced_betti(S, coeff, root=root)
+            assert (bv.reduced, bv.torsion) == dense_betti(S, coeff, root), (
+                S.name, root, coeff.label)
+
+
 class TestAgainstDenseRoute:
     def test_every_root_matches_dense_smith_forms(self):
-        # the dense route the sparse elimination replaced, as the reference
-        rp2 = corpus("rp2_6")
+        # the dense boundary matrices and their Smith forms, which the
+        # closed forms and the sparse elimination replaced, as the reference
         posets = [corpus(name) for name in corpus_names()] + [
             barycentric(corpus("torus7")),
-            from_facets([(*f.vertices, "apex") for f in rp2.by_rank(3)], name="cone(rp2_6)"),
+            _cone(corpus("rp2_6"), "cone(rp2_6)"),
         ]
         for S in posets:
-            for root in (None, *(e.id for e in S.elements())):
-                dense = tuple(map(smith_normal_form, boundary_matrices(S, root).boundaries))
-                reduced_betti(S, INTEGERS, root=root)
-                assert S._cache["snf"][root][1] == dense, (S.name, root)
+            _assert_matches_dense_route(S)
 
     def test_torsion_free_ladder_sends_nothing_to_dense(self, monkeypatch):
         cores = []
@@ -225,6 +236,46 @@ class TestAgainstDenseRoute:
         assert cores
 
 
+def _tetrahedron_boundary(vs):
+    return [[v for v in vs if v != u] for u in vs]
+
+
+class TestClosedForm:
+    """The two lowest boundary ranks of every up-set come from its covers
+    and their covers; each link graph kind they can meet, against the
+    dense route."""
+
+    @pytest.mark.parametrize("name", ["two_arc_circle", "triangle_2gon"])
+    def test_multiple_edges(self, name):
+        # faces two ranks up over the same two covers
+        _assert_matches_dense_route(corpus(name))
+
+    def test_vertex_link_with_two_components(self):
+        S = from_facets([("a", "b", "c"), ("a", "d", "e")], name="bowtie")
+        assert reduced_betti(S, RATIONALS, root="a").reduced == (0, 1, 0)
+        _assert_matches_dense_route(S)
+
+    def test_link_with_cycles_in_two_components(self):
+        S = from_facets(_tetrahedron_boundary("abcd") + _tetrahedron_boundary("aefg"),
+                        name="two_spheres_at_a")
+        # lk a: two triangle boundaries, so E - V + c = 6 - 6 + 2
+        assert reduced_betti(S, RATIONALS, root="a").reduced == (0, 1, 2)
+        _assert_matches_dense_route(S)
+
+    def test_non_pure_with_empty_links_below_top_rank(self):
+        S = from_facets([("a", "b", "c"), ("c", "d"), ("e",)], name="non_pure")
+        assert reduced_betti(S, RATIONALS, root="e").reduced == (1, 0, 0)
+        assert reduced_betti(S, RATIONALS, root="c,d").reduced == (1, 0)
+        assert reduced_betti(S, RATIONALS).reduced == (0, 1, 0, 0)
+        _assert_matches_dense_route(S)
+
+    def test_cone_over_rp2_keeps_torsion_above_level_two(self):
+        S = _cone(corpus("rp2_6"), "cone(rp2_6)")
+        lk = reduced_betti(S, INTEGERS, root="apex")
+        assert lk.reduced == (0, 0, 0, 0) and lk.torsion_in(1) == (2,)
+        _assert_matches_dense_route(S)
+
+
 class TestInternalErrors:
     def test_corrupted_complex_raises(self):
         # the boundary of every face is checked on the whole poset, so a
@@ -250,7 +301,8 @@ import sys
 from sposet import homology
 from sposet.errors import InternalError
 from sposet.corpus import corpus
-from sposet.homology import INTEGERS, boundary_matrices, reduced_betti, smith_normal_form
+from sposet.homology import (
+    INTEGERS, RATIONALS, boundary_matrices, reduced_betti, smith_normal_form)
 from sposet.poset import SimplexElem, SimplicialPoset
 
 def misordered():
@@ -279,10 +331,14 @@ def bad_restriction(root):
     # the first complex asked of the poset is the one restricted to root
     boundary_matrices(misordered(), root=root)
 
+def bad_link(root):
+    # the first complex asked of the poset is the link homology of root
+    reduced_betti(misordered(), RATIONALS, root=root)
+
+ROOTS = ("a", "b", "c", "ab", "ac", "bc", "abc")
 cases = [("bad_chain", bad_chain), ("bad_factors", bad_factors), ("bad_core", bad_core)] + [
-    (f"bad_restriction({root})", lambda root=root: bad_restriction(root))
-    for root in ("a", "b", "c", "ab", "ac", "bc", "abc")
-]
+    (f"bad_restriction({root})", lambda root=root: bad_restriction(root)) for root in ROOTS
+] + [(f"bad_link({root})", lambda root=root: bad_link(root)) for root in (None, *ROOTS)]
 missed = 0
 for name, case in cases:
     try:
@@ -418,12 +474,10 @@ class TestReducedBetti:
         rp2 = corpus("rp2_6")
         for coeff in ALL_COEFFS:
             reduced_betti(rp2, coeff)
-        # one elimination per boundary matrix, on that matrix's columns
+        # the two lowest matrices are closed forms, so one elimination, on
+        # the columns of the triangles onto the edges, serves all four rings
         data = boundary_matrices(rp2)
-        assert calls == [
-            _columns(matrix, row_ids)
-            for matrix, row_ids in zip(data.boundaries, ((None,), *data.generators))
-        ]
+        assert calls == [_columns(data.boundary(2), data.generators[1])]
         assert reduced_betti(rp2, INTEGERS).torsion_in(1) == (2,)
         assert reduced_betti(rp2, prime_field(2)).degree(2) == 1
 

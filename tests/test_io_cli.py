@@ -339,6 +339,7 @@ BAD_LIBRARY_CALLS = {
     "facets_float_name": (lambda: from_facets([["a", 1.5]]), PosetValidationError),
     "facets_str_facet": (lambda: from_facets(["abc"]), PosetValidationError),
     "facets_int_facet": (lambda: from_facets([5]), PosetValidationError),
+    "facets_too_many_faces": (lambda: from_facets([range(19)]), PosetValidationError),
     "charfn_int_vector": (lambda: CharFunction(2, {"v1": 5}), InvalidCharFn),
     "charfn_pair_list": (lambda: CharFunction(2, [("v1", (1, 0))]), InvalidCharFn),
     "charfn_tuple_key": (lambda: CharFunction(2, {("x",): (1, 0)}), InvalidCharFn),
@@ -391,13 +392,17 @@ BAD_LIBRARY_CALLS = {
 }
 
 
+# the axiom a PosetValidationError above names, where not "element-shape"
+BAD_CALL_AXIOMS = {"facets_too_many_faces": "face-count"}
+
+
 @pytest.mark.parametrize("case", sorted(BAD_LIBRARY_CALLS))
 def test_bad_library_call_is_sposet_error(case):
     call, error = BAD_LIBRARY_CALLS[case]
     with pytest.raises(error) as err:
         call()
     if error is PosetValidationError:
-        assert err.value.axiom == "element-shape"
+        assert err.value.axiom == BAD_CALL_AXIOMS.get(case, "element-shape")
 
 
 @pytest.mark.parametrize("n", [10**9, 10**30])
@@ -421,6 +426,17 @@ def test_wrong_length_charfn_is_refused(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "length 4 on a poset of ambient rank 3" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_facet_with_too_many_faces_is_refused(tmp_path, capsys):
+    # one facet of 19 vertices, 2**19 - 1 faces: refused before enumeration
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"format": "scomplex-v1", "facets": [list(range(19))]}))
+    assert main(["stats", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Error:" in captured.err and "face-count" in captured.err
     assert "Traceback" not in captured.err
 
 

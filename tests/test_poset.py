@@ -10,7 +10,10 @@ from sposet.errors import (
     RankMismatch,
     UnknownElement,
 )
+from sposet import poset as poset_mod
+from sposet.corpus import corpus, corpus_names
 from sposet.poset import (
+    MAX_FACES,
     MAX_RANK,
     SimplexElem,
     barycentric,
@@ -123,6 +126,26 @@ class TestFromFacets:
         # enumerating its 2**65 subsets first would never end
         with pytest.raises(PosetValidationError, match="ambient-rank"):
             from_facets([["a", "b"], range(MAX_RANK + 1)])
+
+    def test_face_count_refused_before_enumeration(self, monkeypatch):
+        # 2**19 - 1 subsets: enumerating them first takes gigabytes
+        with pytest.raises(PosetValidationError, match="face-count"):
+            from_facets([range(19)])
+        # the bound adds 2**k - 1 per facet of k vertices, over all facets
+        monkeypatch.setattr(poset_mod, "MAX_FACES", 14)
+        assert len(from_facets([("a", "b", "c"), ("c", "d", "e")])) == 13
+        with pytest.raises(PosetValidationError, match="face-count"):
+            from_facets([("a", "b", "c"), ("c", "d", "e"), ("e", "f")])
+
+    def test_face_bound_admits_the_corpus_and_thrice_subdivided_torus(self):
+        def counted(S):
+            return sum(2 ** S.element(m).rank - 1 for m in S.maximal_ids())
+
+        for name in corpus_names():
+            S = corpus(name)
+            assert counted(barycentric(barycentric(S))) <= MAX_FACES, name
+        S = barycentric(barycentric(barycentric(corpus("torus7"))))
+        assert counted(S) == 21168 and len(S) == 9072
 
     @staticmethod
     def _agrees_with_face_lattice(facets):

@@ -1,11 +1,12 @@
 """Exact invariants of simplicial posets and torus quotient ranks.
 
-Submodules: ``poset`` (face lattices, links, subdivision), ``homology``
-(Smith normal form Betti numbers), ``facevec`` (f/h/ft/h'/h'' and the
-identity suite), ``classify`` (Buchsbaum / Cohen-Macaulay / homology
-manifold), ``charfn`` (characteristic functions), ``spectral`` (rank
-tables of quotient constructions), ``corpus`` (built-in examples),
-``io`` (JSON formats) and ``cli``.
+Submodules: ``poset`` (face lattices, up-sets, subdivision),
+``homology`` (Smith normal form Betti numbers of a poset and of the
+links of its faces), ``facevec`` (f/h/ft/h'/h'' and the identity
+suite), ``classify`` (Buchsbaum / Cohen-Macaulay / homology manifold),
+``charfn`` (characteristic functions), ``spectral`` (rank tables of
+quotient constructions), ``corpus`` (built-in examples), ``io`` (JSON
+formats) and ``cli``.
 """
 
 from .charfn import CharFunction
@@ -28,7 +29,6 @@ from .poset import (
     barycentric,
     from_face_lattice,
     from_facets,
-    link,
     validate_stats,
 )
 from .spectral import (
@@ -65,7 +65,6 @@ __all__ = [
     "from_face_lattice",
     "from_facets",
     "identity_report",
-    "link",
     "make_problem",
     "parse_coefficients",
     "prime_field",

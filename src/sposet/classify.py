@@ -30,6 +30,12 @@ class Classification:
     witnesses: tuple[Witness, ...]
 
 
+def _require_pure(S: SimplicialPoset) -> None:
+    # the one purity gate of every link-based and face-vector computation
+    if not validate_stats(S).pure:
+        raise NotPure(f"{S.name or 'poset'} is not pure")
+
+
 def _link_walk(S: SimplicialPoset, coeff: Coefficients) -> LinkTable:
     # Every link-based verdict and count reads this one walk, computed
     # once per (poset, ring) and kept on the poset.
@@ -45,8 +51,7 @@ def _link_walk(S: SimplicialPoset, coeff: Coefficients) -> LinkTable:
 
 def link_table(S: SimplicialPoset, coeff: Coefficients) -> LinkTable:
     """Reduced link homology for every face, in (rank, id) order."""
-    if not validate_stats(S).pure:
-        raise NotPure(f"{S.name or 'poset'} is not pure")
+    _require_pure(S)
     return _link_walk(S, coeff)
 
 
@@ -82,10 +87,8 @@ def classify(S: SimplicialPoset, coeff: Coefficients) -> Classification:
     the ring (top homology of dimension one) is reported but never
     witnessed, since failing it is not a defect of the poset.
     """
-    stats = validate_stats(S)
-    if not stats.pure:
-        raise NotPure(f"{S.name or 'poset'} is not pure")
-    if not stats.connected:
+    _require_pure(S)
+    if not validate_stats(S).connected:
         raise NotConnected(f"{S.name or 'poset'} is not connected")
 
     n = S.n

@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .classify import buchsbaum_witnesses, classify, link_table
-from .errors import NonFieldCoefficients, NotConnected, NotPure
+from .classify import _link_walk, _require_pure, buchsbaum_witnesses, classify
+from .errors import NonFieldCoefficients, NotConnected
 from .homology import Coefficients, reduced_betti
-from .poset import SimplicialPoset, f_vector, validate_stats
+from .poset import SimplicialPoset, f_vector
 
 
 @dataclass(frozen=True)
@@ -39,11 +39,6 @@ class IdentityReport:
     @property
     def all_passed(self) -> bool:
         return all(self.checks.values())
-
-
-def _require_pure(S: SimplicialPoset) -> None:
-    if not validate_stats(S).pure:
-        raise NotPure(f"{S.name or 'poset'} is not pure")
 
 
 def f_h_vectors(S: SimplicialPoset):
@@ -78,7 +73,7 @@ def ft_vector(S: SimplicialPoset, coeff: Coefficients) -> tuple[int, ...]:
         raise NonFieldCoefficients("ft numbers need field coefficients")
     n = S.n
     ft = [0] * n
-    for eid, lk in link_table(S, coeff):
+    for eid, lk in _link_walk(S, coeff):
         e = S.element(eid)
         ft[e.dim] += lk.degree(n - 1 - e.rank)
     return tuple(ft)
@@ -91,11 +86,10 @@ def h_prime_double(S: SimplicialPoset, coeff: Coefficients):
     numbers to h_i; h''_i subtracts C(n,i) b~_(i-1) again except at the
     top, where h''_n = h'_n.
     """
-    _require_pure(S)
+    _, h, _, _ = f_h_vectors(S)  # refuses a non-pure poset first
     if not coeff.is_field:
         raise NonFieldCoefficients("h' and h'' need field coefficients")
     n = S.n
-    _, h, _, _ = f_h_vectors(S)
     bt = reduced_betti(S, coeff)
     hp = []
     for i in range(n + 1):

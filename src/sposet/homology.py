@@ -5,8 +5,10 @@ of a face is the alternating sum of its facet list, which is well
 defined because lower intervals are Boolean.  The augmentation onto the
 implicit minimal face is kept as the degree-0 boundary, so every Betti
 number produced here is reduced and the empty poset correctly reports a
-single unit in degree -1.  Link homology is read from the same complex
-restricted to the faces above each face, so no link poset is built.
+single unit in degree -1.  The reduced homology of the link of a face is
+that of the same complex restricted to the faces above it, the face
+taking the place of the minimal element (Munkres, Elements of Algebraic
+Topology, Lemma 63.1), so no link poset is built.
 
 Each poset keeps one signed incidence, checked for d.d = 0 once.  The two
 lowest boundary matrices of an up-set, of the whole poset or of the faces
@@ -16,7 +18,7 @@ the covers and their covers.  Every higher matrix is taken from the
 incidence as sparse columns and eliminated by unit pivots; only the
 leftover core, which holds all torsion, goes to the dense Smith form.  The
 integer Smith forms are kept per up-set root, and Q and F_p ranks are read
-off them.  ``boundary_matrices`` is the dense view.
+off them.
 """
 from __future__ import annotations
 
@@ -26,8 +28,6 @@ from typing import Sequence
 
 from .errors import InternalError, InvalidArgument, SposetError
 from .poset import SimplicialPoset
-
-Matrix = tuple[tuple[int, ...], ...]
 
 _INTEGERS = "integers"
 _RATIONALS = "rationals"
@@ -203,27 +203,6 @@ def _invariant_factors(rows: list[list[int]]) -> list[int]:
     return factors
 
 
-@dataclass(frozen=True)
-class ChainData:
-    """Cellular chain complex of a poset.
-
-    ``generators[k]`` lists the ids of the dimension-k faces in the
-    canonical (rank, id) order; ``boundaries[k]`` maps C_k to C_(k-1).
-    Index 0 holds the augmentation row onto the implicit minimal face,
-    or onto the root of a complex restricted to the faces above it.
-    """
-
-    generators: tuple[tuple[str, ...], ...]
-    boundaries: tuple[Matrix, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.generators) - 1
-
-    def boundary(self, k: int) -> Matrix:
-        return self.boundaries[k]
-
-
 def _incidence(S: SimplicialPoset) -> dict[str, tuple[tuple[str | None, int], ...]]:
     # each face's boundary as (facet id, (-1)**pos) pairs, a vertex's one
     # facet being the implicit minimal element, None; built and checked
@@ -248,32 +227,6 @@ def _check_complex(incidence) -> None:
                 total[gid] = total.get(gid, 0) + sign * inner
         if any(total.values()):
             raise InternalError(f"boundary squared nonzero at face {eid!r}")
-
-
-def boundary_matrices(S: SimplicialPoset, root: str | None = None) -> ChainData:
-    """Signed boundary matrices of the poset's cellular chain complex.
-
-    With ``root`` the complex is restricted to the faces above it, and
-    the root takes the place of the minimal element: the first matrix
-    maps the faces covering the root onto it.  Its homology is the
-    reduced homology of ``link(S, root)`` (Munkres, Lemma 63.1).  Every
-    matrix is copied from the poset's one signed incidence, on which
-    D_(k-1) . D_k = 0 is verified once per poset; entries are in
-    {-1, 0, 1} by construction.  ``reduced_betti`` does not build these:
-    it eliminates the same incidence sparsely.
-    """
-    incidence = _incidence(S)
-    gens = tuple(tuple(e.id for e in level) for level in S.above(root)[1:])
-    boundaries = []
-    for lower, upper in zip(((root,), *gens), gens):
-        index = {eid: i for i, eid in enumerate(lower)}
-        rows = [[0] * len(upper) for _ in lower]
-        for j, eid in enumerate(upper):
-            for fid, sign in incidence[eid]:
-                if fid in index:
-                    rows[index[fid]][j] = sign
-        boundaries.append(tuple(map(tuple, rows)))
-    return ChainData(gens, tuple(boundaries))
 
 
 @dataclass(frozen=True)
@@ -374,10 +327,12 @@ def reduced_betti(
 
     The augmentation is part of the complex, so b~_0 counts components
     minus one and the empty poset has b~_(-1) = 1.  With ``root`` the
-    numbers are those of ``link(S, root)``, read off the complex
-    restricted to the faces above the root.  Read off the Smith forms
-    the poset keeps, so every ring shares them; a root of codimension
-    <= 2 needs no elimination, only its covers and their covers.
+    numbers are those of the root's link, whose reduced homology is that
+    of the complex restricted to the faces above the root, the root
+    taking the place of the minimal element (Munkres, Lemma 63.1).  Read
+    off the Smith forms the poset keeps, so every ring shares them; a
+    root of codimension <= 2 needs no elimination, only its covers and
+    their covers.
     """
     # per (poset, up-set root): the face counts f_(-1)..f_(n-1) and one
     # integer Smith form per boundary matrix, shared by every ring

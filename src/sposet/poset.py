@@ -288,32 +288,6 @@ def from_facets(facet_vertex_sets: Iterable[Iterable], name: str = "") -> Simpli
     return SimplicialPoset(elems, max(map(len, faces)), name)
 
 
-def link(S: SimplicialPoset, eid: str) -> SimplicialPoset:
-    """Sub-poset of faces strictly above ``eid``, re-ranked from it.
-
-    The result's vertices are the faces covering ``eid``; its ambient
-    rank is ``S.n - rank(eid)``.  The link of a maximal face is the
-    empty poset.
-    """
-    base = S.element(eid)  # first: above(None) would walk the whole poset
-    levels = S.above(eid)
-    atoms = levels[1] if len(levels) > 1 else ()
-    vsets = {a.id: (a.id,) for a in atoms}
-    elems = [SimplexElem(a.id, (a.id,), ()) for a in atoms]
-    for level in levels[2:]:
-        for e in level:
-            # the facets of e that still contain the base face, by link vertices
-            cands = {vsets[f]: f for f in e.facets if f in vsets}
-            vs = vsets[e.id] = tuple(sorted({a for key in cands for a in key}))
-            facets = tuple(cands.get(vs[:j] + vs[j + 1 :]) for j in range(len(vs)))
-            if None in facets:
-                raise NonBooleanInterval(e.id, "boolean", "link interval is not Boolean")
-            elems.append(SimplexElem(e.id, vs, facets))
-    return from_face_lattice(
-        elems, n=S.n - base.rank, name=f"lk({S.name or '?'};{eid})"
-    )
-
-
 def barycentric(S: SimplicialPoset) -> SimplicialPoset:
     """Barycentric subdivision: the complex of chains in the poset.
 

@@ -138,9 +138,13 @@ def make_problem(
 
     wits = buchsbaum_witnesses(poset, coeff, n=n)
     if wits:
-        named = ", ".join(sorted({w[0] for w in wits}))
+        # one line for any poset: the face count and the first three ids
+        faces = sorted({w[0] for w in wits})
+        named = ", ".join(faces[:3]) + (", ..." if len(faces) > 3 else "")
+        count = f"{len(faces)} face" + ("s" if len(faces) > 1 else "")
         raise NotBuchsbaum(
-            f"links of {named} are not concentrated in top degree for rank {n}",
+            f"links of {count} ({named}) are not concentrated in top degree "
+            f"for rank {n}",
             witnesses=wits,
         )
     if poset.n != n:

@@ -2,13 +2,16 @@
 
 Each helper re-derives an expected value along a path the production
 code does not share: subset enumeration for face posets, explicit
-downward closures for Boolean intervals and links, cofactor expansion
-for determinants, determinant divisors for Smith normal forms, fraction
-and mod-p Gaussian elimination for ranks, products of coefficient lists
-for the h-vector and the link identities, Kunneth convolution for
-product Betti profiles, the barycentric subdivision for cellular
-homology, dense boundary matrices and their Smith forms for (link)
-homology, and a face-by-face check of characteristic functions.
+downward closures for Boolean intervals, up-sets and link posets,
+cofactor expansion for determinants, determinant divisors for Smith
+normal forms, fraction and mod-p Gaussian elimination for ranks,
+products of coefficient lists for the h-vector and the link identities,
+Kunneth convolution for product Betti profiles, the barycentric
+subdivision for cellular homology, dense boundary matrices written out
+from each face's own facet list and their Smith forms for (link)
+homology, and a face-by-face check of characteristic functions.  The
+dense matrices and the link posets read neither the library's signed
+incidence nor its cover map.
 """
 from __future__ import annotations
 
@@ -262,17 +265,45 @@ def betti_crosscheck(S, coeff):
     return a.reduced == b.reduced and a.torsion == b.torsion
 
 
+def dense_boundaries(S, root=None):
+    """Generators and signed boundary matrices of the complex restricted
+    to the faces above ``root``, or of the whole poset for None.
+
+    ``generators[k]`` lists the faces k + 1 ranks above the root in
+    (rank, id) order, the up-set read off each face's downward closure;
+    ``boundaries[k]`` maps them onto the level below, and
+    ``boundaries[0]`` onto the root itself, the augmentation row.  Each
+    column is written out from its face's own facet list: the j-th facet
+    gets (-1)^j, and a vertex's one facet is the minimal element.
+    """
+    base = 0 if root is None else S.element(root).rank
+    up = [e for e in S.elements()
+          if root is None or (e.id != root and root in interval_ids(S, e.id))]
+    top = max((e.rank for e in up), default=base)
+    gens = tuple(tuple(e.id for e in up if e.rank == r) for r in range(base + 1, top + 1))
+    boundaries = []
+    for lower, upper in zip(((root,), *gens), gens):
+        index = {eid: i for i, eid in enumerate(lower)}
+        rows = [[0] * len(upper) for _ in lower]
+        for j, eid in enumerate(upper):
+            for pos, fid in enumerate(S.element(eid).facets or (None,)):
+                if fid in index:
+                    rows[index[fid]][j] = (-1) ** pos
+        boundaries.append(tuple(map(tuple, rows)))
+    return gens, tuple(boundaries)
+
+
 def dense_betti(S, coeff, root=None):
     """Reduced Betti numbers, and the torsion over the integers, of the
     complex restricted to the faces above ``root`` (the whole poset for
-    None), from its dense boundary matrices and their Smith forms, padded
-    to the ambient rank as ``reduced_betti`` pads them."""
-    from sposet.homology import INTEGERS, boundary_matrices, smith_normal_form
+    None), from ``dense_boundaries`` and their Smith forms, padded to the
+    ambient rank as ``reduced_betti`` pads them."""
+    from sposet.homology import INTEGERS, smith_normal_form
 
-    data = boundary_matrices(S, root)
+    gens, boundaries = dense_boundaries(S, root)
     n = S.n - (0 if root is None else S.element(root).rank)
-    f = [1, *map(len, data.generators)] + [0] * (n - len(data.generators))
-    snfs = [smith_normal_form(m) for m in data.boundaries]
+    f = [1, *map(len, gens)] + [0] * (n - len(gens))
+    snfs = [smith_normal_form(m) for m in boundaries]
     snfs += [None] * (len(f) - len(snfs))
     # snfs[i] maps the faces counted by f[i + 1] onto those counted by f[i]
     rank = [0] + [0 if s is None else s.rank_over(coeff) for s in snfs]

@@ -5,7 +5,9 @@ from sposet.errors import NotConnected, NotPure
 from sposet.facevec import ft_vector
 from sposet.corpus import corpus, corpus_names
 from sposet.homology import INTEGERS, RATIONALS, prime_field, reduced_betti
-from sposet.poset import SimplexElem, barycentric, from_face_lattice, from_facets, f_vector, link
+from sposet.poset import SimplexElem, barycentric, from_face_lattice, from_facets, f_vector
+
+from oracles import oracle_link
 
 
 class TestLinkTable:
@@ -37,9 +39,10 @@ class TestLinkTable:
         ]
         torsion = 0
         for S in posets:
+            links = {e.id: oracle_link(S, e.id) for e in S.elements()}
             for coeff in (INTEGERS, RATIONALS, prime_field(2), prime_field(3)):
                 for eid, row in link_table(S, coeff):
-                    assert row == reduced_betti(link(S, eid), coeff), (S.name, eid, coeff)
+                    assert row == reduced_betti(links[eid], coeff), (S.name, eid, coeff)
                     torsion += any(row.torsion)
         assert torsion == 1
 

@@ -11,6 +11,7 @@ from sposet.corpus import corpus, corpus_entry, corpus_names
 from sposet.errors import (
     InvalidArgument,
     InvalidCharFn,
+    NotBuchsbaum,
     PosetValidationError,
     SchemaViolation,
     UnknownElement,
@@ -18,8 +19,8 @@ from sposet.errors import (
     UnknownName,
     WrongVectorLength,
 )
-from sposet.homology import RATIONALS, Coefficients, prime_field
-from sposet.poset import SimplexElem, from_face_lattice, from_facets, link, validate_stats
+from sposet.homology import RATIONALS, Coefficients, prime_field, reduced_betti
+from sposet.poset import SimplexElem, from_face_lattice, from_facets, validate_stats
 from sposet.spectral import CONE, QuotientProblem, make_problem
 
 runner = CliRunner()
@@ -371,7 +372,8 @@ BAD_LIBRARY_CALLS = {
     "prime_field_float": (lambda: prime_field(7.0), InvalidArgument),
     "prime_field_composite": (lambda: prime_field(4), InvalidArgument),
     "coefficients_kind": (lambda: Coefficients("x"), InvalidArgument),
-    "link_of_minimal_element": (lambda: link(corpus("torus7"), None), UnknownElement),
+    "betti_unknown_root": (
+        lambda: reduced_betti(corpus("torus7"), RATIONALS, root="nope"), UnknownElement),
     "problem_kind": (
         lambda: make_problem("x", corpus("boundary_simplex(2)"), 2, RATIONALS),
         InvalidArgument,
@@ -448,6 +450,20 @@ def test_manifold_rank_data_breaking_exactness_is_refused(capsys):
     assert captured.out == ""
     assert "Error: InconsistentBundle" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("n", ["4", "0", "-1", "70"])
+def test_wrong_rank_refusal_fits_one_line(n, capsys):
+    # at a wrong rank every one of torus7's 42 faces is a witness: the
+    # message names the count and the first three, the exception keeps all
+    assert main(["quotient", "cone", "--corpus", "torus7", "--n", n]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "NotBuchsbaum: links of 42 faces (v1, v1,v2, v1,v2,v4, ...)" in captured.err
+    with pytest.raises(NotBuchsbaum) as err:
+        make_problem(CONE, corpus("torus7"), int(n), RATIONALS)
+    assert len({w[0] for w in err.value.witnesses}) == 42
 
 
 # CLI input that once escaped as a Python traceback; {path} holds BAD_FORMAT_TAG

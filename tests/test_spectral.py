@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -7,7 +8,6 @@ import sposet
 from sposet import charfn as charfn_mod
 from sposet import facevec as facevec_mod
 from sposet import homology
-from sposet import poset as poset_mod
 from sposet.charfn import CharFunction, random_q_charfn
 from sposet.classify import buchsbaum_witnesses
 from sposet.errors import (
@@ -32,6 +32,7 @@ from sposet.spectral import (
     verify,
 )
 
+import oracles
 from oracles import oracle_link
 
 
@@ -388,9 +389,32 @@ class TestComputeOnce:
             "prime_field", "reduced_betti", "smith_normal_form", "solve",
             "validate_stats", "verify",
         ]
-        for mod in (homology, poset_mod):
-            for name in ("boundary_matrices", "ChainData", "link"):
-                assert not hasattr(mod, name), (mod.__name__, name)
+
+    def test_report_builds_no_link_posets(self, monkeypatch):
+        # no link poset is built in the library; the test oracle is the
+        # only builder left, and the report must not reach it either
+        def no_link(S, eid):
+            raise AssertionError(f"link poset of {eid!r} built")
+
+        for mod in list(sys.modules.values()):
+            if mod and mod.__name__.startswith("sposet"):
+                assert not hasattr(mod, "link"), mod.__name__
+        monkeypatch.setattr(oracles, "oracle_link", no_link)
+        _, report = _torus7_report()
+        report()
+
+    def test_cone_report_builds_no_dense_boundary_matrices(self, monkeypatch, capsys, tmp_path):
+        def no_dense(S, root=None):
+            raise AssertionError(f"dense boundary matrices of {root!r} built")
+
+        for name in ("boundary_matrices", "ChainData"):
+            assert not hasattr(homology, name), name
+        monkeypatch.setattr(oracles, "dense_boundaries", no_dense)
+        path = tmp_path / "sd_torus7.json"
+        path.write_text(dumps_canonical(emit_poset(barycentric(corpus("torus7")))))
+        for source in (["--corpus", "torus7"], [str(path)]):
+            assert main(["quotient", "cone", *source, "--n", "3", "--json"]) == 0
+            assert '"euler_conserved":true' in capsys.readouterr().out
 
     def test_cone_report_checks_once_and_walks_each_up_set_once(self, monkeypatch, capsys):
         # d.d = 0 once per poset.  The two lowest matrices of every up-set

@@ -3,13 +3,17 @@
 An assignment is valid on a simplex over the integers when the matrix
 of its vertices' vectors has all Smith invariant factors equal to one
 (the subtorus inclusion is injective and splits); over a field, full
-row rank suffices.  A square simplex, of rank n, is valid exactly when
-its determinant is a unit: +-1 over Z, nonzero over Q, nonzero mod p
-over F_p, so it takes one fraction-free elimination (Bareiss, Math.
-Comp. 1968) instead of a Smith form.  Validity passes down to faces:
-part of a basis of a direct summand of Z^n spans a direct summand, and
-part of an independent set over Q or F_p is independent.  So a face
-with a valid coface is valid, and only the faces with none are reduced.
+row rank suffices.  By determinantal divisors, a rank-k simplex is
+valid exactly when its k x k minors have gcd 1 over Z, and when one of
+them is nonzero over Q, or nonzero mod p over F_p.  For n <= 3 the
+minors are written out: the entries, ad - bc or the cross product, and
+the triple product.  For larger n a simplex of rank n is judged by its
+one determinant, taken by fraction-free elimination (Bareiss, Math.
+Comp. 1968), and any other by its Smith form.  Validity passes down to
+faces: part of a basis of a direct summand of Z^n spans a direct
+summand, and part of an independent set over Q or F_p is independent.
+So a face with a valid coface is valid, and only the faces with none
+are judged.
 """
 from __future__ import annotations
 
@@ -97,16 +101,32 @@ def _determinant(rows: list[tuple[int, ...]]) -> int:
     return sign * m[-1][-1] if m else 1
 
 
+def _minors(rows: list[tuple[int, ...]]) -> tuple[int, ...]:
+    # the k x k minors of k <= n <= 3 vectors of length n, up to sign
+    if len(rows) == 1:
+        return rows[0]
+    if len(rows[0]) == 2:
+        (a, b), (c, d) = rows
+        return (a * d - b * c,)
+    (a, b, c), (d, e, f), *rest = rows
+    cross = (b * f - c * e, c * d - a * f, a * e - b * d)
+    if not rest:
+        return cross
+    (g, h, i), = rest
+    return (g * cross[0] + h * cross[1] + i * cross[2],)
+
+
 def check(S: SimplicialPoset, lam: CharFunction, coeff: Coefficients) -> CharCheckReport:
     """Per-simplex validity of the assignment over one coefficient ring.
 
     The vectors must have length ``S.n``.  Walks the faces from the top
     rank down; a facet of a valid face is valid, so only the faces with
     no valid coface are judged: the maximal faces and the faces under
-    failing ones.  A face of rank n is judged by its determinant, any
-    other by its Smith form.  The verdicts, in (rank, id) order, are as
-    if each face were judged on its own; the first failure carries its
-    invariant factors, and no face takes a Smith form twice.
+    failing ones.  For n <= 3 a face is judged by its minors, written
+    out; for larger n a face of rank n is judged by its determinant and
+    any other by its Smith form.  The verdicts, in (rank, id) order, are
+    as if each face were judged on its own; the first failure carries
+    its invariant factors, and no face takes a Smith form twice.
     """
     if lam.n != S.n:
         raise WrongVectorLength(f"vectors of length {lam.n} on a poset of ambient rank {S.n}")
@@ -117,9 +137,9 @@ def check(S: SimplicialPoset, lam: CharFunction, coeff: Coefficients) -> CharChe
     for e in reversed(S.elements()):
         if e.id not in valid:
             rows = [vectors[v] for v in e.vertices]
-            if e.rank == S.n:
-                d = _determinant(rows)
-                ok = abs(d) == 1 if over_z else (d % p if p else d) != 0
+            if S.n <= 3 or e.rank == S.n:
+                minors = _minors(rows) if S.n <= 3 else (_determinant(rows),)
+                ok = gcd(*minors) == 1 if over_z else any(m % p if p else m for m in minors)
             else:
                 snf = snfs[e.id] = smith_normal_form(rows)
                 ok = snf.factors == (1,) * e.rank if over_z else snf.rank_over(coeff) == e.rank
@@ -149,9 +169,9 @@ def random_q_charfn(
     for name, value in (("n", n), ("seed", seed), ("bound", bound), ("budget", budget)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise InvalidArgument(f"{name} = {value!r} is not an integer")
-    if S.dim != n - 1:
+    if n != S.n:
         raise WrongVectorLength(
-            f"vectors of length {n} need a poset of dimension {n - 1}, not {S.dim}"
+            f"vectors of length {n} need a poset of ambient rank {n}, not {S.n}"
         )
     if bound < 1:
         raise NonPrimitiveVector(

@@ -1,7 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -21,7 +24,12 @@ from sposet.errors import (
 from sposet.homology import INTEGERS, RATIONALS, prime_field
 from sposet.poset import SimplexElem, barycentric, from_face_lattice, from_facets
 
-from oracles import cofactor_determinant, interval_ids, oracle_charfn_check
+from oracles import (
+    cofactor_determinant,
+    interval_ids,
+    minor_gcd_invariant_factors,
+    oracle_charfn_check,
+)
 
 CP2 = {"v1": (1, 0), "v2": (0, 1), "v3": (1, 1)}
 DET2 = {"v1": (1, 0), "v2": (0, 1), "v3": (1, 2)}
@@ -228,8 +236,52 @@ class TestDeterminant:
         _agrees_with_oracle(S, lam)
 
 
+class TestMinors:
+    @staticmethod
+    def _agrees(rows):
+        k, n = len(rows), len(rows[0])
+        minors = charfn_mod._minors(rows)
+        want = [cofactor_determinant(rows, tuple(range(k)), cols)
+                for cols in combinations(range(n), k)]
+        assert sorted(map(abs, minors)) == sorted(map(abs, want)), rows
+        # the gcd of the k x k minors is the k-th determinantal divisor
+        factors = minor_gcd_invariant_factors(rows)
+        assert gcd(*minors) == (prod(factors) if len(factors) == k else 0), rows
+
+    @pytest.mark.parametrize("k,n", [(k, n) for n in (1, 2, 3) for k in range(1, n + 1)])
+    def test_seeded_against_cofactor_expansion(self, k, n):
+        rng = random.Random(20261019 + 10 * k + n)
+        for _ in range(100):
+            # small entries make singular matrices common
+            self._agrees([tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(k)])
+        for _ in range(20):
+            self._agrees([tuple(rng.randint(-10**12, 10**12) for _ in range(n))
+                          for _ in range(k)])
+
+    def test_edge_dependent_mod_large_prime(self):
+        # the edge a,b has minors (0, -2p, p): independent over Q and F_2,
+        # dependent mod p = 2**61 - 1, and of factors (1, p) over Z
+        p = 2**61 - 1
+        a, b = (1, 0, 0), (1 + p, p, 2 * p)
+        assert sorted(map(abs, charfn_mod._minors([a, b]))) == [0, p, 2 * p]
+        S = from_facets([("a", "b", "c")])
+        lam = CharFunction(3, {"a": a, "b": b, "c": (0, 0, 1)})
+        for coeff in (INTEGERS, prime_field(p)):
+            rep = check(S, lam, coeff)
+            assert rep.first_failure == ("a,b", (1, p))
+            assert [eid for eid, ok in rep.verdicts if not ok] == ["a,b", "a,b,c"]
+        rep = check(S, lam, prime_field(p))
+        assert (rep.verdicts, rep.passed, rep.first_failure) == oracle_charfn_check(
+            S, lam, prime_field(p))
+        for coeff in (RATIONALS, prime_field(2)):
+            assert check(S, lam, coeff).passed
+        _agrees_with_oracle(S, lam)
+
+
 class TestSmithFormCount:
-    """Faces of rank n take one determinant, others one Smith form."""
+    """For n <= 3 faces are judged by written-out minors, and a Smith form
+    is taken only for the first failure's factors; for n >= 4 faces of
+    rank n take one determinant and others one Smith form."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -255,12 +307,22 @@ class TestSmithFormCount:
         verdict = dict(oracle_charfn_check(S, lam, coeff)[0])
         return {e.id for e in S if not any(verdict[c.id] for c in S if e.id in c.facets)}
 
+    @staticmethod
+    def _rows(S, lam, eid):
+        return [lam.assignment[v] for v in S.element(eid).vertices]
+
     def test_one_per_facet_when_valid(self, torus7, calls):
         S = barycentric(torus7)
         lam = random_q_charfn(S, 3, seed=7, bound=5)
         self._reset(calls)
         assert check(S, lam, RATIONALS).passed
-        assert len(calls["det"]) == len(S.by_rank(3)) == 84
+        assert calls == {"det": [], "snf": []}
+        # n = 4: one determinant per facet
+        S = corpus("boundary_simplex(4)")
+        lam = random_q_charfn(S, 4, seed=7, bound=5)
+        self._reset(calls)
+        assert check(S, lam, RATIONALS).passed
+        assert len(calls["det"]) == len(S.by_rank(4)) == 5
         assert calls["snf"] == []
 
     def test_dependent_facet(self, torus7, calls):
@@ -281,14 +343,14 @@ class TestSmithFormCount:
         lonely = self._without_valid_coface(S, lam, RATIONALS)
         under = lonely & (interval_ids(S, facet.id) - {facet.id})
         assert lonely == under | {e.id for e in S.by_rank(3)}
-        assert len(calls["det"]) == 84
-        # the edges with no valid coface, then the failing facet's factors
-        assert len(calls["snf"]) == len(under) + 1
+        # every face is judged by its minors; the one Smith form gives the
+        # failing facet its factors
+        assert calls == {"det": [], "snf": [self._rows(S, lam, facet.id)]}
 
     def test_repeated_vector_reduces_the_failing_edge(self, torus7, calls):
         # v1 and v2 share a vector: the edge and both its triangles fail,
-        # and the edge, with no valid coface, takes the one Smith form,
-        # which also gives the first failure its factors
+        # and the edge, with no valid coface, is judged by its minors and
+        # takes the one Smith form that gives the first failure its factors
         lam = random_q_charfn(torus7, 3, seed=1, bound=5)
         lam = CharFunction(3, {**lam.assignment, "v2": lam.assignment["v1"]})
         self._reset(calls)
@@ -297,22 +359,63 @@ class TestSmithFormCount:
         assert "v1,v2" in failing and len(failing) == 3
         assert rep.first_failure[0] == "v1,v2"
         lonely = self._without_valid_coface(torus7, lam, RATIONALS)
-        assert len(calls["det"]) == 14
+        assert calls["det"] == []
         assert calls["snf"] == [[lam.assignment["v1"]] * 2]
         assert lonely == {e.id for e in torus7.by_rank(3)} | {"v1,v2"}
 
-    def test_cli_check_over_q_takes_no_smith_form(self, tmp_path, capsys, calls):
+    def _cli_check(self, tmp_path, capsys, calls, coeff):
         S = barycentric(barycentric(corpus("boundary_simplex(3)")))
         lam = random_q_charfn(S, 3, seed=1, bound=5)
         poset_path, lam_path = tmp_path / "poset.json", tmp_path / "lam.json"
         poset_path.write_text(json.dumps(io_mod.emit_poset(S)))
         lam_path.write_text(json.dumps(io_mod.emit_charfn(lam)))
         self._reset(calls)
-        assert main(["charfn", "check", str(lam_path), str(poset_path),
-                     "--coeff", "q", "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["passed"] is True
-        assert len(calls["det"]) == len(S.by_rank(3)) == 144
-        assert calls["snf"] == []
+        code = main(["charfn", "check", str(lam_path), str(poset_path),
+                     "--coeff", coeff, "--json"])
+        return S, lam, code, json.loads(capsys.readouterr().out)
+
+    def test_cli_check_over_q_takes_no_smith_form(self, tmp_path, capsys, calls):
+        S, _, code, out = self._cli_check(tmp_path, capsys, calls, "q")
+        assert code == 0 and out["passed"] is True
+        assert len(S.by_rank(3)) == 144
+        assert calls == {"det": [], "snf": []}
+
+    def test_cli_check_over_z_takes_one_smith_form(self, tmp_path, capsys, calls):
+        # a λ valid over Q fails over Z on most facets and on the edges
+        # under them; only the reported first failure takes a Smith form
+        S, lam, code, out = self._cli_check(tmp_path, capsys, calls, "z")
+        assert code == 1 and out["passed"] is False
+        assert sum(not ok for ok in out["verdicts"].values()) > len(S.by_rank(3))
+        eid = out["first_failure"]["simplex"]
+        assert calls == {"det": [], "snf": [self._rows(S, lam, eid)]}
+
+    @pytest.mark.parametrize("name", ["torus7", "boundary_simplex(4)"])
+    def test_seeded_counts_follow_the_split_by_n(self, corpus_posets, calls, name):
+        # n <= 3: minors only, and one Smith form for a failing check's
+        # first failure; n >= 4: one determinant per facet, one Smith form
+        # per lower face with no valid coface, and one for a failing facet
+        S = corpus_posets[name]
+        rng = random.Random(20261019)
+        lams = [_random_lam(S, rng) for _ in range(8)]
+        lams.append(random_q_charfn(S, S.n, seed=3, bound=3))
+        for lam in lams:
+            for coeff in ALL_COEFFS:
+                self._reset(calls)
+                rep = check(S, lam, coeff)
+                bad = rep.first_failure and rep.first_failure[0]
+                if S.n <= 3:
+                    want_det, want_snf = [], [bad] if bad else []
+                else:
+                    lonely = self._without_valid_coface(S, lam, coeff)
+                    want_det = [e.id for e in reversed(S.elements()) if e.rank == S.n]
+                    want_snf = [e.id for e in reversed(S.elements())
+                                if e.id in lonely and e.rank < S.n]
+                    if bad and bad not in want_snf:
+                        want_snf.append(bad)
+                assert calls == {
+                    "det": [self._rows(S, lam, eid) for eid in want_det],
+                    "snf": [self._rows(S, lam, eid) for eid in want_snf],
+                }, (name, coeff.label)
 
 
 class TestRandom:
@@ -336,6 +439,15 @@ class TestRandom:
     def test_wrong_rank_rejected(self, torus7):
         with pytest.raises(WrongVectorLength):
             random_q_charfn(torus7, 2, seed=1, bound=5)
+
+    def test_rank_is_the_ambient_rank(self, full_triangle):
+        # a triangle in ambient rank 4 takes vectors of length 4, and a
+        # length of 3 is refused before any vector is drawn
+        S = from_face_lattice(full_triangle.elements(), n=4)
+        lam = random_q_charfn(S, 4, seed=1, bound=5)
+        assert check(S, lam, RATIONALS).passed
+        with pytest.raises(WrongVectorLength, match="need a poset of ambient rank 3, not 4"):
+            random_q_charfn(S, 3, seed=1, bound=5)
 
     @pytest.mark.parametrize("budget", [0, -1])
     def test_budget_below_one_rejected(self, bd_triangle, budget):
@@ -366,3 +478,33 @@ class TestRandom:
             "no valid assignment in 300 attempts; simplex 'v1,v2' failed 80 times"
         )
         assert err.value.failing_simplex == "v1,v2"
+
+
+def test_checks_hold_under_python_O(tmp_path, capsys):
+    # the verdicts are computed, not asserted: under -O every command
+    # prints the same bytes and exits with the same code as in-process
+    S = barycentric(corpus("torus7"))
+    lam = random_q_charfn(S, 3, seed=5, bound=5)
+    poset_path, lam_path = tmp_path / "poset.json", tmp_path / "lam.json"
+    poset_path.write_text(json.dumps(io_mod.emit_poset(S)))
+    lam_path.write_text(json.dumps(io_mod.emit_charfn(lam)))
+    commands = [
+        ["charfn", "check", str(lam_path), str(poset_path), "--coeff", "z", "--json"],
+        ["charfn", "check", str(lam_path), str(poset_path), "--coeff", "q", "--json"],
+        ["quotient", "cone", str(poset_path), "--n", "3", "--charfn", str(lam_path),
+         "--json"],
+    ]
+    src = os.path.dirname(os.path.dirname(charfn_mod.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    capsys.readouterr()
+    codes = []
+    for argv in commands:
+        code = main(argv)
+        want = capsys.readouterr().out
+        run = subprocess.run([sys.executable, "-O", "-m", "sposet.cli", *argv],
+                             env=env, capture_output=True, text=True)
+        assert (run.returncode, run.stdout) == (code, want), (argv, run.stderr)
+        codes.append(code)
+    # over z the check fails, over q it passes, and the cone report runs
+    assert codes == [1, 0, 0]

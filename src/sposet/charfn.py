@@ -13,7 +13,9 @@ Comp. 1968), and any other by its Smith form.  Validity passes down to
 faces: part of a basis of a direct summand of Z^n spans a direct
 summand, and part of an independent set over Q or F_p is independent.
 So a face with a valid coface is valid, and only the faces with none
-are judged.
+are judged.  The rational sampler judges each attempt by its maximal
+faces alone, by the same rule, and replays its seed through the full
+check only to name the worst simplex once its budget runs out.
 """
 from __future__ import annotations
 
@@ -24,13 +26,14 @@ from typing import Mapping
 
 from .errors import (
     BudgetExhausted,
+    InternalError,
     InvalidArgument,
     InvalidCharFn,
     MissingVertexAssignment,
     NonPrimitiveVector,
     WrongVectorLength,
 )
-from .homology import Coefficients, INTEGERS, RATIONALS, smith_normal_form
+from .homology import Coefficients, RATIONALS, SnfResult, smith_normal_form
 from .poset import SimplicialPoset, is_name
 
 
@@ -116,6 +119,22 @@ def _minors(rows: list[tuple[int, ...]]) -> tuple[int, ...]:
     return (g * cross[0] + h * cross[1] + i * cross[2],)
 
 
+def _judge(
+    rows: list[tuple[int, ...]], n: int, coeff: Coefficients
+) -> tuple[bool, SnfResult | None]:
+    # the one validity rule for a face of rank k = len(rows) in ambient
+    # rank n: its minors for n <= 3, its determinant for k = n >= 4, its
+    # Smith form otherwise, returned with the verdict (else None)
+    k = len(rows)
+    if n > 3 and k < n:
+        snf = smith_normal_form(rows)
+        return (snf.rank_over(coeff) == k if coeff.is_field else snf.factors == (1,) * k), snf
+    minors = _minors(rows) if n <= 3 else (_determinant(rows),)
+    p = coeff.p
+    return (any(m % p if p else m for m in minors) if coeff.is_field
+            else gcd(*minors) == 1), None
+
+
 def check(S: SimplicialPoset, lam: CharFunction, coeff: Coefficients) -> CharCheckReport:
     """Per-simplex validity of the assignment over one coefficient ring.
 
@@ -130,19 +149,14 @@ def check(S: SimplicialPoset, lam: CharFunction, coeff: Coefficients) -> CharChe
     """
     if lam.n != S.n:
         raise WrongVectorLength(f"vectors of length {lam.n} on a poset of ambient rank {S.n}")
-    over_z, p = coeff == INTEGERS, coeff.p
     # looked up in (rank, id) order, so the first missing vertex is the one named
     vectors = {v: lam.vector(v) for e in S.by_rank(1) for v in e.vertices}
     valid, snfs = set(), {}
     for e in reversed(S.elements()):
         if e.id not in valid:
-            rows = [vectors[v] for v in e.vertices]
-            if S.n <= 3 or e.rank == S.n:
-                minors = _minors(rows) if S.n <= 3 else (_determinant(rows),)
-                ok = gcd(*minors) == 1 if over_z else any(m % p if p else m for m in minors)
-            else:
-                snf = snfs[e.id] = smith_normal_form(rows)
-                ok = snf.factors == (1,) * e.rank if over_z else snf.rank_over(coeff) == e.rank
+            ok, snf = _judge([vectors[v] for v in e.vertices], S.n, coeff)
+            if snf is not None:
+                snfs[e.id] = snf
             if not ok:
                 continue
             valid.add(e.id)
@@ -155,6 +169,23 @@ def check(S: SimplicialPoset, lam: CharFunction, coeff: Coefficients) -> CharChe
     return CharCheckReport(coeff, bad is None, verdicts, first_failure)
 
 
+def _seeded_assignments(S: SimplicialPoset, n: int, seed: int, bound: int, budget: int):
+    # the sampler's draws: ``budget`` assignments, each a primitivized
+    # vector per vertex name in (rank, id) order, from one seeded stream
+    randint = random.Random(seed).randint
+    vertices = dict.fromkeys(v for e in S.by_rank(1) for v in e.vertices)
+    for _ in range(budget):
+        assignment = {}
+        for vid in vertices:
+            while True:
+                vec = tuple([randint(-bound, bound) for _ in range(n)])
+                if any(vec):
+                    break
+            g = gcd(*vec)
+            assignment[vid] = vec if g == 1 else tuple(x // g for x in vec)
+        yield assignment
+
+
 def random_q_charfn(
     S: SimplicialPoset, n: int, seed: int, bound: int, budget: int = 10_000
 ) -> CharFunction:
@@ -162,9 +193,13 @@ def random_q_charfn(
 
     Draws integer vectors with entries in [-bound, bound], primitivizes
     them, one per vertex name in (rank, id) order, and retries whole
-    assignments until the rational check passes.  Deterministic for a
-    fixed seed; raises BudgetExhausted with the most frequently failing
-    simplex after ``budget`` attempts.
+    assignments until one is valid over Q.  Validity passes down to
+    faces, so an attempt is judged by its maximal faces alone, by the
+    rule ``check`` uses, and is dropped at the first dependent one.
+    Deterministic for a fixed seed.  After ``budget`` failed attempts
+    the seed is replayed, each attempt through the full ``check``, to
+    name the simplex that failed first most often in BudgetExhausted;
+    so the error costs about one more pass than the attempts themselves.
     """
     for name, value in (("n", n), ("seed", seed), ("bound", bound), ("budget", budget)):
         if not isinstance(value, int) or isinstance(value, bool):
@@ -179,22 +214,15 @@ def random_q_charfn(
         )
     if budget < 1:
         raise InvalidArgument(f"budget {budget} allows no attempt: it must be >= 1")
-    rng = random.Random(seed)
-    vertices = dict.fromkeys(v for e in S.by_rank(1) for v in e.vertices)
+    maximal = [S.element(eid).vertices for eid in S.maximal_ids()]
+    for assignment in _seeded_assignments(S, n, seed, bound, budget):
+        if all(_judge([assignment[v] for v in top], n, RATIONALS)[0] for top in maximal):
+            return CharFunction(n, assignment)
     fail_counts: dict[str, int] = {}
-    for _ in range(budget):
-        assignment = {}
-        for vid in vertices:
-            while True:
-                vec = tuple(rng.randint(-bound, bound) for _ in range(n))
-                if any(vec):
-                    break
-            g = gcd(*(abs(x) for x in vec))
-            assignment[vid] = tuple(x // g for x in vec)
-        lam = CharFunction(n, assignment)
-        report = check(S, lam, RATIONALS)
+    for assignment in _seeded_assignments(S, n, seed, bound, budget):
+        report = check(S, CharFunction(n, assignment), RATIONALS)
         if report.passed:
-            return lam
+            raise InternalError("an assignment failed on a maximal face but passed check")
         bad = report.first_failure[0]
         fail_counts[bad] = fail_counts.get(bad, 0) + 1
     worst = max(sorted(fail_counts), key=fail_counts.get)

@@ -9,7 +9,8 @@ products of coefficient lists for the h-vector and the link identities,
 Kunneth convolution for product Betti profiles, the barycentric
 subdivision for cellular homology, dense boundary matrices written out
 from each face's own facet list and their Smith forms for (link)
-homology, and a face-by-face check of characteristic functions.  The
+homology, a face-by-face check of characteristic functions, and the
+rejection sampler's loop with one full ``check`` per attempt.  The
 dense matrices and the link posets read neither the library's signed
 incidence nor its cover map.
 """
@@ -136,6 +137,65 @@ def oracle_charfn_check(S, lam, coeff):
         if not ok and first_failure is None:
             first_failure = (e.id, factors)
     return tuple(verdicts), first_failure is None, first_failure
+
+
+def oracle_random_q_charfn(S, n, seed, bound, budget=10_000):
+    """The rejection sampler with one full rational ``check`` per attempt.
+
+    Draws, refusals and the BudgetExhausted message are those of
+    ``sposet.charfn.random_q_charfn``; only the judging differs: here
+    every attempt builds a CharFunction and runs the whole top-down
+    check, and the failures are counted in the same pass.
+    """
+    import random
+
+    from sposet.charfn import CharFunction, check
+    from sposet.errors import (
+        BudgetExhausted,
+        InvalidArgument,
+        NonPrimitiveVector,
+        WrongVectorLength,
+    )
+    from sposet.homology import RATIONALS
+
+    for name, value in (("n", n), ("seed", seed), ("bound", bound), ("budget", budget)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise InvalidArgument(f"{name} = {value!r} is not an integer")
+    if n != S.n:
+        raise WrongVectorLength(
+            f"vectors of length {n} need a poset of ambient rank {n}, not {S.n}"
+        )
+    if bound < 1:
+        raise NonPrimitiveVector(
+            f"bound {bound} leaves no primitive vectors: it must be >= 1"
+        )
+    if budget < 1:
+        raise InvalidArgument(f"budget {budget} allows no attempt: it must be >= 1")
+    rng = random.Random(seed)
+    vertices = dict.fromkeys(v for e in S.by_rank(1) for v in e.vertices)
+    fail_counts = {}
+    for _ in range(budget):
+        assignment = {}
+        for vid in vertices:
+            while True:
+                vec = tuple(rng.randint(-bound, bound) for _ in range(n))
+                if any(vec):
+                    break
+            g = gcd(*(abs(x) for x in vec))
+            assignment[vid] = tuple(x // g for x in vec)
+        lam = CharFunction(n, assignment)
+        report = check(S, lam, RATIONALS)
+        if report.passed:
+            return lam
+        bad = report.first_failure[0]
+        fail_counts[bad] = fail_counts.get(bad, 0) + 1
+    worst = max(sorted(fail_counts), key=fail_counts.get)
+    raise BudgetExhausted(
+        f"no valid assignment in {budget} attempts; simplex {worst!r} "
+        f"failed {fail_counts[worst]} times",
+        failing_simplex=worst,
+        attempts=budget,
+    )
 
 
 def rank_over_q(rows):

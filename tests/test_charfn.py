@@ -3,18 +3,19 @@ import os
 import random
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, prod
 
 import pytest
 
 from sposet import charfn as charfn_mod
 from sposet import io as io_mod
-from sposet.charfn import CharFunction, check, random_q_charfn
+from sposet.charfn import CharCheckReport, CharFunction, check, random_q_charfn
 from sposet.cli import main
 from sposet.corpus import corpus
 from sposet.errors import (
     BudgetExhausted,
+    InternalError,
     InvalidArgument,
     InvalidCharFn,
     MissingVertexAssignment,
@@ -29,6 +30,7 @@ from oracles import (
     interval_ids,
     minor_gcd_invariant_factors,
     oracle_charfn_check,
+    oracle_random_q_charfn,
 )
 
 CP2 = {"v1": (1, 0), "v2": (0, 1), "v3": (1, 1)}
@@ -51,6 +53,20 @@ def _random_lam(S, rng, bound=2):
                 break
         assignment[vid] = _primitive(vec)
     return CharFunction(S.n, assignment)
+
+
+def _k5():
+    # K5 needs five pairwise independent directions in the plane, but
+    # entries in {-1, 0, 1} only give four, so sampling at bound 1 fails
+    return from_facets(combinations([f"v{i}" for i in range(1, 6)], 2), name="k5")
+
+
+def _sample(sampler, S, seed, bound, budget):
+    # the sampled assignment, or the fields of the BudgetExhausted raised
+    try:
+        return sampler(S, S.n, seed=seed, bound=bound, budget=budget).assignment
+    except BudgetExhausted as err:
+        return str(err), err.failing_simplex, err.attempts
 
 
 class TestCharFunction:
@@ -296,6 +312,17 @@ class TestSmithFormCount:
             monkeypatch.setattr(charfn_mod, name, counting)
         return calls
 
+    @pytest.fixture
+    def check_calls(self, monkeypatch):
+        log = []
+
+        def counting(*args, real=charfn_mod.check):
+            log.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(charfn_mod, "check", counting)
+        return log
+
     @staticmethod
     def _reset(calls):
         for log in calls.values():
@@ -325,9 +352,10 @@ class TestSmithFormCount:
         assert len(calls["det"]) == len(S.by_rank(4)) == 5
         assert calls["snf"] == []
 
-    def test_dependent_facet(self, torus7, calls):
-        # make the first facet that allows it dependent, and no other face
-        S = barycentric(torus7)
+    def test_dependent_facet(self, full_triangle, calls):
+        # make the first facet that allows it dependent, and no other face;
+        # on a disc that facet has a free edge, so faces under it are judged
+        S = barycentric(barycentric(full_triangle))
         valid = random_q_charfn(S, 3, seed=7, bound=5).assignment
         for facet in S.by_rank(3):
             x, y, z = facet.vertices
@@ -342,6 +370,7 @@ class TestSmithFormCount:
         assert check(S, lam, RATIONALS).first_failure[0] == facet.id
         lonely = self._without_valid_coface(S, lam, RATIONALS)
         under = lonely & (interval_ids(S, facet.id) - {facet.id})
+        assert under
         assert lonely == under | {e.id for e in S.by_rank(3)}
         # every face is judged by its minors; the one Smith form gives the
         # failing facet its factors
@@ -362,6 +391,20 @@ class TestSmithFormCount:
         assert calls["det"] == []
         assert calls["snf"] == [[lam.assignment["v1"]] * 2]
         assert lonely == {e.id for e in torus7.by_rank(3)} | {"v1,v2"}
+
+    def test_passing_sampler_makes_no_check(self, torus7, calls, check_calls):
+        # an attempt is judged by its maximal faces' minors alone
+        S = barycentric(torus7)
+        lam = random_q_charfn(S, 3, seed=7, bound=5)
+        assert check_calls == []
+        assert calls == {"det": [], "snf": []}
+        assert check(S, lam, RATIONALS).passed
+
+    def test_exhausted_sampler_checks_each_attempt_once(self, check_calls):
+        # the replay runs one full check per attempt, and no other
+        with pytest.raises(BudgetExhausted, match="'v1,v2' failed 80 times"):
+            random_q_charfn(_k5(), 2, seed=3, bound=1, budget=300)
+        assert len(check_calls) == 300
 
     def _cli_check(self, tmp_path, capsys, calls, coeff):
         S = barycentric(barycentric(corpus("boundary_simplex(3)")))
@@ -466,10 +509,7 @@ class TestRandom:
         assert check(S, lam, RATIONALS).passed
 
     def test_budget_exhausted_reports_simplex(self):
-        # K5 needs five pairwise independent directions in the plane,
-        # but entries in {-1, 0, 1} only give four, so sampling must fail
-        verts = [f"v{i}" for i in range(1, 6)]
-        k5 = from_facets(combinations(verts, 2), name="k5")
+        k5 = _k5()
         with pytest.raises(BudgetExhausted) as err:
             random_q_charfn(k5, 2, seed=3, bound=1, budget=300)
         assert err.value.failing_simplex in {e.id for e in k5.elements()}
@@ -478,6 +518,30 @@ class TestRandom:
             "no valid assignment in 300 attempts; simplex 'v1,v2' failed 80 times"
         )
         assert err.value.failing_simplex == "v1,v2"
+
+    def test_agrees_with_the_full_check_loop(self, corpus_posets, torus7, full_triangle):
+        # the same λ, or the same BudgetExhausted, as one full check per
+        # attempt; boundary_simplex(4) judges its facets by determinants,
+        # and a triangle in ambient rank 4 judges its facet by a Smith form
+        posets = [*corpus_posets.values(), barycentric(torus7),
+                  from_face_lattice(full_triangle.elements(), n=4)]
+        outcomes = {}
+        for S in posets:
+            for seed, bound, budget in product(range(4), range(1, 6), (1, 8)):
+                got = _sample(random_q_charfn, S, seed, bound, budget)
+                want = _sample(oracle_random_q_charfn, S, seed, bound, budget)
+                assert got == want, (S.name, S.n, seed, bound, budget)
+                outcomes.setdefault(type(got), set()).add(S.name)
+        assert set(outcomes) == {dict, tuple}
+        assert {"boundary_simplex(4)", "sd(torus7)"} <= outcomes[tuple]
+
+    def test_replay_refuses_a_passing_check(self, monkeypatch):
+        # every attempt on k5 at bound 1 fails on a maximal face; a check
+        # that passed one of them would contradict that, and is refused
+        monkeypatch.setattr(charfn_mod, "check",
+                            lambda S, lam, coeff: CharCheckReport(coeff, True, (), None))
+        with pytest.raises(InternalError, match="passed check"):
+            random_q_charfn(_k5(), 2, seed=3, bound=1, budget=5)
 
 
 def test_checks_hold_under_python_O(tmp_path, capsys):
@@ -493,6 +557,7 @@ def test_checks_hold_under_python_O(tmp_path, capsys):
         ["charfn", "check", str(lam_path), str(poset_path), "--coeff", "q", "--json"],
         ["quotient", "cone", str(poset_path), "--n", "3", "--charfn", str(lam_path),
          "--json"],
+        ["charfn", "random", str(poset_path), "--n", "3", "--seed", "5", "--bound", "5"],
     ]
     src = os.path.dirname(os.path.dirname(charfn_mod.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -506,5 +571,7 @@ def test_checks_hold_under_python_O(tmp_path, capsys):
                              env=env, capture_output=True, text=True)
         assert (run.returncode, run.stdout) == (code, want), (argv, run.stderr)
         codes.append(code)
-    # over z the check fails, over q it passes, and the cone report runs
-    assert codes == [1, 0, 0]
+    # over z the check fails, over q it passes, the cone report runs, and
+    # the sampler prints the λ the library drew
+    assert codes == [1, 0, 0, 0]
+    assert json.loads(want) == io_mod.emit_charfn(lam)

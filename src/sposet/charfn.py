@@ -13,9 +13,11 @@ Comp. 1968), and any other by its Smith form.  Validity passes down to
 faces: part of a basis of a direct summand of Z^n spans a direct
 summand, and part of an independent set over Q or F_p is independent.
 So a face with a valid coface is valid, and only the faces with none
-are judged.  The rational sampler judges each attempt by its maximal
-faces alone, by the same rule, and replays its seed through the full
-check only to name the worst simplex once its budget runs out.
+are judged.  A failing check takes one more Smith form, for its first
+failure's invariant factors.  The rational sampler judges each attempt
+by its maximal faces alone, by the same rule, and replays its seed
+through the full check only to name the worst simplex once its budget
+runs out.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from .errors import (
     NonPrimitiveVector,
     WrongVectorLength,
 )
-from .homology import Coefficients, RATIONALS, SnfResult, smith_normal_form
+from .homology import Coefficients, RATIONALS, smith_normal_form
 from .poset import SimplicialPoset, is_name
 
 
@@ -119,20 +121,18 @@ def _minors(rows: list[tuple[int, ...]]) -> tuple[int, ...]:
     return (g * cross[0] + h * cross[1] + i * cross[2],)
 
 
-def _judge(
-    rows: list[tuple[int, ...]], n: int, coeff: Coefficients
-) -> tuple[bool, SnfResult | None]:
+def _judge(rows: list[tuple[int, ...]], n: int, coeff: Coefficients) -> bool:
     # the one validity rule for a face of rank k = len(rows) in ambient
     # rank n: its minors for n <= 3, its determinant for k = n >= 4, its
-    # Smith form otherwise, returned with the verdict (else None)
+    # Smith form otherwise
     k = len(rows)
     if n > 3 and k < n:
         snf = smith_normal_form(rows)
-        return (snf.rank_over(coeff) == k if coeff.is_field else snf.factors == (1,) * k), snf
+        return snf.rank_over(coeff) == k if coeff.is_field else snf.factors == (1,) * k
     minors = _minors(rows) if n <= 3 else (_determinant(rows),)
     p = coeff.p
     return (any(m % p if p else m for m in minors) if coeff.is_field
-            else gcd(*minors) == 1), None
+            else gcd(*minors) == 1)
 
 
 def check(S: SimplicialPoset, lam: CharFunction, coeff: Coefficients) -> CharCheckReport:
@@ -144,28 +144,25 @@ def check(S: SimplicialPoset, lam: CharFunction, coeff: Coefficients) -> CharChe
     failing ones.  For n <= 3 a face is judged by its minors, written
     out; for larger n a face of rank n is judged by its determinant and
     any other by its Smith form.  The verdicts, in (rank, id) order, are
-    as if each face were judged on its own; the first failure carries
-    its invariant factors, and no face takes a Smith form twice.
+    as if each face were judged on its own.  The first failure carries
+    its invariant factors from one Smith form of its own, taken after the
+    walk; for n >= 4 a first failure below rank n so takes two.
     """
     if lam.n != S.n:
         raise WrongVectorLength(f"vectors of length {lam.n} on a poset of ambient rank {S.n}")
     # looked up in (rank, id) order, so the first missing vertex is the one named
     vectors = {v: lam.vector(v) for e in S.by_rank(1) for v in e.vertices}
-    valid, snfs = set(), {}
+    valid = set()
     for e in reversed(S.elements()):
         if e.id not in valid:
-            ok, snf = _judge([vectors[v] for v in e.vertices], S.n, coeff)
-            if snf is not None:
-                snfs[e.id] = snf
-            if not ok:
+            if not _judge([vectors[v] for v in e.vertices], S.n, coeff):
                 continue
             valid.add(e.id)
         valid.update(e.facets)
     verdicts = tuple((e.id, e.id in valid) for e in S.elements())
     bad = next((eid for eid, ok in verdicts if not ok), None)
-    if bad is not None and bad not in snfs:
-        snfs[bad] = smith_normal_form([vectors[v] for v in S.element(bad).vertices])
-    first_failure = None if bad is None else (bad, snfs[bad].factors)
+    first_failure = None if bad is None else (bad, smith_normal_form(
+        [vectors[v] for v in S.element(bad).vertices]).factors)
     return CharCheckReport(coeff, bad is None, verdicts, first_failure)
 
 
@@ -216,7 +213,7 @@ def random_q_charfn(
         raise InvalidArgument(f"budget {budget} allows no attempt: it must be >= 1")
     maximal = [S.element(eid).vertices for eid in S.maximal_ids()]
     for assignment in _seeded_assignments(S, n, seed, bound, budget):
-        if all(_judge([assignment[v] for v in top], n, RATIONALS)[0] for top in maximal):
+        if all(_judge([assignment[v] for v in top], n, RATIONALS) for top in maximal):
             return CharFunction(n, assignment)
     fail_counts: dict[str, int] = {}
     for assignment in _seeded_assignments(S, n, seed, bound, budget):

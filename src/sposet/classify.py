@@ -37,22 +37,15 @@ def _require_pure(S: SimplicialPoset) -> None:
 
 
 def _link_walk(S: SimplicialPoset, coeff: Coefficients) -> LinkTable:
-    # Every link-based verdict and count reads this one walk, computed
-    # once per (poset, ring) and kept on the poset.
+    # Every link-based verdict and count reads this one walk of reduced
+    # link homology per face in (rank, id) order, computed once per
+    # (poset, ring) and kept on the poset.
     key = ("link_betti", coeff)
     walk = S._cache.get(key)
     if walk is None:
-        walk = tuple(
-            (e.id, reduced_betti(S, coeff, root=e.id)) for e in S.elements()
-        )
+        walk = tuple((e.id, reduced_betti(S, coeff, root=e.id)) for e in S.elements())
         S._cache[key] = walk
     return walk
-
-
-def link_table(S: SimplicialPoset, coeff: Coefficients) -> LinkTable:
-    """Reduced link homology for every face, in (rank, id) order."""
-    _require_pure(S)
-    return _link_walk(S, coeff)
 
 
 def buchsbaum_witnesses(
@@ -103,15 +96,13 @@ def classify(S: SimplicialPoset, coeff: Coefficients) -> Classification:
             witnesses.append((None, deg, own.degree(deg)))
     cohen_macaulay = buchsbaum and not any(w[0] is None for w in witnesses)
 
-    hm_ok = True
+    before = len(witnesses)
     for eid, lk in _link_walk(S, coeff):
         top = n - 1 - S.element(eid).rank
         val = lk.degree(top)
-        bad = val != 1 or (coeff == INTEGERS and lk.torsion_in(top))
-        if bad:
-            hm_ok = False
+        if val != 1 or (coeff == INTEGERS and lk.torsion_in(top)):
             witnesses.append((eid, top, val))
-    homology_manifold = buchsbaum and hm_ok
+    homology_manifold = buchsbaum and len(witnesses) == before
 
     orientable = own.degree(n - 1) == 1
     if coeff == INTEGERS and own.torsion_in(n - 1):

@@ -288,7 +288,7 @@ def _emit_report(prob, as_json: bool) -> None:
             "field": prob.coeff.label,
             "bettiQ": list(prob.betti_q),
             "iota": list(prob.iota),
-            "orientable": prob.orientable,
+            "orientable": True,
             "charfn": None
             if prob.charfn is None
             else io_mod.emit_charfn(prob.charfn),

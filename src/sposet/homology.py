@@ -27,7 +27,7 @@ from itertools import cycle
 from typing import Sequence
 
 from .errors import InternalError, InvalidArgument, SposetError
-from .poset import SimplicialPoset
+from .poset import SimplicialPoset, _components
 
 _INTEGERS = "integers"
 _RATIONALS = "rationals"
@@ -121,15 +121,18 @@ def parse_coefficients(label: str) -> Coefficients:
 
 @dataclass(frozen=True)
 class SnfResult:
-    """Nonzero invariant factors d_1 | d_2 | ... | d_r and the rank r."""
+    """Nonzero invariant factors d_1 | d_2 | ... | d_r; their count is the rank r."""
 
     factors: tuple[int, ...]
-    rank: int
+
+    @property
+    def rank(self) -> int:
+        return len(self.factors)
 
     def rank_over(self, coeff: Coefficients) -> int:
         if coeff.kind == _PRIME_FIELD:
             return sum(1 for d in self.factors if d % coeff.p != 0)
-        return self.rank
+        return len(self.factors)
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SnfResult:
@@ -142,7 +145,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SnfResult:
     for a, b in zip(factors, factors[1:]):
         if b % a:
             raise InternalError(f"invariant factor {a} does not divide {b}")
-    return SnfResult(tuple(factors), len(factors))
+    return SnfResult(tuple(factors))
 
 
 def _invariant_factors(rows: list[list[int]]) -> list[int]:
@@ -294,30 +297,11 @@ def _unit_smith_form(columns: list[dict]) -> SnfResult:
                     rows[i].discard(k)
         units += 1
     left = [col for col in cols.values() if col]
-    core = SnfResult((), 0)
+    core = SnfResult(())
     if left:
         index = dict.fromkeys(r for col in left for r in col)
         core = smith_normal_form([[col.get(r, 0) for r in index] for col in left])
-    return SnfResult((1,) * units + core.factors, units + core.rank)
-
-
-def _components(nodes: int, edges) -> int:
-    # the components of a graph with this many nodes, by union-find over
-    # its edges as node pairs; a representative has no parent entry, and
-    # each find halves its path
-    parent: dict = {}
-
-    def find(v):
-        while v in parent:
-            parent[v] = v = parent.get(parent[v], parent[v])
-        return v
-
-    for a, b in edges:
-        a, b = find(a), find(b)
-        if a != b:
-            parent[a] = b
-            nodes -= 1
-    return nodes
+    return SnfResult((1,) * units + core.factors)
 
 
 def reduced_betti(
@@ -356,7 +340,7 @@ def reduced_betti(
         ranks = [1] if covers else []
         if twos:
             ranks.append(len(covers) - _components(len(covers) + len(twos), joins))
-        snfs = [SnfResult((1,) * r, r) for r in ranks]
+        snfs = [SnfResult((1,) * r) for r in ranks]
         # each higher matrix as the columns of its faces on the rank below
         lower = twos
         for level in higher:

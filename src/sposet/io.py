@@ -2,9 +2,10 @@
 
 Format tags: "sposet-v1" (explicit face lattice), "scomplex-v1"
 (facet shorthand for genuine complexes), "charfn-v1" (vertex vector
-assignment), "cone-v1" and "manifold-v1" (quotient problem bundles).
-Emission is canonical: sorted keys, fixed separators, elements in
-(rank, id) order, so identical inputs serialize byte-identically.
+assignment), "cone-v1" and "manifold-v1" (quotient problem bundles,
+read but not written).  Emission is canonical: sorted keys, fixed
+separators, elements in (rank, id) order, so identical inputs
+serialize byte-identically.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ from .charfn import CharFunction
 from .errors import SchemaViolation, UnknownFormat
 from .homology import parse_coefficients
 from .poset import SimplexElem, SimplicialPoset, from_face_lattice, from_facets, is_name
-from .spectral import QuotientProblem
 
 
 def dumps_canonical(obj) -> str:
@@ -91,7 +91,7 @@ def _parse_charfn(doc: dict) -> CharFunction:
     )
 
 
-def _parse_problem(doc: dict) -> QuotientProblem:
+def _parse_problem(doc: dict) -> spectral.QuotientProblem:
     kind = spectral.CONE if doc["format"] == "cone-v1" else spectral.MANIFOLD
     poset_doc = _need(doc, "poset", dict)
     poset = _parse_poset(poset_doc)
@@ -163,18 +163,3 @@ def emit_charfn(lam: CharFunction) -> dict:
         "n": lam.n,
         "assignment": {k: list(v) for k, v in sorted(lam.assignment.items())},
     }
-
-
-def emit_problem(prob: QuotientProblem) -> dict:
-    doc = {
-        "format": "cone-v1" if prob.kind == spectral.CONE else "manifold-v1",
-        "poset": emit_poset(prob.poset),
-        "n": prob.n,
-        "field": prob.coeff.label,
-        "charfn": emit_charfn(prob.charfn) if prob.charfn else None,
-    }
-    if prob.kind == spectral.MANIFOLD:
-        doc["bettiQ"] = list(prob.betti_q)
-        doc["iota"] = list(prob.iota)
-        doc["orientable"] = prob.orientable
-    return doc

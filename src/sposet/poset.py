@@ -105,9 +105,6 @@ class SimplicialPoset:
     def by_rank(self, k: int) -> tuple[SimplexElem, ...]:
         return tuple(e for e in self._sorted if e.rank == k)
 
-    def vertex_ids(self) -> tuple[str, ...]:
-        return tuple(e.id for e in self.by_rank(1))
-
     def maximal_ids(self) -> tuple[str, ...]:
         cofaces = self._cofaces()
         return tuple(e.id for e in self._sorted if not cofaces[e.id])
@@ -332,6 +329,24 @@ def f_vector(S: SimplicialPoset) -> tuple[int, ...]:
     return (1, *counts)
 
 
+def _components(nodes: int, edges) -> int:
+    # the components of a graph on this many nodes, by union-find over its
+    # edges as node pairs; a root has no parent entry, a find halves its path
+    parent: dict = {}
+
+    def find(v):
+        while v in parent:
+            parent[v] = v = parent.get(parent[v], parent[v])
+        return v
+
+    for a, b in edges:
+        a, b = find(a), find(b)
+        if a != b:
+            parent[a] = b
+            nodes -= 1
+    return nodes
+
+
 def validate_stats(S: SimplicialPoset) -> PosetStats:
     """Dimension, purity, connectivity and the f-vector of a poset.
 
@@ -342,20 +357,11 @@ def validate_stats(S: SimplicialPoset) -> PosetStats:
     cached = S._cache.get("stats")
     if cached is not None:
         return cached
-    cofaces = S._cofaces()
-    reached, stack = set(), [e.id for e in S.elements()[:1]]
-    while stack:
-        eid = stack.pop()
-        if eid not in reached:
-            reached.add(eid)
-            stack += S.element(eid).facets
-            stack += (c.id for c in cofaces[eid])
-
     maximal_dims = {S.element(m).dim for m in S.maximal_ids()}
     out = PosetStats(
         dim=S.dim,
         pure=len(maximal_dims) <= 1,
-        connected=len(S) > 0 and len(reached) == len(S),
+        connected=_components(len(S), ((e.id, f) for e in S for f in e.facets)) == 1,
         f=f_vector(S),
     )
     S._cache["stats"] = out

@@ -45,6 +45,16 @@ MANIFOLD = "manifold"
 
 @dataclass(frozen=True)
 class QuotientProblem:
+    """One quotient problem; Q is always orientable.
+
+    ``make_problem`` checks the field, the Buchsbaum condition and the
+    characteristic function.  ``relative_and_delta``, which ``solve``
+    calls, refuses in any problem, also one made by ``dataclasses.replace``:
+    an unknown kind, a poset rank other than n, a cone's rank data other
+    than (1, 0, ..., 0), and a manifold's that are not n + 1 integers
+    with betti_q[0] = 1 and betti_q[n] = 0 or that break exactness.
+    """
+
     kind: str
     poset: SimplicialPoset
     n: int
@@ -52,7 +62,6 @@ class QuotientProblem:
     charfn: CharFunction | None
     betti_q: tuple[int, ...]
     iota: tuple[int, ...]
-    orientable: bool
 
 
 @dataclass(frozen=True)
@@ -79,9 +88,6 @@ class BigradedTable(PageTable):
     """Dimensions of the bigraded homology pieces and their totals."""
 
     totals: tuple[int, ...]
-
-    def dim(self, i: int, j: int) -> int:
-        return self.rank(i, j)
 
 
 @dataclass(frozen=True)
@@ -126,11 +132,11 @@ def make_problem(
     Checks run in a fixed order: field coefficients, the Buchsbaum link
     condition against the declared torus rank n (this subsumes purity
     and the dimension requirement and is where non-acyclic-face input
-    is refused), the characteristic function if supplied, and finally
-    exactness bounds on the manifold rank data.
+    is refused), a manifold's orientable flag, which must be true, the
+    kind, the poset's rank and the rank data with their exactness, by
+    :func:`relative_and_delta`, and finally the characteristic function
+    if supplied.
     """
-    if kind not in (CONE, MANIFOLD):
-        raise InvalidArgument(f"unknown problem kind {kind!r}")
     if not isinstance(n, int) or isinstance(n, bool):
         raise InvalidArgument(f"torus rank n = {n!r} is not an integer")
     if not coeff.is_field:
@@ -147,10 +153,21 @@ def make_problem(
             f"for rank {n}",
             witnesses=wits,
         )
-    if poset.n != n:
-        raise InconsistentBundle(
-            f"poset ambient rank {poset.n} does not match problem rank {n}"
-        )
+
+    if kind == MANIFOLD:
+        if betti_q is None or iota is None or orientable is None:
+            raise InconsistentBundle(
+                "manifold problems need betti_q, iota and the orientable flag"
+            )
+        if not orientable:
+            raise InconsistentBundle(
+                "relative homology is derived by duality; orientable must be true"
+            )
+    trivial = (1,) + (0,) * n  # a cone's rank data, which it need not give
+    betti_q, iota = (trivial if v is None else tuple(v) if isinstance(v, list) else v
+                     for v in (betti_q, iota))
+    prob = QuotientProblem(kind, poset, n, coeff, charfn, betti_q, iota)
+    relative_and_delta(prob)
 
     if charfn is not None:
         try:
@@ -162,40 +179,6 @@ def make_problem(
             raise InvalidCharFn(
                 f"simplex {bad!r} fails over {coeff}: invariant factors {factors}"
             )
-
-    trivial = (1,) + (0,) * n
-    if kind == CONE:
-        if betti_q not in (None, trivial) or iota not in (None, trivial):
-            raise InconsistentBundle("cone problems fix betti_q = iota = (1,0,...,0)")
-        betti_q, iota, orientable = trivial, trivial, True
-    else:
-        if betti_q is None or iota is None or orientable is None:
-            raise InconsistentBundle(
-                "manifold problems need betti_q, iota and the orientable flag"
-            )
-        betti_q, iota = tuple(betti_q), tuple(iota)
-        for label, vec in (("betti_q", betti_q), ("iota", iota)):
-            for x in vec:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise InconsistentBundle(f"{label} entry {x!r} is not an integer")
-        if len(betti_q) != n + 1 or len(iota) != n + 1:
-            raise InconsistentBundle(f"betti_q and iota must have length {n + 1}")
-        if not orientable:
-            raise InconsistentBundle(
-                "relative homology is derived by duality; orientable must be true"
-            )
-        if betti_q[0] != 1:
-            raise InconsistentBundle("Q is connected, so betti_q[0] must be 1")
-        if betti_q[n] != 0:
-            raise InconsistentBundle(
-                "Q has nonempty boundary, so betti_q[n] must be 0"
-            )
-
-    prob = QuotientProblem(
-        kind=kind, poset=poset, n=n, coeff=coeff, charfn=charfn,
-        betti_q=betti_q, iota=iota, orientable=bool(orientable),
-    )
-    relative_and_delta(prob)
     return prob
 
 
@@ -205,19 +188,40 @@ def relative_and_delta(prob: QuotientProblem):
     Cone: dim H_i(P, bd P) = b~_(i-1)(S) and delta is injective onto the
     reduced boundary homology.  Manifold: dim H_i(Q, bd Q) = betti_q[n-i]
     by duality and rank delta_i = dim H_i(Q, bd Q) - betti_q[i] + iota[i]
-    by exactness.  Raises InconsistentBundle when the poset's rank is
-    not n, when any derived rank escapes its exactness bounds, or when
-    delta_i + iota_(i-1) is not dim H_(i-1)(bd Q) for some 1 <= i <= n.
+    by exactness.  The one check of the bundle data: raises
+    InvalidArgument for an unknown kind, and InconsistentBundle when the
+    poset's rank is not the int n, when a cone's betti_q or iota is not
+    (1, 0, ..., 0), when a manifold's are not tuples of n + 1 integers,
+    when betti_q[0] != 1 or betti_q[n] != 0, when any derived rank
+    escapes its exactness bounds, or when delta_i + iota_(i-1) is not
+    dim H_(i-1)(bd Q) for some 1 <= i <= n.
     """
     n = prob.n
-    if prob.poset.n != n:
+    if prob.kind not in (CONE, MANIFOLD):
+        raise InvalidArgument(f"unknown problem kind {prob.kind!r}")
+    if prob.poset.n != n or type(n) is not int:
         raise InconsistentBundle(
             f"poset ambient rank {prob.poset.n} does not match problem rank {n}"
         )
     bt = reduced_betti(prob.poset, prob.coeff).degree
     if prob.kind == CONE:
+        trivial = (1,) + (0,) * n
+        if prob.betti_q != trivial or prob.iota != trivial:
+            raise InconsistentBundle("cone problems fix betti_q = iota = (1,0,...,0)")
         relative = tuple(bt(i - 1) for i in range(n + 1))
     else:
+        for label, vec in (("betti_q", prob.betti_q), ("iota", prob.iota)):
+            if not isinstance(vec, tuple):
+                raise InconsistentBundle(f"{label} {vec!r} is not a tuple of integers")
+            for x in vec:
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise InconsistentBundle(f"{label} entry {x!r} is not an integer")
+        if len(prob.betti_q) != n + 1 or len(prob.iota) != n + 1:
+            raise InconsistentBundle(f"betti_q and iota must have length {n + 1}")
+        if prob.betti_q[0] != 1:
+            raise InconsistentBundle("Q is connected, so betti_q[0] must be 1")
+        if prob.betti_q[n] != 0:
+            raise InconsistentBundle("Q has nonempty boundary, so betti_q[n] must be 0")
         relative = tuple(prob.betti_q[n - i] for i in range(n + 1))
 
     boundary_unreduced = tuple(bt(p) + (1 if p == 0 else 0) for p in range(n))
@@ -314,9 +318,7 @@ def solve(prob: QuotientProblem) -> Tables:
             continue
         page = n - q1 + 1
         for q2 in range(q1):
-            rk = delta[q1] * comb(n, q2)
-            if not rk:
-                continue
+            rk = delta[q1] * comb(n, q2)  # nonzero: delta[q1] is, and q2 < n
             src = (n, q1 + q2 - n)
             tgt = (q1 - 1, q2)
             for table in (eainf,) if page > 1 else (ea2, eainf):
@@ -415,11 +417,9 @@ def verify(prob: QuotientProblem, tables: Tables) -> VerifyReport:
             skipped["diagonal_is_h_prime"] = (
                 "poset is not an orientable homology manifold over this field"
             )
+        # over the nonzero cells: a pair of zeros is always symmetric
         checks["bigraded_duality"] = all(
-            big.dim(i, j) == big.dim(n - i, n - j)
-            for i in range(n + 1)
-            for j in range(n + 1)
-        )
+            v == big.rank(n - i, n - j) for (i, j), v in big.cells.items())
 
     if prob.charfn is not None:
         same = solve(replace(prob, charfn=None)) == tables

@@ -10,8 +10,9 @@ Kunneth convolution for product Betti profiles, the barycentric
 subdivision for cellular homology, dense boundary matrices written out
 from each face's own facet list and their Smith forms for (link)
 homology, a face-by-face check of characteristic functions, and the
-rejection sampler's loop with one full ``check`` per attempt.  The
-dense matrices and the link posets read neither the library's signed
+rejection sampler's loop with one full ``check`` per attempt.  One
+writer, ``bundle_doc``, gives tests the problem bundles the library
+only reads.  The dense matrices and the link posets read neither the library's signed
 incidence nor its cover map.
 """
 from __future__ import annotations
@@ -377,3 +378,25 @@ def dense_betti(S, coeff, root=None):
 def euler_characteristic(S):
     """Alternating face-count sum over the nonminimal elements."""
     return sum((-1) ** e.dim for e in S.elements())
+
+
+def bundle_doc(prob):
+    """A cone-v1 or manifold-v1 document for a quotient problem.
+
+    The library reads bundles but does not write them; tests that need
+    one as input write it here, from the library's poset and charfn
+    emitters.
+    """
+    from sposet import io as io_mod
+    from sposet.spectral import CONE
+
+    doc = {
+        "format": "cone-v1" if prob.kind == CONE else "manifold-v1",
+        "poset": io_mod.emit_poset(prob.poset),
+        "n": prob.n,
+        "field": prob.coeff.label,
+        "charfn": io_mod.emit_charfn(prob.charfn) if prob.charfn else None,
+    }
+    if prob.kind != CONE:
+        doc.update(bettiQ=list(prob.betti_q), iota=list(prob.iota), orientable=True)
+    return doc

@@ -46,7 +46,7 @@ def _primitive(vec):
 def _random_lam(S, rng, bound=2):
     # a seeded assignment with small entries, valid or not
     assignment = {}
-    for vid in S.vertex_ids():
+    for vid in [e.id for e in S.by_rank(1)]:
         while True:
             vec = tuple(rng.randint(-bound, bound) for _ in range(S.n))
             if any(vec):
@@ -297,7 +297,8 @@ class TestMinors:
 class TestSmithFormCount:
     """For n <= 3 faces are judged by written-out minors, and a Smith form
     is taken only for the first failure's factors; for n >= 4 faces of
-    rank n take one determinant and others one Smith form."""
+    rank n take one determinant and others one Smith form, and the first
+    failure takes one more."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -436,7 +437,8 @@ class TestSmithFormCount:
     def test_seeded_counts_follow_the_split_by_n(self, corpus_posets, calls, name):
         # n <= 3: minors only, and one Smith form for a failing check's
         # first failure; n >= 4: one determinant per facet, one Smith form
-        # per lower face with no valid coface, and one for a failing facet
+        # per lower face with no valid coface, and one more for the first
+        # failure, even where it repeats that face's own
         S = corpus_posets[name]
         rng = random.Random(20261019)
         lams = [_random_lam(S, rng) for _ in range(8)]
@@ -453,8 +455,8 @@ class TestSmithFormCount:
                     want_det = [e.id for e in reversed(S.elements()) if e.rank == S.n]
                     want_snf = [e.id for e in reversed(S.elements())
                                 if e.id in lonely and e.rank < S.n]
-                    if bad and bad not in want_snf:
-                        want_snf.append(bad)
+                    # the first failure takes its own Smith form after the walk
+                    want_snf += [bad] if bad else []
                 assert calls == {
                     "det": [self._rows(S, lam, eid) for eid in want_det],
                     "snf": [self._rows(S, lam, eid) for eid in want_snf],

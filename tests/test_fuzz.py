@@ -20,6 +20,8 @@ from sposet.homology import INTEGERS, RATIONALS, reduced_betti
 from sposet.poset import SimplicialPoset, validate_stats
 from sposet.spectral import CONE, MANIFOLD, make_problem
 
+from oracles import bundle_doc
+
 CASES = 600
 REPLACEMENTS = (None, True, False, "x", ["x"], {"x": 1}, 10**30)
 
@@ -31,10 +33,10 @@ def _seed_documents():
     triangle = corpus("boundary_simplex(2)")
     lam = CharFunction(2, {"v1": (1, 0), "v2": (0, 1), "v3": (1, 1)})
     docs.append(io_mod.emit_charfn(lam))
-    docs.append(io_mod.emit_problem(
+    docs.append(bundle_doc(
         make_problem(CONE, triangle, 2, RATIONALS, charfn=lam)
     ))
-    docs.append(io_mod.emit_problem(
+    docs.append(bundle_doc(
         make_problem(MANIFOLD, triangle, 2, RATIONALS,
                      betti_q=(1, 0, 0), iota=(1, 0, 0), orientable=True)
     ))

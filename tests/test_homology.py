@@ -182,8 +182,8 @@ class TestUnitSmithForm:
             _check_both(mat)
 
     def test_empty(self):
-        assert homology._unit_smith_form([]) == homology.SnfResult((), 0)
-        assert homology._unit_smith_form([{}, {}]) == homology.SnfResult((), 0)
+        assert homology._unit_smith_form([]) == homology.SnfResult(())
+        assert homology._unit_smith_form([{}, {}]) == homology.SnfResult(())
 
 
 def _cone(S, name):

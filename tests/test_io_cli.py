@@ -23,6 +23,8 @@ from sposet.homology import RATIONALS, Coefficients, prime_field, reduced_betti
 from sposet.poset import SimplexElem, from_face_lattice, from_facets, validate_stats
 from sposet.spectral import CONE, QuotientProblem, make_problem
 
+from oracles import bundle_doc
+
 runner = CliRunner()
 
 
@@ -117,7 +119,7 @@ class TestParse:
         }
         prob = io_mod.parse(json.dumps(doc))
         assert prob.kind == CONE
-        assert io_mod.emit_problem(prob)["field"] == "q"
+        assert bundle_doc(prob) == doc
 
     def test_unknown_corpus_name(self):
         with pytest.raises(UnknownName):
@@ -450,6 +452,21 @@ def test_manifold_rank_data_breaking_exactness_is_refused(capsys):
     assert captured.out == ""
     assert "Error: InconsistentBundle" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("source", ["flag", "bundle"])
+def test_non_orientable_manifold_is_refused(source, tmp_path, capsys):
+    # a problem has no orientable field: Q is orientable, and false is refused
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(_triangle_manifold(orientable=False)))
+    argv = ([str(path)] if source == "bundle" else
+            ["--corpus", "boundary_simplex(2)", "--n", "2", "--betti-q", "1,0,0",
+             "--iota", "1,0,0", "--no-orientable"])
+    assert main(["quotient", "manifold", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("Error: InconsistentBundle: relative homology is derived "
+                            "by duality; orientable must be true\n")
 
 
 @pytest.mark.parametrize("n", ["4", "0", "-1", "70"])

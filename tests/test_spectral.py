@@ -1,6 +1,9 @@
+import os
+import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +18,7 @@ from sposet.errors import (
     InvalidCharFn,
     NonFieldCoefficients,
     NotBuchsbaum,
+    SposetError,
 )
 from sposet.corpus import corpus
 from sposet.facevec import f_h_vectors, ft_vector, h_prime_double, identity_report
@@ -130,7 +134,7 @@ class TestMakeProblem:
 
 
 class TestRelativeAndDelta:
-    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("n", [2, 4, 3.0])
     def test_hand_built_problem_with_other_rank_refused(self, torus7, n):
         # make_problem pins poset.n == n; a problem built by hand must not
         # read Betti numbers past degree n - 1 or wrap to a negative index
@@ -138,6 +142,47 @@ class TestRelativeAndDelta:
         for call in (relative_and_delta, solve, e1_diagonal_hprime_form):
             with pytest.raises(InconsistentBundle, match="ambient rank 3"):
                 call(prob)
+
+    @pytest.mark.parametrize("kind, change", [
+        (MANIFOLD, {"betti_q": (1, 0)}),
+        (MANIFOLD, {"iota": (1, 1, 0)}),
+        (MANIFOLD, {"betti_q": (1, "a", 0, 0)}),
+        (MANIFOLD, {"iota": (1, True, 0, 0)}),
+        (MANIFOLD, {"betti_q": (2, 1, 0, 0)}),
+        (MANIFOLD, {"betti_q": (1, 1, 0, 1)}),
+        (MANIFOLD, {"kind": "bogus"}),
+        (CONE, {"betti_q": (1, 1, 0, 0)}),
+        (CONE, {"iota": (1, 0, 0, 1)}),
+    ])
+    def test_replaced_bundle_refused_as_make_problem_refuses(self, torus7, kind, change):
+        # a problem built by dataclasses.replace skips make_problem, so the
+        # bundle checks live in relative_and_delta, which every reader calls
+        base = solid_torus_problem(torus7) if kind == MANIFOLD else cone_over(torus7)
+        data = {"kind": base.kind, "betti_q": base.betti_q, "iota": base.iota, **change}
+        with pytest.raises(SposetError) as want:
+            make_problem(data.pop("kind"), torus7, 3, RATIONALS, orientable=True, **data)
+        prob = replace(base, **change)
+        for call in (relative_and_delta, solve, e1_diagonal_hprime_form):
+            with pytest.raises(SposetError) as got:
+                call(prob)
+            assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+    def test_replaced_bundle_refused_under_python_O(self):
+        script = (
+            "from dataclasses import replace\n"
+            "from sposet import RATIONALS, SposetError, corpus, make_problem, solve\n"
+            "p = make_problem('manifold', corpus('torus7'), 3, RATIONALS,\n"
+            "                 betti_q=(1, 1, 0, 0), iota=(1, 1, 0, 0), orientable=True)\n"
+            "for change in ({'betti_q': (1, 0)}, {'kind': 'bogus'}):\n"
+            "    try:\n"
+            "        solve(replace(p, **change))\n"
+            "    except SposetError as exc:\n"
+            "        print(type(exc).__name__)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(sposet.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.split() == ["InconsistentBundle", "InvalidArgument"]
 
     def test_cone_over_torus7(self, torus7):
         relative, delta = relative_and_delta(cone_over(torus7))
@@ -257,10 +302,10 @@ class TestPages:
 class TestBigraded:
     def test_cone_over_torus7(self, torus7):
         big = solve(cone_over(torus7)).bigraded
-        assert big.dim(1, 1) == 4
-        assert big.dim(2, 2) == 10
-        assert big.dim(2, 3) == 2
-        assert big.dim(3, 3) == 1
+        assert big.rank(1, 1) == 4
+        assert big.rank(2, 2) == 10
+        assert big.rank(2, 3) == 2
+        assert big.rank(3, 3) == 1
         assert big.totals == (1, 0, 4, 0, 10, 2, 1)
 
     def test_solid_torus(self, torus7):
@@ -299,8 +344,8 @@ class TestVerify:
 
     def test_duality_pairs_explicitly(self, torus7):
         big = solve(solid_torus_problem(torus7)).bigraded
-        assert big.dim(1, 0) == big.dim(2, 3) == 1
-        assert big.dim(1, 1) == big.dim(2, 2) == 7
+        assert big.rank(1, 0) == big.rank(2, 3) == 1
+        assert big.rank(1, 1) == big.rank(2, 2) == 7
 
     def test_cone_over_boundary_triangle_trivial(self, bd_triangle):
         assert verify(*solved(cone_over(bd_triangle))).all_passed
@@ -389,6 +434,18 @@ class TestComputeOnce:
             "prime_field", "reduced_betti", "smith_normal_form", "solve",
             "validate_stats", "verify",
         ]
+        # no public name that only tests call, no alias, no stored
+        # field whose value is fixed, and one union-find for components
+        mods = {k: sys.modules[f"sposet.{k}"]
+                for k in ("classify", "io", "poset", "homology")}
+        assert not hasattr(mods["classify"], "link_table")
+        assert not hasattr(mods["io"], "emit_problem")
+        assert not hasattr(SimplicialPoset, "vertex_ids")
+        assert not hasattr(sposet.spectral.BigradedTable, "dim")
+        assert "orientable" not in {f.name for f in fields(sposet.QuotientProblem)}
+        assert [f.name for f in fields(homology.SnfResult)] == ["factors"]
+        assert homology.SnfResult((1, 2)).rank == 2
+        assert mods["homology"]._components is mods["poset"]._components
 
     def test_report_builds_no_link_posets(self, monkeypatch):
         # no link poset is built in the library; the test oracle is the

@@ -5,20 +5,21 @@ a ring when every proper link has reduced homology concentrated in its
 top degree n - 1 - |I|; Cohen-Macaulay additionally concentrates the
 poset's own homology in top degree, and the homology-manifold verdict
 asks every link's top homology to have dimension exactly one.  Over the
-integers "vanishing" includes torsion.  Each link row is read from the
-poset's own chain complex restricted to the faces above the face.
+integers "vanishing" includes torsion.  Every verdict reads one table of
+link rows per (poset, ring), built by ``homology._link_table`` from the
+poset's own chain complex restricted to the faces above each face; each
+check takes one pass over it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import NotConnected, NotPure
-from .homology import BettiVector, Coefficients, INTEGERS, reduced_betti
+from .homology import Coefficients, _link_table, reduced_betti
 from .poset import SimplicialPoset, validate_stats
 
 # (element id or None for the poset itself, degree, offending Betti rank)
 Witness = tuple[str | None, int, int]
-LinkTable = tuple[tuple[str, BettiVector], ...]
 
 
 @dataclass(frozen=True)
@@ -36,18 +37,6 @@ def _require_pure(S: SimplicialPoset) -> None:
         raise NotPure(f"{S.name or 'poset'} is not pure")
 
 
-def _link_walk(S: SimplicialPoset, coeff: Coefficients) -> LinkTable:
-    # Every link-based verdict and count reads this one walk of reduced
-    # link homology per face in (rank, id) order, computed once per
-    # (poset, ring) and kept on the poset.
-    key = ("link_betti", coeff)
-    walk = S._cache.get(key)
-    if walk is None:
-        walk = tuple((e.id, reduced_betti(S, coeff, root=e.id)) for e in S.elements())
-        S._cache[key] = walk
-    return walk
-
-
 def buchsbaum_witnesses(
     S: SimplicialPoset, coeff: Coefficients, n: int | None = None
 ) -> tuple[Witness, ...]:
@@ -58,16 +47,15 @@ def buchsbaum_witnesses(
     wrong-dimensional or non-pure input (their maximal faces have empty
     links away from the expected top degree).  No connectivity gate.
     """
+    table = _link_table(S, coeff)
     if n is None:
         n = S.n
     out: list[Witness] = []
-    for eid, lk in _link_walk(S, coeff):
-        top = n - 1 - S.element(eid).rank
-        for deg in lk.degrees():
-            if deg == top:
-                continue
-            if lk.degree(deg) != 0 or lk.torsion_in(deg):
-                out.append((eid, deg, lk.degree(deg)))
+    for eid, rank, reduced, torsion in table:
+        top = n - rank  # the index of degree n - 1 - rank
+        for i, b in enumerate(reduced):
+            if i != top and (b or torsion and torsion[i]):
+                out.append((eid, i - 1, b))
     return tuple(out)
 
 
@@ -96,17 +84,15 @@ def classify(S: SimplicialPoset, coeff: Coefficients) -> Classification:
             witnesses.append((None, deg, own.degree(deg)))
     cohen_macaulay = buchsbaum and not any(w[0] is None for w in witnesses)
 
+    # each row ends in its link's top degree, n - 1 - rank
     before = len(witnesses)
-    for eid, lk in _link_walk(S, coeff):
-        top = n - 1 - S.element(eid).rank
-        val = lk.degree(top)
-        if val != 1 or (coeff == INTEGERS and lk.torsion_in(top)):
-            witnesses.append((eid, top, val))
+    for eid, _, reduced, torsion in _link_table(S, coeff):
+        if reduced[-1] != 1 or torsion and torsion[-1]:
+            witnesses.append((eid, len(reduced) - 2, reduced[-1]))
     homology_manifold = buchsbaum and len(witnesses) == before
 
-    orientable = own.degree(n - 1) == 1
-    if coeff == INTEGERS and own.torsion_in(n - 1):
-        orientable = False
+    # torsion is only ever listed over Z
+    orientable = own.degree(n - 1) == 1 and not own.torsion_in(n - 1)
 
     return Classification(
         buchsbaum=buchsbaum,

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .classify import _link_walk, _require_pure, buchsbaum_witnesses, classify
+from .classify import _require_pure, buchsbaum_witnesses, classify
 from .errors import NonFieldCoefficients, NotConnected
-from .homology import Coefficients, reduced_betti
+from .homology import Coefficients, _link_table, _require_ring, reduced_betti
 from .poset import SimplicialPoset, f_vector
 
 
@@ -66,17 +66,21 @@ def ft_vector(S: SimplicialPoset, coeff: Coefficients) -> tuple[int, ...]:
     """Sums of top link Betti numbers, one entry per face dimension.
 
     ft_i adds dim H~_(n-1-|I|) of the link over all i-dimensional faces;
-    for a homology manifold this reproduces the f-vector.
+    for a homology manifold this reproduces the f-vector.  Summed once
+    per (poset, ring) from the link table, whose rows end in that degree,
+    and kept on the poset.
     """
     _require_pure(S)
+    _require_ring(coeff)
     if not coeff.is_field:
         raise NonFieldCoefficients("ft numbers need field coefficients")
-    n = S.n
-    ft = [0] * n
-    for eid, lk in _link_walk(S, coeff):
-        e = S.element(eid)
-        ft[e.dim] += lk.degree(n - 1 - e.rank)
-    return tuple(ft)
+    ft = S._cache.get(("ft", coeff))
+    if ft is None:
+        ft = [0] * S.n
+        for _, rank, reduced, _ in _link_table(S, coeff):
+            ft[rank - 1] += reduced[-1]
+        ft = S._cache["ft", coeff] = tuple(ft)
+    return ft
 
 
 def h_prime_double(S: SimplicialPoset, coeff: Coefficients):
@@ -87,6 +91,7 @@ def h_prime_double(S: SimplicialPoset, coeff: Coefficients):
     top, where h''_n = h'_n.
     """
     _, h, _, _ = f_h_vectors(S)  # refuses a non-pure poset first
+    _require_ring(coeff)
     if not coeff.is_field:
         raise NonFieldCoefficients("h' and h'' need field coefficients")
     n = S.n

@@ -18,7 +18,9 @@ the covers and their covers.  Every higher matrix is taken from the
 incidence as sparse columns and eliminated by unit pivots; only the
 leftover core, which holds all torsion, goes to the dense Smith form.  The
 integer Smith forms are kept per up-set root, and Q and F_p ranks are read
-off them.
+off them.  The link rows of all faces form one table per (poset, ring),
+built in one sweep: a face of codimension <= 2 reads its row in closed
+form from the covers and their covers, a deeper one through its up-set.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from itertools import cycle
 from typing import Sequence
 
 from .errors import InternalError, InvalidArgument, SposetError
-from .poset import SimplicialPoset, _components
+from .poset import SimplicialPoset, _components, _require_poset
 
 _INTEGERS = "integers"
 _RATIONALS = "rationals"
@@ -304,6 +306,29 @@ def _unit_smith_form(columns: list[dict]) -> SnfResult:
     return SnfResult((1,) * units + core.factors)
 
 
+def _require_ring(coeff) -> None:
+    # the one type guard of a ring argument, ahead of any read of it
+    if not isinstance(coeff, Coefficients):
+        raise InvalidArgument(f"coefficients {coeff!r} are not a Coefficients value")
+
+
+def _low_row(cofaces, root):
+    # The closed form of an up-set's two lowest levels: the reduced Betti
+    # numbers of the graph on the root's V covers whose E edges are the
+    # faces two ranks up, and those faces.  Each lies over two covers (its
+    # interval from the root is Boolean), so by d.d = 0 the second matrix is
+    # the graph's incidence up to unit row signs, all factors 1 over every
+    # ring: no covers give (1, 0, 0), else (0, c - 1, E - V + c) for its c
+    # components, which the joins of each edge to its covers keep.
+    covers = cofaces[root]
+    joins = [(e.id, c.id) for e in covers for c in cofaces[e.id]]
+    twos = {c for _, c in joins}
+    if not covers:
+        return (1, 0, 0), twos
+    c = _components(len(covers) + len(twos), joins)
+    return (0, c - 1, len(twos) - len(covers) + c), twos
+
+
 def reduced_betti(
     S: SimplicialPoset, coeff: Coefficients, root: str | None = None
 ) -> BettiVector:
@@ -316,8 +341,10 @@ def reduced_betti(
     taking the place of the minimal element (Munkres, Lemma 63.1).  Read
     off the Smith forms the poset keeps, so every ring shares them; a
     root of codimension <= 2 needs no elimination, only its covers and
-    their covers.
+    their covers.  ``_link_table`` holds the links of every face at once.
     """
+    _require_poset(S)
+    _require_ring(coeff)
     # per (poset, up-set root): the face counts f_(-1)..f_(n-1) and one
     # integer Smith form per boundary matrix, shared by every ring
     cache = S._cache.setdefault("snf", {})
@@ -325,24 +352,13 @@ def reduced_betti(
         incidence = _incidence(S)  # checks d.d = 0, which the closed forms rest on
         n = S.n - (0 if root is None else S.element(root).rank)
         cofaces = S._cofaces()
-        covers = cofaces[root]
-        # each face two ranks up, once per cover below it
-        joins = [(e.id, c.id) for e in covers for c in cofaces[e.id]]
-        twos = {c for _, c in joins}
+        low, lower = _low_row(cofaces, root)
         higher = S.above(root)[3:] if n > 2 else ()  # none at codimension <= 2
-        f = [1, len(covers), len(twos), *map(len, higher)][:n + 1]
+        f = [1, len(cofaces[root]), len(lower), *map(len, higher)][:n + 1]
         f += [0] * (n + 1 - len(f))
-        # The augmentation row has rank 1 once the root has a cover.  A face
-        # two ranks up lies over two covers (its interval from the root is
-        # Boolean), so by d.d = 0 the next matrix is a graph's incidence up
-        # to unit row signs: rank V - c over every ring, all factors 1.  The
-        # joins link each such face to its two covers and keep c components.
-        ranks = [1] if covers else []
-        if twos:
-            ranks.append(len(covers) - _components(len(covers) + len(twos), joins))
-        snfs = [SnfResult((1,) * r) for r in ranks]
+        # the two lowest ranks back from the graph's: 1 - b~_(-1) and E - b~_1
+        snfs = [SnfResult((1,) * r) for r in (1 - low[0], len(lower) - low[2])][:n]
         # each higher matrix as the columns of its faces on the rank below
-        lower = twos
         for level in higher:
             snfs.append(_unit_smith_form(
                 [{fid: s for fid, s in incidence[e.id] if fid in lower} for e in level]))
@@ -358,3 +374,28 @@ def reduced_betti(
         torsion = tuple(tuple(d for d in snf.factors if d > 1) for snf in snfs)
         torsion += ((),) * (len(f) - len(snfs))
     return BettiVector(coeff, reduced, torsion)
+
+
+def _link_table(S: SimplicialPoset, coeff: Coefficients) -> tuple[tuple, ...]:
+    """The link homology of every face in (rank, id) order, built once per
+    (poset, ring) and kept on the poset: one row (id, rank, reduced,
+    torsion) per face, as ``reduced_betti(S, coeff, root=id)`` gives them
+    for its link in degrees -1..n-1-rank.  After the one d.d = 0 check, a
+    face of codimension <= 2 reads its row off the cover map in closed
+    form; only a deeper face calls ``reduced_betti``."""
+    _require_poset(S)
+    _require_ring(coeff)
+    table = S._cache.get(("links", coeff))
+    if table is None:
+        _incidence(S)  # checks d.d = 0 before any row is read
+        cofaces, n, over_z, rows = S._cofaces(), S.n, coeff == INTEGERS, []
+        for e in S:
+            r = e.rank
+            if n - r > 2:
+                lk = reduced_betti(S, coeff, root=e.id)
+                rows.append((e.id, r, lk.reduced, lk.torsion))
+            else:
+                reduced = _low_row(cofaces, e.id)[0][:n - r + 1]
+                rows.append((e.id, r, reduced, ((),) * len(reduced) if over_z else ()))
+        table = S._cache["links", coeff] = tuple(rows)
+    return table

@@ -17,6 +17,7 @@ from typing import Iterable, Mapping
 from .errors import (
     DanglingFaceRef,
     EmptyInput,
+    InvalidArgument,
     NonBooleanInterval,
     PosetValidationError,
     RankMismatch,
@@ -333,18 +334,21 @@ def _components(nodes: int, edges) -> int:
     # the components of a graph on this many nodes, by union-find over its
     # edges as node pairs; a root has no parent entry, a find halves its path
     parent: dict = {}
-
-    def find(v):
-        while v in parent:
-            parent[v] = v = parent.get(parent[v], parent[v])
-        return v
-
     for a, b in edges:
-        a, b = find(a), find(b)
+        while a in parent:
+            parent[a] = a = parent.get(parent[a], parent[a])
+        while b in parent:
+            parent[b] = b = parent.get(parent[b], parent[b])
         if a != b:
             parent[a] = b
             nodes -= 1
     return nodes
+
+
+def _require_poset(S) -> None:
+    # the one type guard of a poset argument, ahead of any read of it
+    if not isinstance(S, SimplicialPoset):
+        raise InvalidArgument(f"{S!r} is not a SimplicialPoset")
 
 
 def validate_stats(S: SimplicialPoset) -> PosetStats:
@@ -354,6 +358,7 @@ def validate_stats(S: SimplicialPoset) -> PosetStats:
     to its facets), which matches connectivity of the realization.
     Computed once per poset and kept on it.
     """
+    _require_poset(S)
     cached = S._cache.get("stats")
     if cached is not None:
         return cached

@@ -36,7 +36,7 @@ from .errors import (
     SposetError,
 )
 from .facevec import f_h_vectors, ft_vector, h_prime_double
-from .homology import Coefficients, RATIONALS, reduced_betti
+from .homology import Coefficients, RATIONALS, _require_ring, reduced_betti
 from .poset import SimplicialPoset
 
 CONE = "cone"
@@ -139,6 +139,7 @@ def make_problem(
     """
     if not isinstance(n, int) or isinstance(n, bool):
         raise InvalidArgument(f"torus rank n = {n!r} is not an integer")
+    _require_ring(coeff)
     if not coeff.is_field:
         raise NonFieldCoefficients("quotient rank tables need field coefficients")
 

@@ -8,6 +8,7 @@ import pytest
 
 import sposet
 from sposet import homology
+from sposet.classify import buchsbaum_witnesses
 from sposet.homology import (
     INTEGERS,
     RATIONALS,
@@ -191,12 +192,25 @@ def _cone(S, name):
 
 
 def _assert_matches_dense_route(S):
-    # every up-set of S, the whole poset included, over all four rings
-    for root in (None, *(e.id for e in S.elements())):
-        for coeff in ALL_COEFFS:
+    # every up-set of S, the whole poset included, over all four rings:
+    # through the link table, whose rows of codimension <= 2 never reach
+    # reduced_betti, and through reduced_betti; and the Buchsbaum witnesses
+    # at three ranks against those read off the dense rows
+    for coeff in ALL_COEFFS:
+        table = homology._link_table(S, coeff)
+        dense = {root: dense_betti(S, coeff, root) for root in (None, *(e.id for e in S))}
+        assert table == tuple((e.id, e.rank, *dense[e.id]) for e in S), (S.name, coeff.label)
+        for root, want in dense.items():
             bv = reduced_betti(S, coeff, root=root)
-            assert (bv.reduced, bv.torsion) == dense_betti(S, coeff, root), (
-                S.name, root, coeff.label)
+            assert (bv.reduced, bv.torsion) == want, (S.name, root, coeff.label)
+        for n in (S.n - 1, S.n, S.n + 1):
+            want = []
+            for e in S:
+                reduced, torsion = dense[e.id]
+                for deg, b in enumerate(reduced, start=-1):
+                    if deg != n - 1 - e.rank and (b or torsion and torsion[deg + 1]):
+                        want.append((e.id, deg, b))
+            assert buchsbaum_witnesses(S, coeff, n) == tuple(want), (S.name, n, coeff.label)
 
 
 class TestAgainstDenseRoute:
@@ -206,6 +220,8 @@ class TestAgainstDenseRoute:
         posets = [corpus(name) for name in corpus_names()] + [
             barycentric(corpus("torus7")),
             _cone(corpus("rp2_6"), "cone(rp2_6)"),
+            # n = 5: its vertices and edges take the kernel route
+            from_facets(_tetrahedron_boundary("abcdef"), name="boundary_simplex(5)"),
         ]
         for S in posets:
             _assert_matches_dense_route(S)
@@ -287,6 +303,20 @@ class TestClosedForm:
         assert lk.reduced == (0, 0, 0, 0) and lk.torsion_in(1) == (2,)
         _assert_matches_dense_route(S)
 
+    def test_link_table_reads_only_deeper_faces_through_reduced_betti(self, monkeypatch):
+        roots = []
+        real = homology.reduced_betti
+
+        def recording(S, coeff, root=None):
+            roots.append(root)
+            return real(S, coeff, root=root)
+
+        monkeypatch.setattr(homology, "reduced_betti", recording)
+        # n = 5: the vertices and edges lie three ranks down or more
+        S = from_facets(_tetrahedron_boundary("abcdef"))
+        homology._link_table(S, RATIONALS)
+        assert roots == [e.id for e in S if e.rank <= 2]
+
 
 class TestInternalErrors:
     def test_corrupted_complex_raises(self):
@@ -311,6 +341,7 @@ class TestInternalErrors:
 UNDER_O = """
 import sys
 from sposet import homology
+from sposet.classify import buchsbaum_witnesses, classify
 from sposet.errors import InternalError
 from sposet.corpus import corpus
 from sposet.homology import INTEGERS, RATIONALS, reduced_betti, smith_normal_form
@@ -339,9 +370,16 @@ def bad_link(root):
     # the first complex asked of the poset is the link homology of root
     reduced_betti(misordered(), RATIONALS, root=root)
 
+def bad_table(read):
+    # the first complex asked of the poset is the link table, where every
+    # face of the triangle has codimension <= 2 and reads a closed form
+    read(misordered(), RATIONALS)
+
 ROOTS = ("a", "b", "c", "ab", "ac", "bc", "abc")
 cases = [("bad_factors", bad_factors), ("bad_core", bad_core)] + [
-    (f"bad_link({root})", lambda root=root: bad_link(root)) for root in (None, *ROOTS)]
+    (f"bad_link({root})", lambda root=root: bad_link(root)) for root in (None, *ROOTS)] + [
+    (f"bad_link({read.__name__})", lambda read=read: bad_table(read))
+    for read in (classify, buchsbaum_witnesses)]
 missed = 0
 for name, case in cases:
     try:

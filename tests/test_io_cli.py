@@ -6,6 +6,7 @@ from click.testing import CliRunner
 from sposet import io as io_mod
 from sposet.charfn import CharFunction, random_q_charfn
 from sposet.charfn import check as charfn_check
+from sposet.classify import classify
 from sposet.cli import cli, main
 from sposet.corpus import corpus, corpus_entry, corpus_names
 from sposet.errors import (
@@ -19,6 +20,7 @@ from sposet.errors import (
     UnknownName,
     WrongVectorLength,
 )
+from sposet.facevec import face_vector_report, h_prime_double, identity_report
 from sposet.homology import RATIONALS, Coefficients, prime_field, reduced_betti
 from sposet.poset import SimplexElem, from_face_lattice, from_facets, validate_stats
 from sposet.spectral import CONE, QuotientProblem, make_problem
@@ -393,6 +395,17 @@ BAD_LIBRARY_CALLS = {
                              charfn=CharFunction(4, TORUS7_LAMBDA4)),
         InvalidCharFn,
     ),
+    # a ring given by its label, or no poset, where a value of the type is due
+    "betti_ring_str": (lambda: reduced_betti(corpus("torus7"), "q"), InvalidArgument),
+    "betti_poset_list": (lambda: reduced_betti([], RATIONALS), InvalidArgument),
+    "classify_ring_str": (lambda: classify(corpus("torus7"), "q"), InvalidArgument),
+    "classify_poset_none": (lambda: classify(None, RATIONALS), InvalidArgument),
+    "face_vectors_ring_str": (
+        lambda: face_vector_report(corpus("torus7"), "q"), InvalidArgument),
+    "identities_ring_str": (lambda: identity_report(corpus("torus7"), "q"), InvalidArgument),
+    "h_prime_ring_str": (lambda: h_prime_double(corpus("torus7"), "q"), InvalidArgument),
+    "problem_ring_str": (lambda: make_problem(CONE, corpus("torus7"), 3, "q"), InvalidArgument),
+    "problem_poset_none": (lambda: make_problem(CONE, None, 3, RATIONALS), InvalidArgument),
 }
 
 

@@ -9,8 +9,9 @@ import pytest
 
 import sposet
 from sposet import charfn as charfn_mod
+from sposet import cli as cli_mod
 from sposet import facevec as facevec_mod
-from sposet import homology
+from sposet import homology, spectral
 from sposet.charfn import CharFunction, random_q_charfn
 from sposet.classify import buchsbaum_witnesses
 from sposet.errors import (
@@ -24,7 +25,7 @@ from sposet.corpus import corpus
 from sposet.facevec import f_h_vectors, ft_vector, h_prime_double, identity_report
 from sposet.homology import INTEGERS, RATIONALS, prime_field, reduced_betti
 from sposet.cli import main
-from sposet.io import dumps_canonical, emit_poset
+from sposet.io import dumps_canonical, emit_charfn, emit_poset
 from sposet.poset import SimplicialPoset, barycentric, from_facets
 from sposet.spectral import (
     CONE,
@@ -495,6 +496,47 @@ class TestComputeOnce:
         assert '"euler_conserved":true' in capsys.readouterr().out
         assert len(checks) == 1
         assert walks == Counter([None])
+
+    def test_lambda_report_builds_link_table_and_ft_once(self, monkeypatch, capsys, tmp_path):
+        # a cone report with λ solves three times (its own, and verify's
+        # re-solves without λ and with a random one); the link table is
+        # built once, each face's row read once, and ft summed once.  A
+        # second report on the same poset object does neither again.
+        S = corpus("torus7")
+        lam = tmp_path / "lam.json"
+        lam.write_text(dumps_canonical(emit_charfn(random_q_charfn(S, 3, seed=5, bound=5))))
+        rows, sums, solves = Counter(), [], []
+        real_row, real_table, real_solve = homology._low_row, facevec_mod._link_table, spectral.solve
+
+        def row(cofaces, root):
+            rows[root] += 1
+            return real_row(cofaces, root)
+
+        def table(S, coeff):
+            sums.append(coeff)
+            return real_table(S, coeff)
+
+        def solve_counted(prob):
+            solves.append(prob.charfn)
+            return real_solve(prob)
+
+        monkeypatch.setattr(homology, "_low_row", row)
+        monkeypatch.setattr(facevec_mod, "_link_table", table)
+        monkeypatch.setattr(spectral, "solve", solve_counted)
+        monkeypatch.setattr(cli_mod, "_load_poset", lambda corpus_name, path: S)
+        argv = ["quotient", "cone", "--corpus", "torus7", "--n", "3", "--field", "q",
+                "--charfn", str(lam), "--json"]
+        assert main(argv) == 0
+        assert '"lambda_independent":true' in capsys.readouterr().out
+        assert len(solves) == 3 and solves.count(None) == 1
+        # None is the whole poset, which relative_and_delta reads
+        assert rows == Counter([None, *(e.id for e in S.elements())])
+        assert sums == [RATIONALS]
+        for seen in (rows, sums, solves):
+            seen.clear()
+        assert main(argv) == 0
+        assert '"lambda_independent":true' in capsys.readouterr().out
+        assert len(solves) == 3 and not rows and not sums
 
     @pytest.mark.parametrize("build, expected", [
         (lambda: barycentric(barycentric(corpus("boundary_simplex(3)"))), 1),

@@ -148,6 +148,8 @@ def check(S: SimplicialPoset, lam: CharFunction, coeff: Coefficients) -> CharChe
     its invariant factors from one Smith form of its own, taken after the
     walk; for n >= 4 a first failure below rank n so takes two.
     """
+    if not isinstance(lam, CharFunction):
+        raise InvalidArgument(f"lam is a {type(lam).__name__}, not a CharFunction")
     if lam.n != S.n:
         raise WrongVectorLength(f"vectors of length {lam.n} on a poset of ambient rank {S.n}")
     # looked up in (rank, id) order, so the first missing vertex is the one named

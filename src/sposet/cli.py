@@ -1,26 +1,31 @@
 """Command line interface: every computation as a subcommand.
 
-Human output is plain deterministic text; ``--json`` switches to
-canonical machine-readable reports (sorted keys, fixed separators), so
-identical invocations are byte-identical.
+Each command builds one report dict.  ``--json`` prints it canonically
+(sorted keys, fixed separators), so identical invocations are
+byte-identical; without it the same entries print as ``key: value``
+lines.  The exit status comes from the report, not from the output
+form.  Every input document is read through ``_load``, which refuses
+one of the wrong kind.
 """
 from __future__ import annotations
 
 import functools
+import json
 import sys
 
 import click
+from click.core import ParameterSource
 
 from . import io as io_mod
 from . import spectral
-from .charfn import random_q_charfn
+from .charfn import CharFunction, random_q_charfn
 from .charfn import check as charfn_check
 from .classify import classify as classify_op
 from .corpus import corpus, corpus_names
 from .errors import SchemaViolation, SposetError
 from .facevec import face_vector_report, identity_report
 from .homology import parse_coefficients, reduced_betti
-from .poset import validate_stats
+from .poset import SimplicialPoset, validate_stats
 
 
 def _friendly(fn):
@@ -38,15 +43,52 @@ def _echo_json(payload) -> None:
     click.echo(io_mod.dumps_canonical(payload))
 
 
-def _load_poset(corpus_name, path):
+def _emit(title: str, report: dict, as_json: bool, failed: bool = False) -> None:
+    """Print a command's one report, as canonical JSON or as text.
+
+    The text is ``title``, then a ``key: value`` line per entry, with a
+    nested dict's entries one level deeper.  A report that records a
+    failure exits 1 in either form.
+    """
+    if as_json:
+        _echo_json(report)
+    else:
+        click.echo(title)
+        _print_entries(report, "  ")
+    if failed:
+        sys.exit(1)
+
+
+def _print_entries(entries: dict, indent: str) -> None:
+    for key, value in entries.items():
+        if isinstance(value, dict):
+            click.echo(f"{indent}{key}:")
+            _print_entries(value, indent + "  ")
+        else:
+            click.echo(f"{indent}{key}: {value if isinstance(value, str) else json.dumps(value)}")
+
+
+def _over(S: SimplicialPoset, ring, result) -> dict:
+    # a result's fields over one ring, led by the poset's name and the ring's label
+    fields = {key: value for key, value in vars(result).items() if key != "coeff"}
+    return {"name": S.name, "coeff": ring.label, **fields}
+
+
+def _load(path, expected_type: type, what: str):
+    """Parse the document at ``path``; refuse it unless it is an
+    ``expected_type`` and, for a problem bundle, of kind ``what``."""
+    obj = io_mod.parse_path(path)
+    if not isinstance(obj, expected_type) or (
+        isinstance(obj, spectral.QuotientProblem) and obj.kind != what
+    ):
+        raise SchemaViolation(f"{path} does not hold a {what} document")
+    return obj
+
+
+def _poset(corpus_name, path) -> SimplicialPoset:
     if (corpus_name is None) == (path is None):
         raise click.UsageError("give exactly one of --corpus NAME or a file path")
-    if corpus_name is not None:
-        return corpus(corpus_name)
-    obj = io_mod.parse_path(path)
-    if not hasattr(obj, "elements"):
-        raise SchemaViolation(f"{path} does not hold a poset document")
-    return obj
+    return corpus(corpus_name) if path is None else _load(path, SimplicialPoset, "poset")
 
 
 def _poset_args(fn):
@@ -73,24 +115,8 @@ def cli():
 @_friendly
 def stats(corpus_name, path, as_json):
     """Dimension, purity, connectivity and the f-vector."""
-    S = _load_poset(corpus_name, path)
-    st = validate_stats(S)
-    if as_json:
-        _echo_json(
-            {
-                "name": S.name,
-                "dim": st.dim,
-                "pure": st.pure,
-                "connected": st.connected,
-                "f": list(st.f),
-            }
-        )
-        return
-    click.echo(f"name:      {S.name or '(unnamed)'}")
-    click.echo(f"dim:       {st.dim}")
-    click.echo(f"pure:      {'yes' if st.pure else 'no'}")
-    click.echo(f"connected: {'yes' if st.connected else 'no'}")
-    click.echo(f"f:         {list(st.f)}")
+    S = _poset(corpus_name, path)
+    _emit("poset statistics", {"name": S.name, **vars(validate_stats(S))}, as_json)
 
 
 @cli.command()
@@ -102,24 +128,9 @@ def stats(corpus_name, path, as_json):
 @_friendly
 def homology(corpus_name, path, coeff, as_json):
     """Reduced Betti numbers, with torsion over the integers."""
-    S = _load_poset(corpus_name, path)
+    S = _poset(corpus_name, path)
     ring = parse_coefficients(coeff)
-    bv = reduced_betti(S, ring)
-    if as_json:
-        _echo_json(
-            {
-                "name": S.name,
-                "coeff": ring.label,
-                "reduced": list(bv.reduced),
-                "torsion": [list(t) for t in bv.torsion],
-            }
-        )
-        return
-    click.echo(f"reduced Betti numbers of {S.name or '(unnamed)'} over {ring}:")
-    for deg in bv.degrees():
-        tor = bv.torsion_in(deg)
-        extra = "" if not tor else "  torsion " + " + ".join(f"Z/{d}" for d in tor)
-        click.echo(f"  degree {deg:>2}: {bv.degree(deg)}{extra}")
+    _emit("reduced Betti numbers", _over(S, ring, reduced_betti(S, ring)), as_json)
 
 
 @cli.command()
@@ -129,32 +140,9 @@ def homology(corpus_name, path, coeff, as_json):
 @_friendly
 def fvec(corpus_name, path, field, as_json):
     """f, h, ft, h' and h'' vectors over a field."""
-    S = _load_poset(corpus_name, path)
+    S = _poset(corpus_name, path)
     ring = parse_coefficients(field)
-    rep = face_vector_report(S, ring)
-    if as_json:
-        _echo_json(
-            {
-                "name": S.name,
-                "coeff": ring.label,
-                "n": rep.n,
-                "f": list(rep.f),
-                "h": list(rep.h),
-                "ft": list(rep.ft),
-                "hprime": list(rep.hprime),
-                "hdoubleprime": list(rep.hdoubleprime),
-                "chi": rep.chi,
-                "chitilde": rep.chitilde,
-            }
-        )
-        return
-    click.echo(f"face vectors of {S.name or '(unnamed)'} over {ring} (n={rep.n}):")
-    for label, vec in (
-        ("f", rep.f), ("h", rep.h), ("ft", rep.ft),
-        ("h'", rep.hprime), ("h''", rep.hdoubleprime),
-    ):
-        click.echo(f"  {label:<4} {list(vec)}")
-    click.echo(f"  chi  {rep.chi}   chitilde {rep.chitilde}")
+    _emit("face vectors", _over(S, ring, face_vector_report(S, ring)), as_json)
 
 
 @cli.command(name="classify")
@@ -164,31 +152,9 @@ def fvec(corpus_name, path, field, as_json):
 @_friendly
 def classify_cmd(corpus_name, path, field, as_json):
     """Buchsbaum / Cohen-Macaulay / homology-manifold verdicts."""
-    S = _load_poset(corpus_name, path)
+    S = _poset(corpus_name, path)
     ring = parse_coefficients(field)
-    cls = classify_op(S, ring)
-    if as_json:
-        _echo_json(
-            {
-                "name": S.name,
-                "coeff": ring.label,
-                "buchsbaum": cls.buchsbaum,
-                "cohen_macaulay": cls.cohen_macaulay,
-                "homology_manifold": cls.homology_manifold,
-                "orientable_over_field": cls.orientable_over_field,
-                "witnesses": [list(w) for w in cls.witnesses],
-            }
-        )
-        return
-    yn = lambda b: "yes" if b else "no"
-    click.echo(f"classification of {S.name or '(unnamed)'} over {ring}:")
-    click.echo(f"  buchsbaum:          {yn(cls.buchsbaum)}")
-    click.echo(f"  cohen-macaulay:     {yn(cls.cohen_macaulay)}")
-    click.echo(f"  homology manifold:  {yn(cls.homology_manifold)}")
-    click.echo(f"  orientable (field): {yn(cls.orientable_over_field)}")
-    for eid, deg, val in cls.witnesses:
-        where = eid if eid is not None else "(the poset itself)"
-        click.echo(f"  witness: {where} degree {deg} has rank {val}")
+    _emit("classification", _over(S, ring, classify_op(S, ring)), as_json)
 
 
 @cli.command()
@@ -198,26 +164,12 @@ def classify_cmd(corpus_name, path, field, as_json):
 @_friendly
 def identities(corpus_name, path, field, as_json):
     """Run the face-vector identity suite over a field."""
-    S = _load_poset(corpus_name, path)
+    S = _poset(corpus_name, path)
     ring = parse_coefficients(field)
     rep = identity_report(S, ring)
-    if as_json:
-        _echo_json(
-            {
-                "name": S.name,
-                "coeff": ring.label,
-                "checks": rep.checks,
-                "skipped": rep.skipped,
-            }
-        )
-        return
-    click.echo(f"identity suite for {S.name or '(unnamed)'} over {ring}:")
-    for name, ok in sorted(rep.checks.items()):
-        click.echo(f"  {name:<28} {'pass' if ok else 'FAIL'}")
-    for name, reason in sorted(rep.skipped.items()):
-        click.echo(f"  {name:<28} skipped ({reason})")
-    if not rep.all_passed:
-        raise click.ClickException("identity suite failed")
+    report = {"name": S.name, "coeff": ring.label,
+              "checks": rep.checks, "skipped": rep.skipped}
+    _emit("face-vector identities", report, as_json, failed=not rep.all_passed)
 
 
 @cli.group()
@@ -233,31 +185,19 @@ def charfn():
 @_friendly
 def charfn_check_cmd(charfn_path, corpus_name, path, coeff, as_json):
     """Check an assignment against every simplex of a poset."""
-    S = _load_poset(corpus_name, path)
-    lam = io_mod.parse_path(charfn_path)
+    S = _poset(corpus_name, path)
+    lam = _load(charfn_path, CharFunction, "charfn")
     ring = parse_coefficients(coeff)
     rep = charfn_check(S, lam, ring)
-    if as_json:
-        _echo_json(
-            {
-                "coeff": ring.label,
-                "passed": rep.passed,
-                "verdicts": {eid: ok for eid, ok in rep.verdicts},
-                "first_failure": None
-                if rep.first_failure is None
-                else {
-                    "simplex": rep.first_failure[0],
-                    "invariant_factors": list(rep.first_failure[1]),
-                },
-            }
-        )
-    else:
-        click.echo(f"check over {ring}: {'PASS' if rep.passed else 'FAIL'}")
-        if rep.first_failure is not None:
-            eid, factors = rep.first_failure
-            click.echo(f"  first failure: {eid} invariant factors {list(factors)}")
-    if not rep.passed:
-        sys.exit(1)
+    bad = rep.first_failure
+    report = {
+        "coeff": ring.label,
+        "passed": rep.passed,
+        "verdicts": dict(rep.verdicts),
+        "first_failure": None if bad is None
+        else {"simplex": bad[0], "invariant_factors": bad[1]},
+    }
+    _emit("characteristic function check", report, as_json, failed=not rep.passed)
 
 
 @charfn.command(name="random")
@@ -268,7 +208,7 @@ def charfn_check_cmd(charfn_path, corpus_name, path, coeff, as_json):
 @_friendly
 def charfn_random_cmd(corpus_name, path, rank, seed, bound):
     """Sample a rational characteristic function (emits charfn-v1)."""
-    S = _load_poset(corpus_name, path)
+    S = _poset(corpus_name, path)
     lam = random_q_charfn(S, rank, seed=seed, bound=bound)
     _echo_json(io_mod.emit_charfn(lam))
 
@@ -339,18 +279,20 @@ def quotient():
 def _problem_from_cli(kind, corpus_name, path, rank, field, charfn_path,
                       betti_q, iota, orientable):
     if path is not None and corpus_name is None and rank is None:
-        prob = io_mod.parse_path(path)
-        if not isinstance(prob, spectral.QuotientProblem):
-            raise SchemaViolation(f"{path} does not hold a problem bundle")
-        if prob.kind != kind:
-            raise SchemaViolation(
-                f"{path} holds a {prob.kind} bundle, expected {kind}"
+        # a bundle holds the whole problem, so any other option would be lost
+        ctx = click.get_current_context()
+        given = ["/".join(p.opts + p.secondary_opts) for p in ctx.command.params
+                 if p.name not in ("path", "as_json")
+                 and ctx.get_parameter_source(p.name) is not ParameterSource.DEFAULT]
+        if given:
+            raise click.UsageError(
+                f"a bundle file holds its own field and data; drop {', '.join(given)}"
             )
-        return prob
-    S = _load_poset(corpus_name, path if corpus_name is None else None)
+        return _load(path, spectral.QuotientProblem, kind)
+    S = _poset(corpus_name, path)
     if rank is None:
         raise click.UsageError("--n is required unless a bundle file is given")
-    lam = io_mod.parse_path(charfn_path) if charfn_path else None
+    lam = _load(charfn_path, CharFunction, "charfn") if charfn_path else None
     if kind == spectral.MANIFOLD and (betti_q is None or iota is None):
         raise click.UsageError(
             "manifold problems need --betti-q and --iota (or a bundle file)"

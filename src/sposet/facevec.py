@@ -122,13 +122,15 @@ def face_vector_report(S: SimplicialPoset, coeff: Coefficients) -> FaceVectorRep
 def identity_report(S: SimplicialPoset, coeff: Coefficients) -> IdentityReport:
     """Exact verdicts for the identities tying f, h, ft and h'' together.
 
-    Unconditional checks: the face polynomial against link homology, the
-    h-from-ft expansion, the top h-number as the reduced Euler
-    characteristic, and the top h'-number as the top Betti number.
-    Dehn-Sommerville symmetry runs only on homology manifolds (its h''
-    half additionally needs top homology of rank one, i.e.
-    orientability over the field), and nonnegativity of h'' only on
-    Buchsbaum posets; anything gated off is reported as skipped.
+    Unconditional checks: the top h-number as the reduced Euler
+    characteristic, and the top h'-number as the top Betti number.  The
+    face polynomial against link homology, the h-from-ft expansion and
+    nonnegativity of h'' run only on Buchsbaum posets: ft counts top link
+    homology alone, so the first two need links concentrated in top
+    degree.  Dehn-Sommerville symmetry runs only on homology manifolds
+    (its h'' half additionally needs top homology of rank one, i.e.
+    orientability over the field); anything gated off is reported as
+    skipped.
     """
     rep = face_vector_report(S, coeff)
     n, f, h, ft = rep.n, rep.f, rep.h, rep.ft
@@ -136,25 +138,6 @@ def identity_report(S: SimplicialPoset, coeff: Coefficients) -> IdentityReport:
     bt = reduced_betti(S, coeff)
     checks: dict[str, bool] = {}
     skipped: dict[str, str] = {}
-
-    # face polynomial: f_S(t) = (1 - chi) + (-1)^n sum_k ft_k (-t-1)^(k+1)
-    checks["f_from_link_homology"] = all(
-        f[i]
-        == (1 - chi) * (i == 0)
-        + (-1) ** n * sum((-1) ** (k + 1) * comb(k + 1, i) * ft[k] for k in range(n))
-        for i in range(n + 1)
-    )
-
-    # h-polynomial: sum h_i t^i = (1-t)^n (1-chi) + sum_k ft_k (t-1)^(n-k-1)
-    checks["h_from_link_f"] = all(
-        h[i]
-        == (1 - chi) * (-1) ** i * comb(n, i)
-        + sum(
-            (-1) ** (n - k - i - 1) * comb(n - k - 1, i) * ft[k]
-            for k in range(n)
-        )
-        for i in range(n + 1)
-    )
 
     checks["h_top_is_euler"] = h[n] == (-1) ** (n - 1) * rep.chitilde
     checks["h_prime_top_is_betti"] = hp[n] == bt.degree(n - 1)
@@ -184,8 +167,26 @@ def identity_report(S: SimplicialPoset, coeff: Coefficients) -> IdentityReport:
 
     buchsbaum = cls.buchsbaum if cls is not None else not buchsbaum_witnesses(S, coeff)
     if buchsbaum:
+        # face polynomial: f_S(t) = (1 - chi) + (-1)^n sum_k ft_k (-t-1)^(k+1)
+        checks["f_from_link_homology"] = all(
+            f[i]
+            == (1 - chi) * (i == 0)
+            + (-1) ** n * sum((-1) ** (k + 1) * comb(k + 1, i) * ft[k] for k in range(n))
+            for i in range(n + 1)
+        )
+        # h-polynomial: sum h_i t^i = (1-t)^n (1-chi) + sum_k ft_k (t-1)^(n-k-1)
+        checks["h_from_link_f"] = all(
+            h[i]
+            == (1 - chi) * (-1) ** i * comb(n, i)
+            + sum(
+                (-1) ** (n - k - i - 1) * comb(n - k - 1, i) * ft[k]
+                for k in range(n)
+            )
+            for i in range(n + 1)
+        )
         checks["h_double_nonneg"] = all(x >= 0 for x in hpp)
     else:
-        skipped["h_double_nonneg"] = "not Buchsbaum over this field"
+        for key in ("f_from_link_homology", "h_from_link_f", "h_double_nonneg"):
+            skipped[key] = "not Buchsbaum over this field"
 
     return IdentityReport(checks=checks, skipped=skipped, report=rep)

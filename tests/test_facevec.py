@@ -15,7 +15,7 @@ from sposet.facevec import (
     identity_report,
 )
 from sposet.homology import INTEGERS, RATIONALS, prime_field, reduced_betti
-from sposet.poset import SimplexElem, barycentric, from_face_lattice
+from sposet.poset import SimplexElem, barycentric, from_face_lattice, from_facets
 
 from oracles import f_from_link_polynomial, h_from_f_polynomial, h_from_link_polynomial
 
@@ -169,6 +169,26 @@ class TestIdentityReport:
             rep = identity_report(S, RATIONALS)
             assert rep.checks.get("h_double_nonneg", True), name
             assert all(x >= 0 for x in rep.report.hdoubleprime), name
+
+
+    @pytest.mark.parametrize("facets", [
+        [("a", "b", "c"), ("a", "d", "e")],
+        [("a", "b", "c"), ("a", "b", "d"), ("a", "c", "d"), ("b", "c", "d"),
+         ("a", "e", "f"), ("a", "e", "g"), ("a", "f", "g"), ("e", "f", "g")],
+    ], ids=["two_triangles", "two_tetrahedron_boundaries"])
+    def test_link_identities_skipped_off_buchsbaum(self, facets):
+        # pure, but wedged at "a", whose link has two components: ft counts
+        # top link homology alone, so both link identities miss its H~_0
+        S = from_facets(facets)
+        for coeff in (RATIONALS, prime_field(2)):
+            rep = identity_report(S, coeff)
+            n, ft, chi = S.n, rep.report.ft, rep.report.chi
+            assert rep.report.f != f_from_link_polynomial(ft, n, chi)
+            assert rep.report.h != h_from_link_polynomial(ft, n, chi)
+            for key in ("f_from_link_homology", "h_from_link_f", "h_double_nonneg"):
+                assert key not in rep.checks
+                assert rep.skipped[key] == "not Buchsbaum over this field"
+            assert rep.all_passed, (coeff.label, rep.checks)
 
 
 class TestReportAssembly:

@@ -1,5 +1,6 @@
 """Golden digests of quotient reports, characteristic-function output and
-the per-poset JSON reports (stats, homology, fvec, classify, identities).
+the per-poset JSON reports (stats, homology, fvec, classify, identities),
+and a check that each per-poset text report shows every JSON value.
 
 Each case runs one ``sposet`` command and compares the sha256 of its stdout with a digest recorded from a
 known-good build, so any change to a table, a check, a skip reason, a
@@ -192,7 +193,7 @@ POSET_CASES = {
 }
 
 
-def _run(argv, tmp_path, capsys):
+def _output(argv, tmp_path, capsys):
     lam = tmp_path / "lambda.json"
     lam.write_text(json.dumps(TORUS7_LAMBDA))
     bundle = tmp_path / "bundle.json"
@@ -201,7 +202,12 @@ def _run(argv, tmp_path, capsys):
     )
     argv = [a.format(**{"lambda": lam, "bundle": bundle}) for a in argv]
     code = main(argv)
-    return code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    return code, capsys.readouterr().out
+
+
+def _run(argv, tmp_path, capsys):
+    code, out = _output(argv, tmp_path, capsys)
+    return code, hashlib.sha256(out.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -220,3 +226,32 @@ def test_charfn_digest(case, tmp_path, capsys):
 def test_poset_report_digest(case, tmp_path, capsys):
     argv, digest = POSET_CASES[case]
     assert _run(argv, tmp_path, capsys) == (0, digest)
+
+
+def _leaves(value):
+    # every key and scalar of a JSON value
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield key
+            yield from _leaves(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+# every per-poset report: the six commands' golden --json cases
+PER_POSET_CASES = {**{case: argv for case, (argv, _) in POSET_CASES.items()},
+                   **{case: argv for case, (argv, _, _) in CHARFN_CASES.items()
+                      if argv[:2] == ["charfn", "check"]}}
+
+
+@pytest.mark.parametrize("case", sorted(PER_POSET_CASES))
+def test_text_report_shows_every_json_leaf(case, tmp_path, capsys):
+    argv = PER_POSET_CASES[case]
+    json_code, out = _output(argv, tmp_path, capsys)
+    text_code, text = _output([a for a in argv if a != "--json"], tmp_path, capsys)
+    assert text_code == json_code
+    for leaf in _leaves(json.loads(out)):
+        assert (leaf if isinstance(leaf, str) else json.dumps(leaf)) in text, leaf

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 from click.testing import CliRunner
 
+from sposet import cli as cli_mod
 from sposet import io as io_mod
 from sposet.charfn import CharFunction, random_q_charfn
 from sposet.charfn import check as charfn_check
@@ -132,22 +134,23 @@ class TestCli:
     def test_stats(self):
         res = runner.invoke(cli, ["stats", "--corpus", "torus7"])
         assert res.exit_code == 0
-        assert "f:         [1, 7, 21, 14]" in res.output
+        assert "f: [1, 7, 21, 14]" in res.output
 
     def test_classify_rp2_over_f2(self):
         res = runner.invoke(
             cli, ["classify", "--corpus", "rp2_6", "--field", "fp:2"]
         )
         assert res.exit_code == 0
-        assert "buchsbaum:          yes" in res.output
-        assert "cohen-macaulay:     no" in res.output
+        assert "buchsbaum: true" in res.output
+        assert "cohen_macaulay: false" in res.output
 
     def test_homology_integral(self):
         res = runner.invoke(
             cli, ["homology", "--corpus", "rp2_6", "--coeff", "z"]
         )
         assert res.exit_code == 0
-        assert "torsion Z/2" in res.output
+        # one list per degree from -1: Z/2 in degree 1
+        assert "torsion: [[], [], [2], []]" in res.output
 
     def test_fvec_json(self):
         res = runner.invoke(cli, ["fvec", "--corpus", "torus7", "--json"])
@@ -209,7 +212,7 @@ class TestCli:
             cli,
             ["charfn", "check", str(lam_path), "--corpus", "boundary_simplex(2)"],
         )
-        assert res.exit_code == 0 and "PASS" in res.output
+        assert res.exit_code == 0 and "passed: true" in res.output
 
         res = runner.invoke(
             cli,
@@ -406,6 +409,13 @@ BAD_LIBRARY_CALLS = {
     "h_prime_ring_str": (lambda: h_prime_double(corpus("torus7"), "q"), InvalidArgument),
     "problem_ring_str": (lambda: make_problem(CONE, corpus("torus7"), 3, "q"), InvalidArgument),
     "problem_poset_none": (lambda: make_problem(CONE, None, 3, RATIONALS), InvalidArgument),
+    # a poset where the characteristic function is due
+    "check_poset_as_lambda": (
+        lambda: charfn_check(corpus("torus7"), corpus("torus7"), RATIONALS), InvalidArgument),
+    "problem_poset_as_lambda": (
+        lambda: make_problem(CONE, corpus("torus7"), 3, RATIONALS, charfn=corpus("torus7")),
+        InvalidCharFn,
+    ),
 }
 
 
@@ -496,9 +506,18 @@ def test_wrong_rank_refusal_fits_one_line(n, capsys):
     assert len({w[0] for w in err.value.witnesses}) == 42
 
 
-# CLI input that once escaped as a Python traceback; {path} holds BAD_FORMAT_TAG
+# CLI input that once escaped as a Python traceback; {path} holds BAD_FORMAT_TAG,
+# {poset} a sposet-v1 document and {bundle} a manifold-v1 one
 BAD_FORMAT_TAG = {"format": ["sposet-v1"]}
 BAD_CLI_INPUTS = {
+    "check_poset_as_lambda": ["charfn", "check", "{poset}", "--corpus", "torus7"],
+    "check_bundle_as_lambda": ["charfn", "check", "{bundle}", "--corpus", "torus7"],
+    "cone_poset_as_lambda": [
+        "quotient", "cone", "--corpus", "torus7", "--n", "3", "--charfn", "{poset}",
+    ],
+    "cone_bundle_as_lambda": [
+        "quotient", "cone", "--corpus", "torus7", "--n", "3", "--charfn", "{bundle}",
+    ],
     "betti_q_not_int": [
         "quotient", "manifold", "--corpus", "torus7", "--n", "3",
         "--betti-q", "1,a,0,0", "--iota", "1,1,0,0",
@@ -511,12 +530,85 @@ BAD_CLI_INPUTS = {
 
 @pytest.mark.parametrize("case", sorted(BAD_CLI_INPUTS))
 def test_bad_cli_input_is_clean_error(case, tmp_path, capsys):
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps(BAD_FORMAT_TAG))
-    assert main([a.format(path=path) for a in BAD_CLI_INPUTS[case]]) != 0
+    files = {"path": BAD_FORMAT_TAG, "poset": io_mod.emit_poset(corpus("torus7")),
+             "bundle": solid_torus_bundle_doc()}
+    for key, doc in files.items():
+        files[key] = tmp_path / f"{key}.json"
+        files[key].write_text(json.dumps(doc))
+    assert main([a.format(**files) for a in BAD_CLI_INPUTS[case]]) != 0
     err = capsys.readouterr().err
     assert "Error:" in err
     assert "Traceback" not in err
+
+
+# a bundle holds the whole problem and a poset comes from one source, so
+# these mixes would drop input; each is a usage error
+DROPPED_INPUT = {
+    "corpus_and_file": (["quotient", "cone", "--corpus", "boundary_simplex(3)", "{poset}",
+                         "--n", "3"], "give exactly one of --corpus NAME or a file path"),
+    "bundle_field": (["quotient", "manifold", "{bundle}", "--field", "q"], "drop --field"),
+    "bundle_charfn": (["quotient", "manifold", "{bundle}", "--charfn", "{lam}"],
+                      "drop --charfn"),
+    "bundle_betti_q": (["quotient", "manifold", "{bundle}", "--betti-q", "1,1,0,0"],
+                       "drop --betti-q"),
+    "bundle_iota": (["quotient", "manifold", "{bundle}", "--iota", "9,9,9,9"], "drop --iota"),
+    "bundle_no_orientable": (["quotient", "manifold", "{bundle}", "--no-orientable"],
+                             "drop --orientable/--no-orientable"),
+    "cone_bundle_field": (["quotient", "cone", "{cone}", "--field", "fp:2", "--json"],
+                          "drop --field"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DROPPED_INPUT))
+def test_dropped_quotient_input_is_usage_error(case, tmp_path, capsys):
+    files = {"poset": io_mod.emit_poset(corpus("torus7")), "bundle": solid_torus_bundle_doc(),
+             "cone": {**solid_torus_bundle_doc(), "format": "cone-v1"},
+             "lam": _triangle_lambda([1, 0])}
+    for key, doc in files.items():
+        files[key] = tmp_path / f"{key}.json"
+        files[key].write_text(json.dumps(doc))
+    argv, message = DROPPED_INPUT[case]
+    assert main([a.format(**files) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def _failing_suite(S, ring):
+    rep = identity_report(S, ring)
+    return dataclasses.replace(rep, checks={**rep.checks, "h_top_is_euler": False})
+
+
+# (argv, exit code): a passing and a failing input per per-poset command;
+# {lam} holds a λ on boundary_simplex(2) that is valid over Q, not over Z,
+# and "identities_failing" runs a suite with one check forced false
+EXIT_CODES = {
+    "stats_ok": (["stats", "--corpus", "torus7"], 0),
+    "stats_lambda_file": (["stats", "{lam}"], 1),
+    "homology_ok": (["homology", "--corpus", "rp2_6", "--coeff", "z"], 0),
+    "homology_lambda_file": (["homology", "{lam}"], 1),
+    "fvec_ok": (["fvec", "--corpus", "torus7"], 0),
+    "fvec_integers": (["fvec", "--corpus", "torus7", "--field", "z"], 1),
+    "classify_ok": (["classify", "--corpus", "rp2_6", "--field", "fp:2"], 0),
+    "classify_lambda_file": (["classify", "{lam}"], 1),
+    "identities_ok": (["identities", "--corpus", "torus7"], 0),
+    "identities_failing": (["identities", "--corpus", "torus7"], 1),
+    "check_q": (["charfn", "check", "{lam}", "--corpus", "boundary_simplex(2)",
+                 "--coeff", "q"], 0),
+    "check_z": (["charfn", "check", "{lam}", "--corpus", "boundary_simplex(2)"], 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CODES))
+def test_exit_code_does_not_depend_on_json(case, tmp_path, capsys, monkeypatch):
+    if case == "identities_failing":
+        monkeypatch.setattr(cli_mod, "identity_report", _failing_suite)
+    lam = tmp_path / "lam.json"
+    lam.write_text(json.dumps(_triangle_lambda([2, 1])))
+    argv, code = EXIT_CODES[case]
+    argv = [a.format(lam=lam) for a in argv]
+    assert main(argv) == code
+    assert main([*argv, "--json"]) == code
 
 
 def test_unhashable_format_tag_is_unknown_format():

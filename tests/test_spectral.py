@@ -523,7 +523,7 @@ class TestComputeOnce:
         monkeypatch.setattr(homology, "_low_row", row)
         monkeypatch.setattr(facevec_mod, "_link_table", table)
         monkeypatch.setattr(spectral, "solve", solve_counted)
-        monkeypatch.setattr(cli_mod, "_load_poset", lambda corpus_name, path: S)
+        monkeypatch.setattr(cli_mod, "corpus", lambda name: S)
         argv = ["quotient", "cone", "--corpus", "torus7", "--n", "3", "--field", "q",
                 "--charfn", str(lam), "--json"]
         assert main(argv) == 0

@@ -35,8 +35,8 @@ from .errors import (
     NonPrimitiveVector,
     WrongVectorLength,
 )
-from .homology import Coefficients, RATIONALS, smith_normal_form
-from .poset import SimplicialPoset, is_name
+from .homology import Coefficients, RATIONALS, _require_ring, smith_normal_form
+from .poset import SimplicialPoset, _require_poset, is_name
 
 
 @dataclass(frozen=True)
@@ -148,6 +148,8 @@ def check(S: SimplicialPoset, lam: CharFunction, coeff: Coefficients) -> CharChe
     its invariant factors from one Smith form of its own, taken after the
     walk; for n >= 4 a first failure below rank n so takes two.
     """
+    _require_poset(S)
+    _require_ring(coeff)
     if not isinstance(lam, CharFunction):
         raise InvalidArgument(f"lam is a {type(lam).__name__}, not a CharFunction")
     if lam.n != S.n:
@@ -200,6 +202,7 @@ def random_q_charfn(
     name the simplex that failed first most often in BudgetExhausted;
     so the error costs about one more pass than the attempts themselves.
     """
+    _require_poset(S)
     for name, value in (("n", n), ("seed", seed), ("bound", bound), ("budget", budget)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise InvalidArgument(f"{name} = {value!r} is not an integer")

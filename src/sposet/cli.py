@@ -238,37 +238,7 @@ def _emit_report(prob, as_json: bool) -> None:
         "skipped": skipped,
         "notes": ver.notes,
     }
-    _echo_json(report) if as_json else _print_report(report)
-
-
-def _print_report(report: dict) -> None:
-    n = report["inputs"]["n"]
-    click.echo(
-        f"{report['inputs']['kind']} problem over "
-        f"{report['inputs']['poset'] or '(unnamed)'}, n={n}, "
-        f"field {report['inputs']['field']}"
-    )
-    for label in ("e1trunc", "ea1", "ea2", "eainf"):
-        cells = report["tables"][label]
-        click.echo(f"  page {label}:")
-        for key in sorted(cells):
-            p, q = key.split(",")
-            click.echo(f"    ({p:>2},{q:>3}) = {cells[key]}")
-    click.echo("  bigraded:")
-    for key in sorted(report["tables"]["bigraded"]):
-        i, j = key.split(",")
-        click.echo(f"    H[{i},{j}] = {report['tables']['bigraded'][key]}")
-    click.echo(f"  totals: {report['tables']['totals']}")
-    for name, ok in sorted(report["checks"].items()):
-        click.echo(f"  check {name:<26} {'pass' if ok else 'FAIL'}")
-    for name, reason in sorted(report["skipped"].items()):
-        click.echo(f"  check {name:<26} skipped ({reason})")
-    notes = report["notes"]
-    click.echo(
-        f"  note: chi(X) = {notes['chi_x']}, top face count = "
-        f"{notes['top_face_count']}"
-        + (" (equal)" if notes["chi_x_equals_top_face_count"] else "")
-    )
+    _emit("quotient report", report, as_json, failed=not all(checks.values()))
 
 
 @cli.group()

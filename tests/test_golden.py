@@ -1,6 +1,6 @@
 """Golden digests of quotient reports, characteristic-function output and
 the per-poset JSON reports (stats, homology, fvec, classify, identities),
-and a check that each per-poset text report shows every JSON value.
+and a check that each text report shows every JSON value.
 
 Each case runs one ``sposet`` command and compares the sha256 of its stdout with a digest recorded from a
 known-good build, so any change to a table, a check, a skip reason, a
@@ -37,51 +37,51 @@ SOLID_TORUS_BUNDLE = {
 CASES = {
     "cone_torus7_q": (
         ["quotient", "cone", "--corpus", "torus7", "--n", "3", "--field", "q", "--json"],
-        "b018baa21a80ad23b18250f4c21b82da94b3a45a5b8cc2044fa89ef422ec9654",
+        "98b53dca0d67500fb5032e7542d32751d7e0a76fb9cbfaf100f7fb77fca5cbfe",
     ),
     "cone_torus7_f2": (
         ["quotient", "cone", "--corpus", "torus7", "--n", "3", "--field", "fp:2", "--json"],
-        "46c71083eba3b38c6711b25f3ec3e25ee56f2c6bf502bf5aeb3445795bdfd586",
+        "f2e52beafdfa2dd6ee8c9ef003c7c24dc667e13f1e91b59784dad13946c14134",
     ),
     "cone_torus7_q_charfn": (
         ["quotient", "cone", "--corpus", "torus7", "--n", "3", "--field", "q",
          "--charfn", "{lambda}", "--json"],
-        "39c1aa6b492293b0315dd359f41a0f78b22f768f755a3585115b894c6a6e78c9",
+        "d04ce50e5cc6168f6d47a56bedae2434e84548414f78fa45a016a055294453d2",
     ),
     "cone_torus7_q_text": (
         ["quotient", "cone", "--corpus", "torus7", "--n", "3", "--field", "q"],
-        "82bda8e97bbf144030ea595b64c14400c9320270becdcf6be721cd0a35e0d410",
+        "3a17200e0458d5a901b9de9af5518aeead025661008e4e314ee72c07cf75fcff",
     ),
     "manifold_solid_torus_bundle": (
         ["quotient", "manifold", "{bundle}", "--json"],
-        "7c9721eb8be62cc059199ace78685f2d02592ce928a90a7c4b1190b13d79e93a",
+        "7fcefa78b50b7e577855df7847dec72572b82e752a299b3d2c15c5741c92392c",
     ),
     "manifold_torus7_f2": (
         ["quotient", "manifold", "--corpus", "torus7", "--n", "3", "--field", "fp:2",
          "--betti-q", "1,1,0,0", "--iota", "1,1,0,0", "--json"],
-        "80a5d39c8c516f439468e6d5c862a6c7457ecc3c55afb32ac5b6f42c079cda81",
+        "0d09e0aec4173b32d5e22747fe28014f6a9364407b6ba150a4c67e2ffa012fdb",
     ),
     "cone_boundary_simplex3_q": (
         ["quotient", "cone", "--corpus", "boundary_simplex(3)", "--n", "3", "--json"],
-        "532ed2b8c616e038fb7a186afb80673d1edb7dd9359275df0d6df5d81858f480",
+        "d57e0729df8cbcfe7f5b6f651943cb32ee9af5d514facc76032a12cd601c5de4",
     ),
     "cone_boundary_simplex4_f3": (
         ["quotient", "cone", "--corpus", "boundary_simplex(4)", "--n", "4",
          "--field", "fp:3", "--json"],
-        "f84a0e3108da5d12881eda7efb313d2781508a2f2af58009ba0404b61b4ea655",
+        "f0d0bec8c5caced00d4f3f8ff8e475ac462280e2f44d50c7769fdb772d40b13e",
     ),
     "manifold_ball_boundary_simplex3_q": (
         ["quotient", "manifold", "--corpus", "boundary_simplex(3)", "--n", "3",
          "--betti-q", "1,0,0,0", "--iota", "1,0,0,0", "--json"],
-        "492b15e8276e6ee2d15e4cf3a17b9f81e2ae263c7598b731fe3266022658e8e9",
+        "d2dd06aaba89579966b8b01c79f1ceb8a12f8f9ca99728c1582d56829c9cb8d0",
     ),
     "cone_rp2_q": (
         ["quotient", "cone", "--corpus", "rp2_6", "--n", "3", "--json"],
-        "4beb0743c4d3b03990dfd97c4fecc051145e7a7970b759b90a5b4ad64f45a2db",
+        "dd023776808fb8d9aa5ccdb2571c488999a4ce217259202cef31019f6a58b18f",
     ),
     "cone_rp2_f2": (
         ["quotient", "cone", "--corpus", "rp2_6", "--n", "3", "--field", "fp:2", "--json"],
-        "c225a7ca1d18c13847a547a8d243825f69e9af438f881c78f79c2df4d191687c",
+        "a46882cb2817df57936267a189d2d199bdcabe22e0750140796d0839bf4c7540",
     ),
 }
 
@@ -241,15 +241,17 @@ def _leaves(value):
         yield value
 
 
-# every per-poset report: the six commands' golden --json cases
-PER_POSET_CASES = {**{case: argv for case, (argv, _) in POSET_CASES.items()},
-                   **{case: argv for case, (argv, _, _) in CHARFN_CASES.items()
-                      if argv[:2] == ["charfn", "check"]}}
+# every report with a text form: the golden --json cases of the six
+# per-poset commands and of the quotient reports
+TEXT_CASES = {**{case: argv for case, (argv, _) in POSET_CASES.items()},
+              **{case: argv for case, (argv, _, _) in CHARFN_CASES.items()
+                 if argv[:2] == ["charfn", "check"]},
+              **{case: argv for case, (argv, _) in CASES.items() if "--json" in argv}}
 
 
-@pytest.mark.parametrize("case", sorted(PER_POSET_CASES))
+@pytest.mark.parametrize("case", sorted(TEXT_CASES))
 def test_text_report_shows_every_json_leaf(case, tmp_path, capsys):
-    argv = PER_POSET_CASES[case]
+    argv = TEXT_CASES[case]
     json_code, out = _output(argv, tmp_path, capsys)
     text_code, text = _output([a for a in argv if a != "--json"], tmp_path, capsys)
     assert text_code == json_code

@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from sposet import cli as cli_mod
 from sposet import io as io_mod
+from sposet import spectral
 from sposet.charfn import CharFunction, random_q_charfn
 from sposet.charfn import check as charfn_check
 from sposet.classify import classify
@@ -334,6 +335,8 @@ def test_mistyped_document_is_schema_violation(case, tmp_path, capsys):
 
 # primitive and valid over Q on every face of torus7, but of length 4, not 3
 TORUS7_LAMBDA4 = {f"v{i}": (1, i, i * i, i**3) for i in range(1, 8)}
+# valid over Q: any three rows of a Vandermonde matrix are independent
+TORUS7_CHARFN = CharFunction(3, {f"v{i}": (1, i, i * i) for i in range(1, 8)})
 
 # library calls with malformed arguments, and the SposetError each ends in
 BAD_LIBRARY_CALLS = {
@@ -412,6 +415,13 @@ BAD_LIBRARY_CALLS = {
     # a poset where the characteristic function is due
     "check_poset_as_lambda": (
         lambda: charfn_check(corpus("torus7"), corpus("torus7"), RATIONALS), InvalidArgument),
+    # the characteristic function's ring or poset of the wrong type
+    "check_ring_str": (lambda: charfn_check(corpus("torus7"), TORUS7_CHARFN, "q"),
+                       InvalidArgument),
+    "check_ring_none": (lambda: charfn_check(corpus("torus7"), TORUS7_CHARFN, None),
+                        InvalidArgument),
+    "check_poset_list": (lambda: charfn_check([], TORUS7_CHARFN, RATIONALS), InvalidArgument),
+    "random_poset_list": (lambda: random_q_charfn([], 2, 1, 3), InvalidArgument),
     "problem_poset_as_lambda": (
         lambda: make_problem(CONE, corpus("torus7"), 3, RATIONALS, charfn=corpus("torus7")),
         InvalidCharFn,
@@ -579,9 +589,14 @@ def _failing_suite(S, ring):
     return dataclasses.replace(rep, checks={**rep.checks, "h_top_is_euler": False})
 
 
-# (argv, exit code): a passing and a failing input per per-poset command;
-# {lam} holds a λ on boundary_simplex(2) that is valid over Q, not over Z,
-# and "identities_failing" runs a suite with one check forced false
+def _failing_verify(prob, tables, real=spectral.verify):
+    rep = real(prob, tables)
+    return dataclasses.replace(rep, checks={**rep.checks, "euler_conserved": False})
+
+
+# (argv, exit code): a passing and a failing input per command; {lam}
+# holds a λ on boundary_simplex(2) that is valid over Q, not over Z, and
+# each "_failing" case runs with one check of its report forced false
 EXIT_CODES = {
     "stats_ok": (["stats", "--corpus", "torus7"], 0),
     "stats_lambda_file": (["stats", "{lam}"], 1),
@@ -596,6 +611,8 @@ EXIT_CODES = {
     "check_q": (["charfn", "check", "{lam}", "--corpus", "boundary_simplex(2)",
                  "--coeff", "q"], 0),
     "check_z": (["charfn", "check", "{lam}", "--corpus", "boundary_simplex(2)"], 1),
+    "quotient_ok": (["quotient", "cone", "--corpus", "torus7", "--n", "3"], 0),
+    "quotient_failing": (["quotient", "cone", "--corpus", "torus7", "--n", "3"], 1),
 }
 
 
@@ -603,6 +620,8 @@ EXIT_CODES = {
 def test_exit_code_does_not_depend_on_json(case, tmp_path, capsys, monkeypatch):
     if case == "identities_failing":
         monkeypatch.setattr(cli_mod, "identity_report", _failing_suite)
+    if case == "quotient_failing":
+        monkeypatch.setattr(spectral, "verify", _failing_verify)
     lam = tmp_path / "lam.json"
     lam.write_text(json.dumps(_triangle_lambda([2, 1])))
     argv, code = EXIT_CODES[case]

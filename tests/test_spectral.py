@@ -352,9 +352,35 @@ class TestVerify:
         assert verify(*solved(cone_over(bd_triangle))).all_passed
 
     def test_lambda_independence(self, torus7):
+        # solve never reads λ, so a comparison across two could not fail:
+        # every report skips it, with λ or without
         lam = random_q_charfn(torus7, 3, seed=5, bound=5)
-        rep = verify(*solved(cone_over(torus7, lam=lam)))
-        assert rep.checks["lambda_independent"]
+        for prob in (cone_over(torus7, lam=lam), cone_over(torus7),
+                     solid_torus_problem(torus7)):
+            rep = verify(*solved(prob))
+            assert "lambda_independent" in rep.skipped
+            assert "lambda_independent" not in rep.checks
+            assert "lambda_independent_random" not in rep.skipped
+            assert rep.skipped["lambda_independent"].isascii()
+
+    @pytest.mark.parametrize("kind, label, cell, value, key", [
+        ("cone", "ea1", (0, 0), 2, "euler_conserved"),
+        ("cone", "eainf", (3, 1), 7, "pages_match_closed_forms"),
+        ("cone", "eainf", (1, 1), 5, "diagonal_is_h_double"),
+        ("cone", "eainf", (1, 1), -1, "diagonal_is_h_double"),
+        ("cone", "eainf", (1, 1), -1, "h_double_nonneg"),
+        ("solid_torus", "ea2", (2, 2), 5, "diagonal_is_h_prime"),
+        ("solid_torus", "bigraded", (1, 0), 2, "bigraded_duality"),
+    ])
+    def test_each_check_can_fail(self, torus7, kind, label, cell, value, key):
+        # one corrupted cell of a solved table turns its check false
+        prob = cone_over(torus7) if kind == "cone" else solid_torus_problem(torus7)
+        tables = solve(prob)
+        assert verify(prob, tables).checks[key]
+        table = getattr(tables, label)
+        assert table.rank(*cell) != value
+        corrupt = replace(table, cells={**table.cells, cell: value})
+        assert not verify(prob, replace(tables, **{label: corrupt})).checks[key]
 
     def test_euler_conserved_across_corpus_cones(self, corpus_posets):
         for S in corpus_posets.values():
@@ -498,10 +524,9 @@ class TestComputeOnce:
         assert walks == Counter([None])
 
     def test_lambda_report_builds_link_table_and_ft_once(self, monkeypatch, capsys, tmp_path):
-        # a cone report with λ solves three times (its own, and verify's
-        # re-solves without λ and with a random one); the link table is
-        # built once, each face's row read once, and ft summed once.  A
-        # second report on the same poset object does neither again.
+        # a cone report with λ solves once and draws no second λ; the link
+        # table is built once, each face's row read once, and ft summed
+        # once.  A second report on the same poset object does neither again.
         S = corpus("torus7")
         lam = tmp_path / "lam.json"
         lam.write_text(dumps_canonical(emit_charfn(random_q_charfn(S, 3, seed=5, bound=5))))
@@ -520,23 +545,27 @@ class TestComputeOnce:
             solves.append(prob.charfn)
             return real_solve(prob)
 
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a second λ drawn")
+
         monkeypatch.setattr(homology, "_low_row", row)
         monkeypatch.setattr(facevec_mod, "_link_table", table)
         monkeypatch.setattr(spectral, "solve", solve_counted)
+        monkeypatch.setattr(charfn_mod, "random_q_charfn", no_draw)
         monkeypatch.setattr(cli_mod, "corpus", lambda name: S)
         argv = ["quotient", "cone", "--corpus", "torus7", "--n", "3", "--field", "q",
                 "--charfn", str(lam), "--json"]
         assert main(argv) == 0
-        assert '"lambda_independent":true' in capsys.readouterr().out
-        assert len(solves) == 3 and solves.count(None) == 1
+        assert '"lambda_independent":"the rank' in capsys.readouterr().out
+        assert len(solves) == 1 and solves[0] is not None
         # None is the whole poset, which relative_and_delta reads
         assert rows == Counter([None, *(e.id for e in S.elements())])
         assert sums == [RATIONALS]
         for seen in (rows, sums, solves):
             seen.clear()
         assert main(argv) == 0
-        assert '"lambda_independent":true' in capsys.readouterr().out
-        assert len(solves) == 3 and not rows and not sums
+        assert '"lambda_independent":"the rank' in capsys.readouterr().out
+        assert len(solves) == 1 and not rows and not sums
 
     @pytest.mark.parametrize("build, expected", [
         (lambda: barycentric(barycentric(corpus("boundary_simplex(3)"))), 1),

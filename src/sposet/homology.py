@@ -14,19 +14,27 @@ Each poset keeps one signed incidence, checked for d.d = 0 once.  The two
 lowest boundary matrices of an up-set, of the whole poset or of the faces
 above a root, are closed forms: the augmentation row, and a graph's
 incidence up to unit row signs whose rank V - c comes from union-find on
-the covers and their covers.  Every higher matrix is taken from the
-incidence as sparse columns and eliminated by unit pivots; only the
-leftover core, which holds all torsion, goes to the dense Smith form.  The
-integer Smith forms are kept per up-set root, and Q and F_p ranks are read
-off them.  The link rows of all faces form one table per (poset, ring),
-built in one sweep: a face of codimension <= 2 reads its row in closed
-form from the covers and their covers, a deeper one through its up-set.
+the covers.  Every higher matrix is taken from the incidence as sparse
+columns and eliminated by unit pivots through a pivot map, each column
+reduced against the pivots found before it; only the leftover core, which
+holds all torsion, goes to the dense Smith form.  An up-set's levels are
+eliminated from the top down with clearing (Chen and Kerber, EuroCG
+2011): a unit pivot row of the matrix above is no column of its own
+level's matrix.  That is exact over Z: the pivot columns are
+unitriangular on their rows, so modulo boundaries each cleared face is an
+integer combination of the faces left, and by d.d = 0 its column is one
+of theirs.  The integer Smith forms are kept per up-set root, and Q and
+F_p ranks are read off them.  The link rows of all faces form one table
+per (poset, ring), built in one sweep: a face of codimension <= 2 reads
+its row in closed form from the covers and their covers, a deeper one off
+its up-set's Smith forms.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from itertools import cycle
-from typing import Sequence
+from typing import KeysView, Sequence
 
 from .errors import InternalError, InvalidArgument, SposetError
 from .poset import SimplicialPoset, _components, _require_poset
@@ -256,54 +264,65 @@ class BettiVector:
         return range(-1, len(self.reduced) - 1)
 
 
-def _unit_smith_form(columns: list[dict]) -> SnfResult:
-    """Smith form of the integer matrix with these columns (row id -> nonzero entry).
+def _unit_smith_form(columns: list[dict]) -> tuple[SnfResult, KeysView]:
+    """Smith form of the integer matrix with these columns (row id -> nonzero
+    entry), and its unit pivot rows in the order found.
 
-    Each column in turn that holds an entry +-1 gives a pivot: column
-    operations clear its row from every other column, so the row
-    operations clearing its column change nothing else, and the pivot's
-    row and column are dropped as one unit invariant factor (Dumas,
-    Saunders and Villard, JSC 2001).  The columns that held no unit in
-    their turn go, if any is nonzero, to the dense ``smith_normal_form``:
-    torsion always ends there.  The column dicts are reduced in place.
+    Each column in turn is reduced against the pivots found so far, a map
+    from row to (order found, column, entry +-1); if it then holds a +-1,
+    it becomes that row's pivot and one unit invariant factor (Dumas,
+    Saunders and Villard, JSC 2001).  The pivot columns are unitriangular
+    on their rows.  The other columns are reduced once more at the end,
+    and those still nonzero go to the dense ``smith_normal_form``, whose
+    pivots are not reported: torsion always ends there.  The column dicts
+    are reduced in place.
     """
-    cols = dict(enumerate(columns))
-    rows: dict = {}  # row id -> the columns with an entry there
-    for j, col in cols.items():
-        for r in col:
-            rows.setdefault(r, set()).add(j)
-    units = 0
-    for j in range(len(columns)):
-        col = cols[j]
+    pivots: dict = {}
+    left = []
+    for col in columns:
+        _reduce(col, pivots)
         # the first unit; the row id None is the augmentation's minimal
         # element, so no row id can mark "none found"
         for r, v in col.items():
             if v == 1 or v == -1:
+                del col[r]
+                pivots[r] = (len(pivots), col, v)
                 break
         else:
-            continue
-        del cols[j], col[r]
-        for i in col:
-            rows[i].discard(j)
-        for k in rows.pop(r) - {j}:
-            other = cols[k]
-            q = other.pop(r) * v
-            for i, u in col.items():
-                # q * u is nonzero, so a zero sum cancels an entry of other
-                w = other.get(i, 0) - q * u
-                if w:
-                    other[i] = w
-                    rows[i].add(k)
-                else:
-                    del other[i]
-                    rows[i].discard(k)
-        units += 1
-    left = [col for col in cols.values() if col]
+            if col:
+                left.append(col)
+    for col in left:
+        _reduce(col, pivots)
+    left = [col for col in left if col]
     core = SnfResult(())
     if left:
         index = dict.fromkeys(r for col in left for r in col)
         core = smith_normal_form([[col.get(r, 0) for r in index] for col in left])
-    return SnfResult((1,) * units + core.factors)
+    return SnfResult((1,) * len(pivots) + core.factors), pivots.keys()
+
+
+def _reduce(col: dict, pivots: dict) -> None:
+    # Clears col at every pivot row by integer column operations, taking
+    # the pivots in the order found: a pivot's column is zero at the rows
+    # of those found before it, so a cleared row never comes back.
+    hits = [(pivots[r][0], r) for r in col if r in pivots]
+    heapify(hits)
+    while hits:
+        r = heappop(hits)[1]
+        v = col.pop(r, 0)
+        if not v:
+            continue  # cancelled since it was queued
+        _, pivot_col, s = pivots[r]
+        q = v * s
+        for i, u in pivot_col.items():
+            # q * u is nonzero, so a zero sum cancels an entry of col
+            w = col.get(i, 0) - q * u
+            if not w:
+                del col[i]
+            else:
+                if i not in col and i in pivots:
+                    heappush(hits, (pivots[i][0], i))
+                col[i] = w
 
 
 def _require_ring(coeff) -> None:
@@ -315,18 +334,74 @@ def _require_ring(coeff) -> None:
 def _low_row(cofaces, root):
     # The closed form of an up-set's two lowest levels: the reduced Betti
     # numbers of the graph on the root's V covers whose E edges are the
-    # faces two ranks up, and those faces.  Each lies over two covers (its
-    # interval from the root is Boolean), so by d.d = 0 the second matrix is
-    # the graph's incidence up to unit row signs, all factors 1 over every
-    # ring: no covers give (1, 0, 0), else (0, c - 1, E - V + c) for its c
-    # components, which the joins of each edge to its covers keep.
+    # faces two ranks up, and those faces in the cover map's order.  Each
+    # lies over two covers (its interval from the root is Boolean), so by
+    # d.d = 0 the second matrix is the graph's incidence up to unit row
+    # signs, all factors 1 over every ring: no covers give (1, 0, 0), else
+    # (0, c - 1, E - V + c) for its c components, found by union-find over
+    # the covers, each face two ranks up joining the two it lies over.
     covers = cofaces[root]
-    joins = [(e.id, c.id) for e in covers for c in cofaces[e.id]]
-    twos = {c for _, c in joins}
     if not covers:
-        return (1, 0, 0), twos
-    c = _components(len(covers) + len(twos), joins)
+        return (1, 0, 0), {}
+    twos, joins = {}, []  # twos: each face two ranks up -> the first cover under it
+    for e in covers:
+        eid = e.id
+        for c in cofaces[eid]:
+            first = twos.setdefault(c.id, eid)
+            if first != eid:
+                joins.append((first, eid))
+    c = _components(len(covers), joins)
     return (0, c - 1, len(twos) - len(covers) + c), twos
+
+
+def _walk_up(cofaces, level: dict) -> list[dict]:
+    # this level and every nonempty one above it, each as ids in the order
+    # the cover map meets them, so no pivot choice depends on str hashing
+    levels = []
+    while level:
+        levels.append(level)
+        level = {c.id: None for fid in level for c in cofaces[fid]}
+    return levels
+
+
+def _up_set_forms(S: SimplicialPoset, root: str | None):
+    # The face counts f_(-1)..f_(n-1) of the faces >= root and one integer
+    # Smith form per boundary matrix, shared by every ring: two closed
+    # forms, then the higher matrices from the top level down, each without
+    # the faces that are unit pivot rows of the one above (clearing).
+    incidence = _incidence(S)  # checks d.d = 0, which all of this rests on
+    n = S.n - (0 if root is None else S.element(root).rank)
+    cofaces = S._cofaces()
+    low, twos = _low_row(cofaces, root)
+    levels = _walk_up(cofaces, twos)
+    f = [1, len(cofaces[root]), *map(len, levels)][:n + 1]
+    f += [0] * (n + 1 - len(f))
+    higher, cleared = [], {}
+    for lower, level in reversed(list(zip(levels, levels[1:]))):
+        snf, cleared = _unit_smith_form(
+            [{fid: s for fid, s in incidence[eid] if fid in lower}
+             for eid in level if eid not in cleared])
+        higher.append(snf)
+    # the two lowest ranks back from the graph's: 1 - b~_(-1) and E - b~_1
+    lowest = [SnfResult((1,) * r) for r in (1 - low[0], len(twos) - low[2])][:n]
+    return f, (*lowest, *reversed(higher))
+
+
+def _link_row(S: SimplicialPoset, coeff: Coefficients, root: str | None):
+    # the reduced Betti numbers and torsion of root's link (of the whole
+    # poset for None), read off the Smith forms its up-set keeps on S
+    cache = S._cache.setdefault("snf", {})
+    if root not in cache:
+        cache[root] = _up_set_forms(S, root)
+    f, snfs = cache[root]
+    # rank[i] is the rank of D_(i-1) : C_(i-1) -> C_(i-2), zero off the complex
+    rank = [0, *(snf.rank_over(coeff) for snf in snfs)] + [0] * (len(f) - len(snfs))
+    reduced = tuple(f[i] - rank[i] - rank[i + 1] for i in range(len(f)))
+    torsion: tuple[tuple[int, ...], ...] = ()
+    if coeff == INTEGERS:
+        torsion = tuple(tuple(d for d in snf.factors if d > 1) for snf in snfs)
+        torsion += ((),) * (len(f) - len(snfs))
+    return reduced, torsion
 
 
 def reduced_betti(
@@ -345,35 +420,7 @@ def reduced_betti(
     """
     _require_poset(S)
     _require_ring(coeff)
-    # per (poset, up-set root): the face counts f_(-1)..f_(n-1) and one
-    # integer Smith form per boundary matrix, shared by every ring
-    cache = S._cache.setdefault("snf", {})
-    if root not in cache:
-        incidence = _incidence(S)  # checks d.d = 0, which the closed forms rest on
-        n = S.n - (0 if root is None else S.element(root).rank)
-        cofaces = S._cofaces()
-        low, lower = _low_row(cofaces, root)
-        higher = S.above(root)[3:] if n > 2 else ()  # none at codimension <= 2
-        f = [1, len(cofaces[root]), len(lower), *map(len, higher)][:n + 1]
-        f += [0] * (n + 1 - len(f))
-        # the two lowest ranks back from the graph's: 1 - b~_(-1) and E - b~_1
-        snfs = [SnfResult((1,) * r) for r in (1 - low[0], len(lower) - low[2])][:n]
-        # each higher matrix as the columns of its faces on the rank below
-        for level in higher:
-            snfs.append(_unit_smith_form(
-                [{fid: s for fid, s in incidence[e.id] if fid in lower} for e in level]))
-            lower = {e.id for e in level}
-        cache[root] = f, tuple(snfs)
-    f, snfs = cache[root]
-    # rank[i] is the rank of D_(i-1) : C_(i-1) -> C_(i-2), zero off the complex
-    rank = [0, *(snf.rank_over(coeff) for snf in snfs)] + [0] * (len(f) - len(snfs))
-    reduced = tuple(f[i] - rank[i] - rank[i + 1] for i in range(len(f)))
-
-    torsion: tuple[tuple[int, ...], ...] = ()
-    if coeff == INTEGERS:
-        torsion = tuple(tuple(d for d in snf.factors if d > 1) for snf in snfs)
-        torsion += ((),) * (len(f) - len(snfs))
-    return BettiVector(coeff, reduced, torsion)
+    return BettiVector(coeff, *_link_row(S, coeff, root))
 
 
 def _link_table(S: SimplicialPoset, coeff: Coefficients) -> tuple[tuple, ...]:
@@ -382,7 +429,7 @@ def _link_table(S: SimplicialPoset, coeff: Coefficients) -> tuple[tuple, ...]:
     torsion) per face, as ``reduced_betti(S, coeff, root=id)`` gives them
     for its link in degrees -1..n-1-rank.  After the one d.d = 0 check, a
     face of codimension <= 2 reads its row off the cover map in closed
-    form; only a deeper face calls ``reduced_betti``."""
+    form; a deeper one reads it off its up-set's Smith forms."""
     _require_poset(S)
     _require_ring(coeff)
     table = S._cache.get(("links", coeff))
@@ -392,8 +439,7 @@ def _link_table(S: SimplicialPoset, coeff: Coefficients) -> tuple[tuple, ...]:
         for e in S:
             r = e.rank
             if n - r > 2:
-                lk = reduced_betti(S, coeff, root=e.id)
-                rows.append((e.id, r, lk.reduced, lk.torsion))
+                rows.append((e.id, r, *_link_row(S, coeff, e.id)))
             else:
                 reduced = _low_row(cofaces, e.id)[0][:n - r + 1]
                 rows.append((e.id, r, reduced, ((),) * len(reduced) if over_z else ()))

@@ -121,18 +121,6 @@ class SimplicialPoset:
                     cofaces[fid].append(e)
         return cofaces
 
-    def above(self, eid: str | None) -> tuple[tuple, ...]:
-        """The faces >= ``eid`` grouped by rank, each group in id order;
-        group 0 is the face itself, or ``(None,)`` for the implicit minimal
-        element (``eid`` None).  Walks the cover map, not the poset."""
-        cofaces = self._cofaces()
-        levels = [(None if eid is None else self.element(eid),)]
-        while True:
-            nxt = {c.id: c for e in levels[-1] for c in cofaces[e.id if e else None]}
-            if not nxt:
-                return tuple(levels)
-            levels.append(tuple(nxt[k] for k in sorted(nxt)))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialPoset):
             return NotImplemented
@@ -354,19 +342,24 @@ def _require_poset(S) -> None:
 def validate_stats(S: SimplicialPoset) -> PosetStats:
     """Dimension, purity, connectivity and the f-vector of a poset.
 
-    Connectivity is judged on the comparability graph (each face linked
-    to its facets), which matches connectivity of the realization.
-    Computed once per poset and kept on it.
+    Connectivity is judged on the 1-skeleton, the vertices joined by each
+    edge's two facets: every face lies over its vertices, which its
+    Boolean lower interval joins by edges, so that graph has the
+    components of the realization.  Computed once per poset and kept on it.
     """
     _require_poset(S)
     cached = S._cache.get("stats")
     if cached is not None:
         return cached
     maximal_dims = {S.element(m).dim for m in S.maximal_ids()}
+    cofaces = S._cofaces()
+    vertices = cofaces[None]
     out = PosetStats(
         dim=S.dim,
         pure=len(maximal_dims) <= 1,
-        connected=_components(len(S), ((e.id, f) for e in S for f in e.facets)) == 1,
+        # each edge, met once under each of its vertices, joins its facets
+        connected=_components(
+            len(vertices), (e.facets for v in vertices for e in cofaces[v.id])) == 1,
         f=f_vector(S),
     )
     S._cache["stats"] = out

@@ -99,11 +99,22 @@ ROW_IDS = (None, *(f"r{i}" for i in range(12)))
 
 
 def _check_both(mat):
-    # the dense Smith form and the sparse unit-pivot elimination
+    # the dense Smith form and the sparse unit-pivot elimination, and the
+    # latter's pivot rows
     expected = minor_gcd_invariant_factors(mat)
-    for got in (smith_normal_form(mat), homology._unit_smith_form(_columns(mat, ROW_IDS))):
+    sparse, pivot_rows = homology._unit_smith_form(_columns(mat, ROW_IDS))
+    for got in (smith_normal_form(mat), sparse):
         assert got.factors == expected, mat
         assert got.rank == len(expected)
+    # Clearing rests on this: the matrix at its pivot rows maps the columns
+    # onto every integer vector there, so modulo the columns each pivot
+    # row is a combination of the other rows.  Then that part has only
+    # unit invariant factors, one per pivot, and the whole has as many.
+    units = (1,) * len(pivot_rows)
+    at_pivots = [mat[ROW_IDS.index(r)] for r in pivot_rows]
+    assert len(set(pivot_rows)) == len(units), mat
+    assert smith_normal_form(at_pivots).factors == units, mat
+    assert sparse.factors[:len(units)] == units, mat
 
 
 class TestSmithNormalForm:
@@ -183,12 +194,38 @@ class TestUnitSmithForm:
             _check_both(mat)
 
     def test_empty(self):
-        assert homology._unit_smith_form([]) == homology.SnfResult(())
-        assert homology._unit_smith_form([{}, {}]) == homology.SnfResult(())
+        for columns in ([], [{}, {}]):
+            snf, pivot_rows = homology._unit_smith_form(columns)
+            assert snf == homology.SnfResult(()) and list(pivot_rows) == []
+
+    def test_pivot_rows_in_the_order_found(self):
+        # the first column's unit at a is a pivot; the second, reduced
+        # against it, is -2 at b and goes with the third to the dense core,
+        # whose pivots are not reported
+        columns = [{"a": 1, "b": 1}, {"a": 1, "b": -1}, {"b": 2, "c": 2}]
+        snf, pivot_rows = homology._unit_smith_form(columns)
+        assert snf.factors == (1, 2, 2) and list(pivot_rows) == ["a"]
+        # a unit after a non-unit entry, and one that only reduction makes:
+        # the last column is 4 - 3 = 1 at c once cleared at a
+        snf, pivot_rows = homology._unit_smith_form(
+            [{"c": 3, "b": -1}, {"a": 1, "b": 1}, {"a": 1, "c": 4}])
+        assert snf.factors == (1, 1, 1) and list(pivot_rows) == ["b", "a", "c"]
 
 
 def _cone(S, name):
     return from_facets([(*f.vertices, "apex") for f in S.by_rank(S.n)], name=name)
+
+
+def _suspension(S, poles, name):
+    return from_facets([(*f.vertices, pole) for f in S.by_rank(S.n) for pole in poles],
+                       name=name)
+
+
+def _rp2_suspensions():
+    # n = 4 and n = 5 with H_2 = Z/2 and H_3 = Z/2: up-sets with two or
+    # three kernel levels, where clearing acts, and torsion among them
+    once = _suspension(corpus("rp2_6"), ("north", "south"), "susp(rp2_6)")
+    return [once, _suspension(once, ("east", "west"), "susp(susp(rp2_6))")]
 
 
 def _assert_matches_dense_route(S):
@@ -222,16 +259,80 @@ class TestAgainstDenseRoute:
             _cone(corpus("rp2_6"), "cone(rp2_6)"),
             # n = 5: its vertices and edges take the kernel route
             from_facets(_tetrahedron_boundary("abcdef"), name="boundary_simplex(5)"),
+            *_rp2_suspensions(),
         ]
         for S in posets:
             _assert_matches_dense_route(S)
+
+    def test_suspensions_keep_their_torsion(self):
+        once, twice = _rp2_suspensions()
+        assert reduced_betti(once, INTEGERS).torsion == ((), (), (), (2,), ())
+        assert reduced_betti(twice, INTEGERS).torsion == ((), (), (), (), (2,), ())
+        assert reduced_betti(twice, prime_field(2)).reduced == (0, 0, 0, 0, 1, 1)
+
+    def test_over_reported_pivot_rows_are_caught(self, monkeypatch):
+        # a kernel that names every row of its matrix a pivot row clears
+        # faces that are no boundary; the dense route must notice
+        real = homology._unit_smith_form
+
+        def over_reporting(columns):
+            rows = dict.fromkeys(r for col in columns for r in col)
+            return real(columns)[0], rows.keys()
+
+        monkeypatch.setattr(homology, "_unit_smith_form", over_reporting)
+        caught = []
+        for S in _rp2_suspensions():
+            try:
+                _assert_matches_dense_route(S)
+            except AssertionError:
+                caught.append(S.name)
+        assert caught
+
+    def test_pivot_order_does_not_depend_on_str_hashing(self):
+        # the dense-core inputs, the kernel's pivot rows and their counts
+        # on the suspension of rp2_6, under two hash seeds
+        script = """
+import sys
+from sposet import homology
+from sposet.corpus import corpus
+from sposet.homology import INTEGERS, prime_field
+from sposet.poset import from_facets
+seen = []
+real_dense, real_kernel = homology.smith_normal_form, homology._unit_smith_form
+
+def dense(matrix):
+    seen.append(("core", matrix))
+    return real_dense(matrix)
+
+def kernel(columns):
+    snf, rows = real_kernel(columns)
+    seen.append(("pivots", list(rows)))
+    return snf, rows
+
+homology.smith_normal_form, homology._unit_smith_form = dense, kernel
+S = from_facets([(*f.vertices, p) for f in corpus("rp2_6").by_rank(3) for p in "NS"])
+for coeff in (INTEGERS, prime_field(2)):
+    homology._link_table(S, coeff)
+    homology.reduced_betti(S, coeff)
+print(repr(seen))
+"""
+        src = os.path.dirname(os.path.dirname(sposet.__file__))
+        outs = []
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(
+                filter(None, (src, os.environ.get("PYTHONPATH"))))}
+            run = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True)
+            assert run.returncode == 0, run.stderr
+            outs.append(run.stdout)
+        assert outs[0] == outs[1]
+        assert "'core'" in outs[0] and "'pivots'" in outs[0]
 
     def test_reference_reads_neither_incidence_nor_cover_map(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("the dense reference read the sparse route's complex")
 
         monkeypatch.setattr(homology, "_incidence", refuse)
-        monkeypatch.setattr(SimplicialPoset, "above", refuse)
         monkeypatch.setattr(SimplicialPoset, "_cofaces", refuse)
         S = corpus("rp2_6")
         assert dense_betti(S, INTEGERS) == ((0, 0, 0, 0), ((), (), (2,), ()))
@@ -303,15 +404,15 @@ class TestClosedForm:
         assert lk.reduced == (0, 0, 0, 0) and lk.torsion_in(1) == (2,)
         _assert_matches_dense_route(S)
 
-    def test_link_table_reads_only_deeper_faces_through_reduced_betti(self, monkeypatch):
+    def test_link_table_reads_only_deeper_faces_through_up_sets(self, monkeypatch):
         roots = []
-        real = homology.reduced_betti
+        real = homology._link_row
 
-        def recording(S, coeff, root=None):
+        def recording(S, coeff, root):
             roots.append(root)
-            return real(S, coeff, root=root)
+            return real(S, coeff, root)
 
-        monkeypatch.setattr(homology, "reduced_betti", recording)
+        monkeypatch.setattr(homology, "_link_row", recording)
         # n = 5: the vertices and edges lie three ranks down or more
         S = from_facets(_tetrahedron_boundary("abcdef"))
         homology._link_table(S, RATIONALS)
@@ -507,7 +608,7 @@ class TestReducedBetti:
         real = homology._unit_smith_form
 
         def counting(columns):
-            calls.append([dict(col) for col in columns])
+            calls.append(sorted(tuple(sorted(col.items())) for col in columns))
             return real(columns)
 
         monkeypatch.setattr(homology, "_unit_smith_form", counting)
@@ -515,9 +616,10 @@ class TestReducedBetti:
         for coeff in ALL_COEFFS:
             reduced_betti(rp2, coeff)
         # the two lowest matrices are closed forms, so one elimination, on
-        # the columns of the triangles onto the edges, serves all four rings
+        # the columns of the triangles onto the edges in any order, serves
+        # all four rings
         gens, d = dense_boundaries(rp2)
-        assert calls == [_columns(d[2], gens[1])]
+        assert calls == [sorted(tuple(sorted(col.items())) for col in _columns(d[2], gens[1]))]
         assert reduced_betti(rp2, INTEGERS).torsion_in(1) == (2,)
         assert reduced_betti(rp2, prime_field(2)).degree(2) == 1
 

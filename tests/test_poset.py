@@ -12,6 +12,7 @@ from sposet.errors import (
 )
 from sposet import poset as poset_mod
 from sposet.corpus import corpus, corpus_names
+from sposet.homology import _walk_up
 from sposet.poset import (
     MAX_FACES,
     MAX_RANK,
@@ -182,8 +183,8 @@ class TestFromFacets:
 
 
 class TestLink:
-    """The full-scan link oracle, on links known by hand; above() stays
-    the library's up-set walk."""
+    """The full-scan link oracle, on links known by hand, and against the
+    library's up-set walk."""
 
     def test_vertex_link_of_boundary_triangle(self, bd_triangle):
         lk = oracle_link(bd_triangle, "v1")
@@ -212,20 +213,16 @@ class TestLink:
             oracle_link(bd_triangle, "nope")
 
     def test_matches_full_scan_oracle(self, corpus_posets):
-        # the library's up-set walk, level by level, against the faces of
-        # the oracle's link poset
+        # the library's up-set walk from each face's covers, level by level,
+        # against the faces of the oracle's link poset
         for name, S in corpus_posets.items():
+            cofaces = S._cofaces()
             for e in S.elements():
                 lk = oracle_link(S, e.id)
-                levels = [tuple(g.id for g in level) for level in S.above(e.id)[1:]]
+                covers = dict.fromkeys(c.id for c in cofaces[e.id])
+                levels = [tuple(sorted(level)) for level in _walk_up(cofaces, covers)]
                 want = [tuple(x.id for x in lk.by_rank(k)) for k in range(1, lk.dim + 2)]
                 assert (levels, lk.n) == (want, S.n - e.rank), (name, e.id)
-
-    def test_above_groups_faces_by_rank(self, torus7):
-        levels = torus7.above("v1")
-        assert [len(level) for level in levels] == [1, 6, 6]
-        assert levels[1] == tuple(sorted(levels[1], key=lambda e: e.id))
-        assert torus7.above("v1,v2")[0][0].id == "v1,v2"
 
     def test_link_revalidates(self, torus7):
         # links go through full construction, so Boolean checks rerun
@@ -287,6 +284,34 @@ class TestStatsAndIntervals:
     def test_torus7_stats(self, torus7):
         st = validate_stats(torus7)
         assert (st.dim, st.pure, st.connected) == (2, True, True)
+
+    def test_connected_from_1_skeleton_matches_comparability_graph(self, corpus_posets):
+        # the verdict from vertices and edges against a search over every
+        # face linked to its facets, which is connectivity by definition
+        def comparability_connected(S):
+            linked = {e.id: set(e.facets) for e in S}
+            for e in S:
+                for fid in e.facets:
+                    linked[fid].add(e.id)
+            start = next(iter(linked), None)
+            seen, todo = {start}, [start]
+            while todo:
+                for other in linked.get(todo.pop(), ()):
+                    if other not in seen:
+                        seen.add(other)
+                        todo.append(other)
+            return start is not None and len(seen) == len(S)
+
+        posets = [*corpus_posets.values(),
+                  from_facets([("a", "b", "c"), ("c", "d"), ("e",)], name="non_pure"),
+                  from_facets([("a", "b", "c"), ("a", "d", "e")], name="bowtie"),
+                  from_facets([("a", "b", "c"), ("d", "e", "f"), ("e", "g")], name="two_parts")]
+        verdicts = {}
+        for S in posets:
+            verdicts[S.name] = validate_stats(S).connected
+            assert verdicts[S.name] == comparability_connected(S), S.name
+        assert not verdicts["s1xI_faceposet"] and not verdicts["two_parts"]
+        assert verdicts["bowtie"] and not verdicts["non_pure"]
 
     def test_ambient_rank_override(self):
         S = from_face_lattice([SimplexElem("v", ("v",), ())], n=2)

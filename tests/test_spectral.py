@@ -468,6 +468,7 @@ class TestComputeOnce:
         assert not hasattr(mods["classify"], "link_table")
         assert not hasattr(mods["io"], "emit_problem")
         assert not hasattr(SimplicialPoset, "vertex_ids")
+        assert not hasattr(SimplicialPoset, "above")
         assert not hasattr(sposet.spectral.BigradedTable, "dim")
         assert "orientable" not in {f.name for f in fields(sposet.QuotientProblem)}
         assert [f.name for f in fields(homology.SnfResult)] == ["factors"]
@@ -502,22 +503,22 @@ class TestComputeOnce:
 
     def test_cone_report_checks_once_and_walks_each_up_set_once(self, monkeypatch, capsys):
         # d.d = 0 once per poset.  The two lowest matrices of every up-set
-        # are read off the covers and their covers, so the up-set is walked
+        # are read off the covers and their covers, so an up-set is built
         # only for the whole poset (its minimal element, None) and for the
         # faces of codimension >= 3; on torus7 (n = 3) that is None alone
         checks, walks = [], Counter()
-        real_check, real_above = homology._check_complex, SimplicialPoset.above
+        real_check, real_build = homology._check_complex, homology._up_set_forms
 
         def check(incidence):
             checks.append(incidence)
             real_check(incidence)
 
-        def above(S, eid):
-            walks[eid] += 1
-            return real_above(S, eid)
+        def build(S, root):
+            walks[root] += 1
+            return real_build(S, root)
 
         monkeypatch.setattr(homology, "_check_complex", check)
-        monkeypatch.setattr(SimplicialPoset, "above", above)
+        monkeypatch.setattr(homology, "_up_set_forms", build)
         assert main(["quotient", "cone", "--corpus", "torus7", "--n", "3", "--json"]) == 0
         assert '"euler_conserved":true' in capsys.readouterr().out
         assert len(checks) == 1

@@ -36,7 +36,7 @@ from .errors import (
     WrongVectorLength,
 )
 from .homology import Coefficients, RATIONALS, _require_ring, smith_normal_form
-from .poset import SimplicialPoset, _require_poset, is_name
+from .poset import SimplicialPoset, _require_poset, is_int, is_name
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,10 @@ class CharFunction:
     assignment: Mapping[str, tuple[int, ...]]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
+        if not is_int(self.n):
             raise InvalidCharFn(f"n = {self.n!r} is not an integer")
+        if self.n < 0:
+            raise InvalidCharFn(f"n = {self.n} is negative")
         if not isinstance(self.assignment, Mapping):
             raise InvalidCharFn(f"assignment {self.assignment!r} is not a mapping")
         clean = {}
@@ -59,7 +61,7 @@ class CharFunction:
                 raise InvalidCharFn(f"vertex {vid!r}: {vec!r} is not a tuple or list")
             vec = tuple(vec)
             for x in vec:
-                if not isinstance(x, int) or isinstance(x, bool):
+                if not is_int(x):
                     raise InvalidCharFn(f"vertex {vid!r}: entry {x!r} is not an integer")
             if len(vec) != self.n:
                 raise WrongVectorLength(
@@ -204,7 +206,7 @@ def random_q_charfn(
     """
     _require_poset(S)
     for name, value in (("n", n), ("seed", seed), ("bound", bound), ("budget", budget)):
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not is_int(value):
             raise InvalidArgument(f"{name} = {value!r} is not an integer")
     if n != S.n:
         raise WrongVectorLength(

@@ -37,7 +37,7 @@ from itertools import cycle
 from typing import KeysView, Sequence
 
 from .errors import InternalError, InvalidArgument, SposetError
-from .poset import SimplicialPoset, _components, _require_poset
+from .poset import SimplicialPoset, _components, _require_poset, is_int
 
 _INTEGERS = "integers"
 _RATIONALS = "rationals"
@@ -81,7 +81,7 @@ class Coefficients:
         if self.kind not in (_INTEGERS, _RATIONALS, _PRIME_FIELD):
             raise InvalidArgument(f"unknown coefficient kind {self.kind!r}")
         if self.kind == _PRIME_FIELD:
-            if not isinstance(self.p, int) or isinstance(self.p, bool):
+            if not is_int(self.p):
                 raise InvalidArgument(f"p = {self.p!r} is not an integer")
             if self.p >= 2**64:
                 raise InvalidArgument(f"{self.p} is too large: p must be below 2**64")
@@ -116,6 +116,8 @@ def prime_field(p: int) -> Coefficients:
 
 def parse_coefficients(label: str) -> Coefficients:
     """Parse 'z', 'q' or 'fp:<p>' into a Coefficients value."""
+    if not isinstance(label, str):
+        raise InvalidArgument(f"coefficient label {label!r} is not a str")
     label = label.strip().lower()
     if label == "z":
         return INTEGERS
@@ -149,9 +151,19 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SnfResult:
     """Smith normal form of an integer matrix, exact at any size.
 
     Returns the positive invariant factors in divisibility order.  Pure
-    integer arithmetic throughout, on a private copy of the rows.
+    integer arithmetic throughout, on a private copy of the rows, which
+    must be lists or tuples of one length holding ints that are not bools.
     """
-    factors = _invariant_factors([list(row) for row in matrix])
+    shaped = (list, tuple)
+    if not (isinstance(matrix, shaped) and all(isinstance(row, shaped) for row in matrix)):
+        raise InvalidArgument(f"{type(matrix).__name__} is not a list or tuple of rows")
+    rows = [list(row) for row in matrix]
+    for row in rows:
+        if len(row) != len(rows[0]):
+            raise InvalidArgument(f"rows of {len(rows[0])} and {len(row)} entries")
+        if not all(map(is_int, row)):
+            raise InvalidArgument(f"row {row!r} holds an entry that is not an integer")
+    factors = _invariant_factors(rows)
     for a, b in zip(factors, factors[1:]):
         if b % a:
             raise InternalError(f"invariant factor {a} does not divide {b}")
@@ -420,6 +432,8 @@ def reduced_betti(
     """
     _require_poset(S)
     _require_ring(coeff)
+    if root is not None and not isinstance(root, str):
+        raise InvalidArgument(f"root {root!r} is not a face id")
     return BettiVector(coeff, *_link_row(S, coeff, root))
 
 

@@ -16,25 +16,26 @@ from . import spectral
 from .charfn import CharFunction
 from .errors import SchemaViolation, UnknownFormat
 from .homology import parse_coefficients
-from .poset import SimplexElem, SimplicialPoset, from_face_lattice, from_facets, is_name
+from .poset import (
+    SimplexElem,
+    SimplicialPoset,
+    from_face_lattice,
+    from_facets,
+    is_int,
+    is_name,
+)
 
 
 def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _is_int(value) -> bool:
-    # JSON true/false decode to bool, which Python counts as an int
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _need(doc: dict, key: str, kind=None):
     if key not in doc:
         raise SchemaViolation(f"missing key {key!r} in {doc.get('format', '?')}")
     value = doc[key]
-    if kind is not None and (
-        not isinstance(value, kind) or (kind is int and isinstance(value, bool))
-    ):
+    # JSON true/false decode to bool, which Python counts as an int
+    if kind is not None and not (is_int(value) if kind is int else isinstance(value, kind)):
         raise SchemaViolation(
             f"key {key!r}: expected {kind.__name__}, got {type(value).__name__}"
         )
@@ -42,7 +43,7 @@ def _need(doc: dict, key: str, kind=None):
 
 
 def _ints(value, where: str) -> tuple[int, ...]:
-    if not isinstance(value, list) or not all(_is_int(x) for x in value):
+    if not isinstance(value, list) or not all(map(is_int, value)):
         raise SchemaViolation(f"{where}: expected a list of integers")
     return tuple(value)
 

@@ -136,9 +136,22 @@ class SimplicialPoset:
         )
 
 
+def is_int(value) -> bool:
+    """An int that is not a bool, which Python counts as one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def is_name(value) -> bool:
     """A name as callers may give it: a str, or an int that is not a bool."""
-    return isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool))
+    return isinstance(value, str) or is_int(value)
+
+
+def _require_input(items, name) -> None:
+    # the shape guards both builders share, ahead of any read of their input
+    if not isinstance(items, Iterable) or isinstance(items, (str, bytes)):
+        raise PosetValidationError("", "element-shape", f"{items!r} is not a collection")
+    if not isinstance(name, str):
+        raise InvalidArgument(f"poset name {name!r} is not a str")
 
 
 def _as_elem(raw) -> SimplexElem:
@@ -161,8 +174,12 @@ def from_face_lattice(
     vertices and facet ids; anything else is an ``element-shape`` error.
     Raises :class:`DanglingFaceRef`, :class:`RankMismatch` or
     :class:`NonBooleanInterval` naming the offending element when an
-    axiom fails.
+    axiom fails, and an ``ambient-rank`` error for an ``n`` that is not
+    an int at or above the maximal rank.
     """
+    _require_input(elements, name)
+    if n is not None and not is_int(n):
+        raise PosetValidationError("", "ambient-rank", f"n={n!r} is not an integer")
     elems: dict[str, SimplexElem] = {}
     for raw in elements:
         e = _as_elem(raw)
@@ -240,6 +257,7 @@ def from_facets(facet_vertex_sets: Iterable[Iterable], name: str = "") -> Simpli
     simplicial complex.  Built in one pass: faces made this way satisfy
     every axiom ``from_face_lattice`` checks once no two ids collide.
     """
+    _require_input(facet_vertex_sets, name)
     faces: set[tuple[str, ...]] = set()
     total = 0
     for raw in facet_vertex_sets:
@@ -280,6 +298,7 @@ def barycentric(S: SimplicialPoset) -> SimplicialPoset:
     Vertices are the faces of ``S``; simplices are strictly increasing
     chains.  Always a genuine simplicial complex.
     """
+    _require_poset(S)
     cached = S._cache.get("barycentric")
     if cached is not None:
         return cached

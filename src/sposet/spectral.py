@@ -19,7 +19,7 @@ independent of the particular valid choice.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from math import comb
 
 from . import charfn as charfn_mod
@@ -36,7 +36,7 @@ from .errors import (
 )
 from .facevec import f_h_vectors, ft_vector, h_prime_double
 from .homology import Coefficients, _require_ring, reduced_betti
-from .poset import SimplicialPoset
+from .poset import MAX_RANK, SimplicialPoset, is_int
 
 CONE = "cone"
 MANIFOLD = "manifold"
@@ -46,12 +46,16 @@ MANIFOLD = "manifold"
 class QuotientProblem:
     """One quotient problem; Q is always orientable.
 
-    ``make_problem`` checks the field, the Buchsbaum condition and the
-    characteristic function.  ``relative_and_delta``, which ``solve``
-    calls, refuses in any problem, also one made by ``dataclasses.replace``:
-    an unknown kind, a poset rank other than n, a cone's rank data other
-    than (1, 0, ..., 0), and a manifold's that are not n + 1 integers
-    with betti_q[0] = 1 and betti_q[n] = 0 or that break exactness.
+    Checked once, at construction, however it is made: by
+    ``make_problem``, directly or by ``dataclasses.replace``.  In order:
+    n is an int, the ring a field, the poset Buchsbaum for rank n (this
+    subsumes purity and dimension), the kind known, the poset's rank n,
+    the rank data exact, and the characteristic function, if any, valid.
+    The check keeps what it derives: ``relative``, dim H_i(Q, bd Q), is
+    b~_(i-1)(S) for a cone, whose rank data must be (1, 0, ..., 0), and
+    betti_q[n-i] for a manifold by duality; ``delta``, the ranks of the
+    connecting maps, is relative[i] - betti_q[i] + iota[i] by exactness;
+    ``boundary`` is dim H_p(bd Q) for p < n.
     """
 
     kind: str
@@ -61,6 +65,94 @@ class QuotientProblem:
     charfn: CharFunction | None
     betti_q: tuple[int, ...]
     iota: tuple[int, ...]
+    relative: tuple[int, ...] = field(init=False, compare=False)
+    delta: tuple[int, ...] = field(init=False, compare=False)
+    boundary: tuple[int, ...] = field(init=False, compare=False)
+
+    def __post_init__(self):
+        n, coeff, betti_q, iota = self.n, self.coeff, self.betti_q, self.iota
+        if not is_int(n):
+            raise InvalidArgument(f"torus rank n = {n!r} is not an integer")
+        _require_ring(coeff)
+        if not coeff.is_field:
+            raise NonFieldCoefficients("quotient rank tables need field coefficients")
+
+        wits = buchsbaum_witnesses(self.poset, coeff, n=n)
+        if wits:
+            # one line for any poset: the face count and the first three ids
+            faces = sorted({w[0] for w in wits})
+            named = ", ".join(faces[:3]) + (", ..." if len(faces) > 3 else "")
+            count = f"{len(faces)} face" + ("s" if len(faces) > 1 else "")
+            raise NotBuchsbaum(
+                f"links of {count} ({named}) are not concentrated in top degree "
+                f"for rank {n}",
+                witnesses=wits,
+            )
+
+        if self.kind not in (CONE, MANIFOLD):
+            raise InvalidArgument(f"unknown problem kind {self.kind!r}")
+        if self.poset.n != n:
+            raise InconsistentBundle(
+                f"poset ambient rank {self.poset.n} does not match problem rank {n}"
+            )
+        bt = reduced_betti(self.poset, coeff).degree
+        if self.kind == CONE:
+            trivial = (1,) + (0,) * n
+            if betti_q != trivial or iota != trivial:
+                raise InconsistentBundle("cone problems fix betti_q = iota = (1,0,...,0)")
+            relative = tuple(bt(i - 1) for i in range(n + 1))
+        else:
+            for label, vec in (("betti_q", betti_q), ("iota", iota)):
+                if not isinstance(vec, tuple):
+                    raise InconsistentBundle(f"{label} {vec!r} is not a tuple of integers")
+                for x in vec:
+                    if not is_int(x):
+                        raise InconsistentBundle(f"{label} entry {x!r} is not an integer")
+            if len(betti_q) != n + 1 or len(iota) != n + 1:
+                raise InconsistentBundle(f"betti_q and iota must have length {n + 1}")
+            if betti_q[0] != 1:
+                raise InconsistentBundle("Q is connected, so betti_q[0] must be 1")
+            if betti_q[n] != 0:
+                raise InconsistentBundle("Q has nonempty boundary, so betti_q[n] must be 0")
+            relative = tuple(betti_q[n - i] for i in range(n + 1))
+
+        boundary = tuple(bt(p) + (1 if p == 0 else 0) for p in range(n))
+        delta = []
+        for i in range(n + 1):
+            d = relative[i] - betti_q[i] + iota[i]
+            if d < 0 or d > relative[i] or d > max(bt(i - 1), 0):
+                raise InconsistentBundle(
+                    f"rank delta_{i} = {d} violates exactness bounds"
+                )
+            # exactness at H_(i-1)(bd Q): im delta_i = ker iota_(i-1)
+            if i and d + iota[i - 1] != boundary[i - 1]:
+                raise InconsistentBundle(
+                    f"rank delta_{i} + rank iota_{i - 1} = {d + iota[i - 1]} "
+                    f"!= {boundary[i - 1]} = dim H_{i - 1}(bd Q)"
+                )
+            delta.append(d)
+        for i in range(n + 1):
+            bound = boundary[i] if i < n else 0
+            if iota[i] > min(bound, betti_q[i]):
+                raise InconsistentBundle(
+                    f"iota_{i} = {iota[i]} exceeds min({bound}, {betti_q[i]})"
+                )
+        if self.kind == MANIFOLD and iota[0] != 1:
+            raise InconsistentBundle("iota_0 must be 1: the boundary is nonempty")
+
+        if self.charfn is not None:
+            try:
+                report = charfn_mod.check(self.poset, self.charfn, coeff)
+            except SposetError as exc:
+                raise InvalidCharFn(str(exc)) from exc
+            if not report.passed:
+                bad, factors = report.first_failure
+                raise InvalidCharFn(
+                    f"simplex {bad!r} fails over {coeff}: invariant factors {factors}"
+                )
+        for name, value in (("relative", relative), ("delta", tuple(delta)),
+                            ("boundary", boundary)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -126,128 +218,30 @@ def make_problem(
     iota: tuple[int, ...] | None = None,
     orientable: bool | None = None,
 ) -> QuotientProblem:
-    """Validate and bundle the data defining one quotient problem.
+    """Bundle the data defining one quotient problem.
 
-    Checks run in a fixed order: field coefficients, the Buchsbaum link
-    condition against the declared torus rank n (this subsumes purity
-    and the dimension requirement and is where non-acyclic-face input
-    is refused), a manifold's orientable flag, which must be true, the
-    kind, the poset's rank and the rank data with their exactness, by
-    :func:`relative_and_delta`, and finally the characteristic function
-    if supplied.
+    Checks first what the problem does not keep: a manifold needs
+    betti_q, iota and the orientable flag, and the flag, given for either
+    kind, must be True.  A cone's betti_q and iota default to
+    (1, 0, ..., 0) and a list is taken as its tuple; every other check is
+    the problem's own, at construction.
     """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise InvalidArgument(f"torus rank n = {n!r} is not an integer")
-    _require_ring(coeff)
-    if not coeff.is_field:
-        raise NonFieldCoefficients("quotient rank tables need field coefficients")
-
-    wits = buchsbaum_witnesses(poset, coeff, n=n)
-    if wits:
-        # one line for any poset: the face count and the first three ids
-        faces = sorted({w[0] for w in wits})
-        named = ", ".join(faces[:3]) + (", ..." if len(faces) > 3 else "")
-        count = f"{len(faces)} face" + ("s" if len(faces) > 1 else "")
-        raise NotBuchsbaum(
-            f"links of {count} ({named}) are not concentrated in top degree "
-            f"for rank {n}",
-            witnesses=wits,
+    if kind == MANIFOLD and (betti_q is None or iota is None or orientable is None):
+        raise InconsistentBundle(
+            "manifold problems need betti_q, iota and the orientable flag"
         )
-
-    if kind == MANIFOLD:
-        if betti_q is None or iota is None or orientable is None:
-            raise InconsistentBundle(
-                "manifold problems need betti_q, iota and the orientable flag"
-            )
-        if not orientable:
-            raise InconsistentBundle(
-                "relative homology is derived by duality; orientable must be true"
-            )
-    trivial = (1,) + (0,) * n  # a cone's rank data, which it need not give
+    if orientable is not None and orientable is not True:
+        raise InconsistentBundle(
+            "relative homology is derived by duality; orientable must be true"
+            if kind == MANIFOLD else
+            f"Q is orientable: orientable = {orientable!r} must be true or left out"
+        )
+    # a cone's rank data, which it need not give; no poset reaches a rank
+    # above MAX_RANK, so the problem refuses such an n before reading them
+    trivial = (1,) + (0,) * n if is_int(n) and n <= MAX_RANK else None
     betti_q, iota = (trivial if v is None else tuple(v) if isinstance(v, list) else v
                      for v in (betti_q, iota))
-    prob = QuotientProblem(kind, poset, n, coeff, charfn, betti_q, iota)
-    relative_and_delta(prob)
-
-    if charfn is not None:
-        try:
-            report = charfn_mod.check(poset, charfn, coeff)
-        except SposetError as exc:
-            raise InvalidCharFn(str(exc)) from exc
-        if not report.passed:
-            bad, factors = report.first_failure
-            raise InvalidCharFn(
-                f"simplex {bad!r} fails over {coeff}: invariant factors {factors}"
-            )
-    return prob
-
-
-def relative_and_delta(prob: QuotientProblem):
-    """Relative dimensions H_i(Q, bd Q) and connecting ranks delta_i.
-
-    Cone: dim H_i(P, bd P) = b~_(i-1)(S) and delta is injective onto the
-    reduced boundary homology.  Manifold: dim H_i(Q, bd Q) = betti_q[n-i]
-    by duality and rank delta_i = dim H_i(Q, bd Q) - betti_q[i] + iota[i]
-    by exactness.  The one check of the bundle data: raises
-    InvalidArgument for an unknown kind, and InconsistentBundle when the
-    poset's rank is not the int n, when a cone's betti_q or iota is not
-    (1, 0, ..., 0), when a manifold's are not tuples of n + 1 integers,
-    when betti_q[0] != 1 or betti_q[n] != 0, when any derived rank
-    escapes its exactness bounds, or when delta_i + iota_(i-1) is not
-    dim H_(i-1)(bd Q) for some 1 <= i <= n.
-    """
-    n = prob.n
-    if prob.kind not in (CONE, MANIFOLD):
-        raise InvalidArgument(f"unknown problem kind {prob.kind!r}")
-    if prob.poset.n != n or type(n) is not int:
-        raise InconsistentBundle(
-            f"poset ambient rank {prob.poset.n} does not match problem rank {n}"
-        )
-    bt = reduced_betti(prob.poset, prob.coeff).degree
-    if prob.kind == CONE:
-        trivial = (1,) + (0,) * n
-        if prob.betti_q != trivial or prob.iota != trivial:
-            raise InconsistentBundle("cone problems fix betti_q = iota = (1,0,...,0)")
-        relative = tuple(bt(i - 1) for i in range(n + 1))
-    else:
-        for label, vec in (("betti_q", prob.betti_q), ("iota", prob.iota)):
-            if not isinstance(vec, tuple):
-                raise InconsistentBundle(f"{label} {vec!r} is not a tuple of integers")
-            for x in vec:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise InconsistentBundle(f"{label} entry {x!r} is not an integer")
-        if len(prob.betti_q) != n + 1 or len(prob.iota) != n + 1:
-            raise InconsistentBundle(f"betti_q and iota must have length {n + 1}")
-        if prob.betti_q[0] != 1:
-            raise InconsistentBundle("Q is connected, so betti_q[0] must be 1")
-        if prob.betti_q[n] != 0:
-            raise InconsistentBundle("Q has nonempty boundary, so betti_q[n] must be 0")
-        relative = tuple(prob.betti_q[n - i] for i in range(n + 1))
-
-    boundary_unreduced = tuple(bt(p) + (1 if p == 0 else 0) for p in range(n))
-    delta = []
-    for i in range(n + 1):
-        d = relative[i] - prob.betti_q[i] + prob.iota[i]
-        if d < 0 or d > relative[i] or d > max(bt(i - 1), 0):
-            raise InconsistentBundle(
-                f"rank delta_{i} = {d} violates exactness bounds"
-            )
-        # exactness at H_(i-1)(bd Q): im delta_i = ker iota_(i-1)
-        if i and d + prob.iota[i - 1] != boundary_unreduced[i - 1]:
-            raise InconsistentBundle(
-                f"rank delta_{i} + rank iota_{i - 1} = {d + prob.iota[i - 1]} "
-                f"!= {boundary_unreduced[i - 1]} = dim H_{i - 1}(bd Q)"
-            )
-        delta.append(d)
-    for i in range(n + 1):
-        bound = boundary_unreduced[i] if i < n else 0
-        if prob.iota[i] > min(bound, prob.betti_q[i]):
-            raise InconsistentBundle(
-                f"iota_{i} = {prob.iota[i]} exceeds min({bound}, {prob.betti_q[i]})"
-            )
-    if prob.kind == MANIFOLD and prob.iota[0] != 1:
-        raise InconsistentBundle("iota_0 must be 1: the boundary is nonempty")
-    return relative, tuple(delta)
+    return QuotientProblem(kind, poset, n, coeff, charfn, betti_q, iota)
 
 
 def e1_diagonal_hprime_form(prob: QuotientProblem) -> tuple[int, ...]:
@@ -259,24 +253,24 @@ def e1_diagonal_hprime_form(prob: QuotientProblem) -> tuple[int, ...]:
     """
     n = prob.n
     hp, _ = h_prime_double(prob.poset, prob.coeff)
-    relative, _ = relative_and_delta(prob)
     diag = [hp[n - q] for q in range(n - 1)]
     if n >= 1:
         diag.append(hp[1] + n)
-    diag.append(relative[n])
+    diag.append(prob.relative[n])
     return tuple(diag)
 
 
 def solve(prob: QuotientProblem) -> Tables:
     """Every rank table of the quotient, from one pass over its ranks.
 
-    ea1 holds boundary homology tensor exterior forms off the diagonal,
-    relative homology stacked in column n, and the closed-form
-    diagonal: entry q < n is h_q plus C(n, q) times the alternating
-    partial Betti sum, entry n the top relative dimension.  Later pages
-    subtract the differential ranks from source and target cells; page
-    two applies exactly the column-n differentials of page one (those
-    fed by the top relative group).
+    Reads the ranks the problem derived and checked when it was built,
+    and checks nothing of it again.  ea1 holds boundary homology tensor
+    exterior forms off the diagonal, relative homology stacked in column
+    n, and the closed-form diagonal: entry q < n is h_q plus C(n, q)
+    times the alternating partial Betti sum, entry n the top relative
+    dimension.  Later pages subtract the differential ranks from source
+    and target cells; page two applies exactly the column-n
+    differentials of page one (those fed by the top relative group).
 
     The bigraded table holds the relative groups of Q tensor exterior
     forms above the diagonal, the absolute ones below it, and on the
@@ -284,18 +278,16 @@ def solve(prob: QuotientProblem) -> Tables:
     with the corner (n, n) equal to the top relative dimension.  e1trunc
     is the first page of the truncated sequence: C(p, q) * ft_(n-p-1).
     """
-    if not prob.coeff.is_field:
-        raise NonFieldCoefficients("quotient rank tables need field coefficients")
-    n = prob.n
-    relative, delta = relative_and_delta(prob)
+    if not isinstance(prob, QuotientProblem):
+        raise InvalidArgument(f"{prob!r} is not a QuotientProblem")
+    n, relative, delta = prob.n, prob.relative, prob.delta
     bt = reduced_betti(prob.poset, prob.coeff).degree
-    boundary_unreduced = tuple(bt(p) + (1 if p == 0 else 0) for p in range(n))
     _, h, _, _ = f_h_vectors(prob.poset)
 
     cells: dict[tuple[int, int], int] = {}
     for p in range(n):
         for q in range(p):
-            v = boundary_unreduced[p] * comb(n, q)
+            v = prob.boundary[p] * comb(n, q)
             if v:
                 cells[(p, q)] = v
     for q in range(n):
@@ -382,6 +374,11 @@ def verify(prob: QuotientProblem, tables: Tables) -> VerifyReport:
     fail.  A first page built from the characteristic function would
     make it a real check.
     """
+    if not (isinstance(prob, QuotientProblem) and isinstance(tables, Tables)):
+        raise InvalidArgument(
+            f"verify takes a QuotientProblem and its Tables, not "
+            f"{type(prob).__name__} and {type(tables).__name__}"
+        )
     n = prob.n
     checks: dict[str, bool] = {}
     skipped: dict[str, str] = {}

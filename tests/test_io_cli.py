@@ -13,6 +13,7 @@ from sposet.classify import classify
 from sposet.cli import cli, main
 from sposet.corpus import corpus, corpus_entry, corpus_names
 from sposet.errors import (
+    InconsistentBundle,
     InvalidArgument,
     InvalidCharFn,
     NotBuchsbaum,
@@ -24,9 +25,22 @@ from sposet.errors import (
     WrongVectorLength,
 )
 from sposet.facevec import face_vector_report, h_prime_double, identity_report
-from sposet.homology import RATIONALS, Coefficients, prime_field, reduced_betti
-from sposet.poset import SimplexElem, from_face_lattice, from_facets, validate_stats
-from sposet.spectral import CONE, QuotientProblem, make_problem
+from sposet.homology import (
+    RATIONALS,
+    Coefficients,
+    parse_coefficients,
+    prime_field,
+    reduced_betti,
+    smith_normal_form,
+)
+from sposet.poset import (
+    SimplexElem,
+    barycentric,
+    from_face_lattice,
+    from_facets,
+    validate_stats,
+)
+from sposet.spectral import CONE, MANIFOLD, QuotientProblem, make_problem, solve, verify
 
 from oracles import bundle_doc
 
@@ -337,6 +351,8 @@ def test_mistyped_document_is_schema_violation(case, tmp_path, capsys):
 TORUS7_LAMBDA4 = {f"v{i}": (1, i, i * i, i**3) for i in range(1, 8)}
 # valid over Q: any three rows of a Vandermonde matrix are independent
 TORUS7_CHARFN = CharFunction(3, {f"v{i}": (1, i, i * i) for i in range(1, 8)})
+# one vertex, a valid face lattice of maximal rank 1
+VERTEX = [SimplexElem("a", ("a",), ())]
 
 # library calls with malformed arguments, and the SposetError each ends in
 BAD_LIBRARY_CALLS = {
@@ -392,6 +408,11 @@ BAD_LIBRARY_CALLS = {
         lambda: make_problem(CONE, corpus("boundary_simplex(2)"), "3", RATIONALS),
         InvalidArgument,
     ),
+    # no (1, 0, ..., 0) of this length is built: the Buchsbaum check refuses n first
+    "problem_n_huge": (
+        lambda: make_problem(CONE, corpus("boundary_simplex(2)"), 10**30, RATIONALS),
+        NotBuchsbaum,
+    ),
     "check_wrong_length": (
         lambda: charfn_check(corpus("torus7"), CharFunction(4, TORUS7_LAMBDA4), RATIONALS),
         WrongVectorLength,
@@ -426,11 +447,53 @@ BAD_LIBRARY_CALLS = {
         lambda: make_problem(CONE, corpus("torus7"), 3, RATIONALS, charfn=corpus("torus7")),
         InvalidCharFn,
     ),
+    # a matrix that is not rectangular, or holds entries other than ints
+    "snf_ragged": (lambda: smith_normal_form([[1, 2], [3]]), InvalidArgument),
+    "snf_float": (lambda: smith_normal_form([[1.5]]), InvalidArgument),
+    "snf_bool": (lambda: smith_normal_form([[True, 0]]), InvalidArgument),
+    "snf_str": (lambda: smith_normal_form("ab"), InvalidArgument),
+    "snf_none": (lambda: smith_normal_form(None), InvalidArgument),
+    # poset builders given no collection, a rank or name of the wrong type, or no poset
+    "facets_int_input": (lambda: from_facets(5), PosetValidationError),
+    "facets_none_input": (lambda: from_facets(None), PosetValidationError),
+    "face_lattice_int_input": (lambda: from_face_lattice(5), PosetValidationError),
+    "face_lattice_n_str": (lambda: from_face_lattice(VERTEX, n="3"), PosetValidationError),
+    "face_lattice_n_bool": (lambda: from_face_lattice(VERTEX, n=True), PosetValidationError),
+    "facets_name_int": (lambda: from_facets([["a", "b"]], name=3), InvalidArgument),
+    "barycentric_list": (lambda: barycentric([]), InvalidArgument),
+    # more entry points given a value of the wrong type or sign
+    "coefficients_label_int": (lambda: parse_coefficients(3), InvalidArgument),
+    "betti_root_list": (
+        lambda: reduced_betti(corpus("torus7"), RATIONALS, root=[]), InvalidArgument),
+    "solve_none": (lambda: solve(None), InvalidArgument),
+    "verify_tables_none": (
+        lambda: verify(make_problem(CONE, corpus("torus7"), 3, RATIONALS), None),
+        InvalidArgument,
+    ),
+    "charfn_n_negative": (lambda: CharFunction(-1, {}), InvalidCharFn),
+    "charfn_doc_n_negative": (
+        lambda: io_mod.parse({"format": "charfn-v1", "n": -2, "assignment": {}}),
+        InvalidCharFn,
+    ),
+    # Q is orientable: a cone's flag may not be false, nor a manifold's 1
+    "problem_cone_not_orientable": (
+        lambda: make_problem(CONE, corpus("torus7"), 3, RATIONALS, orientable=False),
+        InconsistentBundle,
+    ),
+    "problem_orientable_int": (
+        lambda: make_problem(MANIFOLD, corpus("torus7"), 3, RATIONALS,
+                             betti_q=(1, 1, 0, 0), iota=(1, 1, 0, 0), orientable=1),
+        InconsistentBundle,
+    ),
 }
 
 
 # the axiom a PosetValidationError above names, where not "element-shape"
-BAD_CALL_AXIOMS = {"facets_too_many_faces": "face-count"}
+BAD_CALL_AXIOMS = {
+    "facets_too_many_faces": "face-count",
+    "face_lattice_n_str": "ambient-rank",
+    "face_lattice_n_bool": "ambient-rank",
+}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_LIBRARY_CALLS))

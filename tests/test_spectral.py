@@ -26,13 +26,12 @@ from sposet.facevec import f_h_vectors, ft_vector, h_prime_double, identity_repo
 from sposet.homology import INTEGERS, RATIONALS, prime_field, reduced_betti
 from sposet.cli import main
 from sposet.io import dumps_canonical, emit_charfn, emit_poset
-from sposet.poset import SimplicialPoset, barycentric, from_facets
+from sposet.poset import SimplicialPoset, barycentric, from_face_lattice, from_facets
 from sposet.spectral import (
     CONE,
     MANIFOLD,
     e1_diagonal_hprime_form,
     make_problem,
-    relative_and_delta,
     solve,
     verify,
 )
@@ -47,6 +46,11 @@ def cone_over(S, coeff=RATIONALS, lam=None):
 
 def solved(prob):
     return prob, solve(prob)
+
+
+def wedge_of_tetrahedra():
+    # two tetrahedron boundaries sharing vertex 0: rank 3, not Buchsbaum
+    return from_facets([[v for v in t if v != w] for t in ("0123", "0456") for w in t])
 
 
 def solid_torus_problem(torus7):
@@ -137,12 +141,21 @@ class TestMakeProblem:
 class TestRelativeAndDelta:
     @pytest.mark.parametrize("n", [2, 4, 3.0])
     def test_hand_built_problem_with_other_rank_refused(self, torus7, n):
-        # make_problem pins poset.n == n; a problem built by hand must not
-        # read Betti numbers past degree n - 1 or wrap to a negative index
-        prob = replace(cone_over(torus7), n=n)
-        for call in (relative_and_delta, solve, e1_diagonal_hprime_form):
-            with pytest.raises(InconsistentBundle, match="ambient rank 3"):
-                call(prob)
+        # a problem built by replace meets make_problem's checks in its
+        # order: 3.0 is no int, and at rank 2 or 4 every link of torus7
+        # has homology off its top degree
+        with pytest.raises(SposetError) as want:
+            make_problem(CONE, torus7, n, RATIONALS)
+        with pytest.raises(SposetError) as got:
+            replace(cone_over(torus7), n=n)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+    def test_replaced_poset_of_other_ambient_rank_refused(self, torus7):
+        # Buchsbaum at rank 3, but its ambient rank is 4: refused at replace
+        padded = from_face_lattice(torus7.elements(), n=4)
+        assert buchsbaum_witnesses(padded, RATIONALS, n=3) == ()
+        with pytest.raises(InconsistentBundle, match="ambient rank 4 does not match problem"):
+            replace(cone_over(torus7), poset=padded)
 
     @pytest.mark.parametrize("kind, change", [
         (MANIFOLD, {"betti_q": (1, 0)}),
@@ -156,49 +169,68 @@ class TestRelativeAndDelta:
         (CONE, {"iota": (1, 0, 0, 1)}),
     ])
     def test_replaced_bundle_refused_as_make_problem_refuses(self, torus7, kind, change):
-        # a problem built by dataclasses.replace skips make_problem, so the
-        # bundle checks live in relative_and_delta, which every reader calls
+        # a problem built by dataclasses.replace skips make_problem, but
+        # not the checks, which the problem makes at construction
         base = solid_torus_problem(torus7) if kind == MANIFOLD else cone_over(torus7)
         data = {"kind": base.kind, "betti_q": base.betti_q, "iota": base.iota, **change}
         with pytest.raises(SposetError) as want:
             make_problem(data.pop("kind"), torus7, 3, RATIONALS, orientable=True, **data)
-        prob = replace(base, **change)
-        for call in (relative_and_delta, solve, e1_diagonal_hprime_form):
-            with pytest.raises(SposetError) as got:
-                call(prob)
-            assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+        with pytest.raises(SposetError) as got:
+            replace(base, **change)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+    @pytest.mark.parametrize("name, error", [
+        ("poset", NotBuchsbaum), ("charfn", InvalidCharFn), ("coeff", NonFieldCoefficients),
+    ])
+    def test_replaced_field_refused_at_replace(self, torus7, name, error):
+        # what make_problem once checked alone: the Buchsbaum condition,
+        # the characteristic function and the field
+        bad = {"poset": wedge_of_tetrahedra(),
+               "charfn": CharFunction(3, {v: (1, 0, 0) for e in torus7.by_rank(1)
+                                          for v in e.vertices}),
+               "coeff": INTEGERS}
+        prob = cone_over(torus7)
+        with pytest.raises(error):
+            replace(prob, **{name: bad[name]})
 
     def test_replaced_bundle_refused_under_python_O(self):
         script = (
             "from dataclasses import replace\n"
-            "from sposet import RATIONALS, SposetError, corpus, make_problem, solve\n"
+            "from sposet import INTEGERS, RATIONALS, CharFunction, SposetError, corpus\n"
+            "from sposet import from_facets, make_problem\n"
             "p = make_problem('manifold', corpus('torus7'), 3, RATIONALS,\n"
             "                 betti_q=(1, 1, 0, 0), iota=(1, 1, 0, 0), orientable=True)\n"
-            "for change in ({'betti_q': (1, 0)}, {'kind': 'bogus'}):\n"
+            "wedge = from_facets([[a for a in t if a != b] for t in ('0123', '0456')\n"
+            "                     for b in t])\n"
+            "lam = CharFunction(3, {f'v{i}': (1, 0, 0) for i in range(1, 8)})\n"
+            "for change in ({'betti_q': (1, 0)}, {'kind': 'bogus'}, {'poset': wedge},\n"
+            "               {'charfn': lam}, {'coeff': INTEGERS}):\n"
             "    try:\n"
-            "        solve(replace(p, **change))\n"
+            "        replace(p, **change)\n"
             "    except SposetError as exc:\n"
             "        print(type(exc).__name__)\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(sposet.__file__).parents[1])}
         out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                              capture_output=True, text=True, check=True).stdout
-        assert out.split() == ["InconsistentBundle", "InvalidArgument"]
+        assert out.split() == ["InconsistentBundle", "InvalidArgument", "NotBuchsbaum",
+                               "InvalidCharFn", "NonFieldCoefficients"]
 
     def test_cone_over_torus7(self, torus7):
-        relative, delta = relative_and_delta(cone_over(torus7))
-        assert relative == (0, 0, 2, 1)
-        assert delta == (0, 0, 2, 1)
+        prob = cone_over(torus7)
+        assert prob.relative == (0, 0, 2, 1)
+        assert prob.delta == (0, 0, 2, 1)
+        assert prob.boundary == (1, 2, 1)
 
     def test_solid_torus(self, torus7):
-        relative, delta = relative_and_delta(solid_torus_problem(torus7))
-        assert relative == (0, 0, 1, 1)
-        assert delta == (0, 0, 1, 1)
+        prob = solid_torus_problem(torus7)
+        assert prob.relative == (0, 0, 1, 1)
+        assert prob.delta == (0, 0, 1, 1)
 
     def test_cone_over_boundary_triangle(self, bd_triangle):
-        relative, delta = relative_and_delta(cone_over(bd_triangle))
-        assert relative == (0, 0, 1)
-        assert delta[2] == 1
+        prob = cone_over(bd_triangle)
+        assert prob.relative == (0, 0, 1)
+        assert prob.delta[2] == 1
 
 
 class TestTruncatedFirstPage:
@@ -524,6 +556,29 @@ class TestComputeOnce:
         assert len(checks) == 1
         assert walks == Counter([None])
 
+    @pytest.mark.parametrize("argv", [
+        ["cone", "--corpus", "torus7", "--n", "3"],
+        ["manifold", "--corpus", "torus7", "--n", "3", "--betti-q", "1,1,0,0",
+         "--iota", "1,1,0,0"],
+    ], ids=["cone", "manifold"])
+    def test_report_checks_its_problem_once(self, argv, monkeypatch, capsys):
+        # the problem checks itself when built; solve, verify and the
+        # manifold's h'-form read what it derived and check nothing again
+        checks = []
+        real = spectral.QuotientProblem.__post_init__
+
+        def check(prob):
+            checks.append(prob.kind)
+            real(prob)
+
+        monkeypatch.setattr(spectral.QuotientProblem, "__post_init__", check)
+        assert main(["quotient", *argv, "--json"]) == 0
+        out = capsys.readouterr().out
+        assert '"euler_conserved":true' in out
+        assert ('"diagonal_is_h_prime":true' in out) == (argv[0] == MANIFOLD)
+        assert checks == [argv[0]]
+        assert not hasattr(spectral, "relative_and_delta")
+
     def test_lambda_report_builds_link_table_and_ft_once(self, monkeypatch, capsys, tmp_path):
         # a cone report with λ solves once and draws no second λ; the link
         # table is built once, each face's row read once, and ft summed
@@ -559,7 +614,7 @@ class TestComputeOnce:
         assert main(argv) == 0
         assert '"lambda_independent":"the rank' in capsys.readouterr().out
         assert len(solves) == 1 and solves[0] is not None
-        # None is the whole poset, which relative_and_delta reads
+        # None is the whole poset, which the problem's check reads
         assert rows == Counter([None, *(e.id for e in S.elements())])
         assert sums == [RATIONALS]
         for seen in (rows, sums, solves):

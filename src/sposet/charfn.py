@@ -60,14 +60,14 @@ class CharFunction:
             if not isinstance(vec, (tuple, list)):
                 raise InvalidCharFn(f"vertex {vid!r}: {vec!r} is not a tuple or list")
             vec = tuple(vec)
-            for x in vec:
-                if not is_int(x):
-                    raise InvalidCharFn(f"vertex {vid!r}: entry {x!r} is not an integer")
+            if not all(map(is_int, vec)):
+                x = next(x for x in vec if not is_int(x))
+                raise InvalidCharFn(f"vertex {vid!r}: entry {x!r} is not an integer")
             if len(vec) != self.n:
                 raise WrongVectorLength(
                     f"vertex {vid!r}: vector has length {len(vec)}, expected {self.n}"
                 )
-            if gcd(*(abs(x) for x in vec)) != 1:
+            if gcd(*vec) != 1:
                 raise NonPrimitiveVector(
                     f"vertex {vid!r}: {vec} is not primitive"
                 )

@@ -36,7 +36,7 @@ from heapq import heapify, heappop, heappush
 from itertools import cycle
 from typing import KeysView, Sequence
 
-from .errors import InternalError, InvalidArgument, SposetError
+from .errors import InternalError, InvalidArgument
 from .poset import SimplicialPoset, _components, _require_poset, is_int
 
 _INTEGERS = "integers"
@@ -127,8 +127,8 @@ def parse_coefficients(label: str) -> Coefficients:
         try:
             return prime_field(int(label[3:]))
         except ValueError as exc:
-            raise SposetError(f"bad coefficient label {label!r}: {exc}") from None
-    raise SposetError(f"bad coefficient label {label!r}")
+            raise InvalidArgument(f"bad coefficient label {label!r}: {exc}") from None
+    raise InvalidArgument(f"bad coefficient label {label!r}")
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,12 @@ serialize byte-identically.
 from __future__ import annotations
 
 import json
+from itertools import repeat
 from pathlib import Path
 
 from . import spectral
 from .charfn import CharFunction
-from .errors import SchemaViolation, UnknownFormat
+from .errors import SchemaViolation, SposetError, UnknownFormat
 from .homology import parse_coefficients
 from .poset import (
     SimplexElem,
@@ -60,14 +61,27 @@ def _names(value, where: str) -> tuple[str, ...]:
     return tuple(_name(x, where) for x in value)
 
 
+def _checked_once(build, lists, locate):
+    # the library checks each name and integer of the lists once; only its
+    # refusal reads the document again, for locate to raise at the first
+    # malformed list, which the document reports ahead of any other fault
+    try:
+        if not all(map(isinstance, lists, repeat(list))):
+            raise SchemaViolation("expected a list in every entry")
+        return build()
+    except SposetError:
+        locate()
+        raise
+
+
 def _parse_poset(doc: dict) -> SimplicialPoset:
     fmt = doc.get("format")
     name = _need(doc, "name", str) if "name" in doc else ""
     if fmt == "scomplex-v1":
         facets = _need(doc, "facets", list)
-        return from_facets(
-            [_names(f, f"facets[{idx}]") for idx, f in enumerate(facets)], name=name
-        )
+        return _checked_once(
+            lambda: from_facets(facets, name=name), facets,
+            lambda: [_names(f, f"facets[{idx}]") for idx, f in enumerate(facets)])
     elements = _need(doc, "elements", list)
     elems = []
     for idx, raw in enumerate(elements):
@@ -87,9 +101,9 @@ def _parse_poset(doc: dict) -> SimplicialPoset:
 def _parse_charfn(doc: dict) -> CharFunction:
     n = _need(doc, "n", int)
     assignment = _need(doc, "assignment", dict)
-    return CharFunction(
-        n, {str(k): _ints(v, f"assignment[{k!r}]") for k, v in assignment.items()}
-    )
+    return _checked_once(
+        lambda: CharFunction(n, assignment), assignment.values(),
+        lambda: [_ints(v, f"assignment[{k!r}]") for k, v in assignment.items()])
 
 
 def _parse_problem(doc: dict) -> spectral.QuotientProblem:
@@ -97,7 +111,7 @@ def _parse_problem(doc: dict) -> spectral.QuotientProblem:
     poset_doc = _need(doc, "poset", dict)
     poset = _parse_poset(poset_doc)
     n = _need(doc, "n", int)
-    coeff = parse_coefficients(str(_need(doc, "field")))
+    coeff = parse_coefficients(_need(doc, "field", str))
     lam = None
     if doc.get("charfn") is not None:
         lam = _parse_charfn(_need(doc, "charfn", dict))

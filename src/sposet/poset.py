@@ -10,9 +10,10 @@ by the homology backend.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from itertools import combinations
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from itertools import chain, combinations, repeat
+from operator import itemgetter
+from typing import Iterable, Mapping, NamedTuple, NoReturn
 
 from .errors import (
     DanglingFaceRef,
@@ -32,12 +33,12 @@ MAX_RANK = 64
 MAX_FACES = 2**18
 
 
-@dataclass(frozen=True)
-class SimplexElem:
+class SimplexElem(NamedTuple):
     """One face: sorted vertices plus facet ids in omitted-vertex order.
 
     Rank-1 faces have an empty facet list; their unique codimension-one
-    face is the implicit minimal element, which is never stored.
+    face is the implicit minimal element, which is never stored.  A named
+    tuple, so also equal to its plain ``(id, vertices, facets)`` tuple.
     """
 
     id: str
@@ -65,8 +66,9 @@ class SimplicialPoset:
     """Finite poset whose lower intervals are Boolean lattices.
 
     Instances are immutable once built and safe to share; construct via
-    :func:`from_face_lattice` or :func:`from_facets`.  ``n`` is the
-    ambient rank (``dim + 1`` for pure posets unless overridden).
+    :func:`from_face_lattice` or :func:`from_facets`, which validate; the
+    constructor sorts the ids of each rank once.  ``n`` is the ambient
+    rank (``dim + 1`` for pure posets unless overridden).
     """
 
     __slots__ = ("name", "n", "_elems", "_sorted", "_cache")
@@ -75,9 +77,11 @@ class SimplicialPoset:
         self._elems = dict(elements)
         self.n = n
         self.name = name
-        self._sorted = tuple(
-            sorted(self._elems.values(), key=lambda e: (e.rank, e.id))
-        )
+        by_rank: dict[int, list[str]] = {}
+        for eid, e in self._elems.items():
+            by_rank.setdefault(len(e.vertices), []).append(eid)
+        self._sorted = tuple(map(self._elems.__getitem__, chain.from_iterable(
+            sorted(by_rank[k]) for k in sorted(by_rank))))
         self._cache: dict = {}
 
     def __len__(self) -> int:
@@ -162,7 +166,7 @@ def _as_elem(raw) -> SimplexElem:
         raise PosetValidationError(getattr(raw, "id", "?"), "element-shape",
                                    f"not a SimplexElem of str ids and tuples: {raw!r}")
     vertices = tuple(sorted(raw.vertices))
-    return raw if vertices == raw.vertices else replace(raw, vertices=vertices)
+    return raw if vertices == raw.vertices else raw._replace(vertices=vertices)
 
 
 def from_face_lattice(
@@ -251,22 +255,60 @@ def from_facets(facet_vertex_sets: Iterable[Iterable], name: str = "") -> Simpli
 
     Each facet is a collection (not a str) of at most ``MAX_RANK`` vertex
     names, strs or ints, an int taken as its str, and the facets have at
-    most ``MAX_FACES`` nonempty subsets in all.  Every nonempty subset
-    of a facet becomes one face whose id is its sorted vertex names joined
-    by commas, so a vertex is named by itself and the result is a genuine
-    simplicial complex.  Built in one pass: faces made this way satisfy
-    every axiom ``from_face_lattice`` checks once no two ids collide.
+    most ``MAX_FACES`` nonempty subsets in all, counted per facet.  Every
+    nonempty subset of a facet becomes one face whose id is its sorted
+    vertex names joined by commas, so a vertex is named by itself and the
+    result is a genuine simplicial complex.  Built rank by rank from the
+    distinct sorted facets, once the guards passed over all of them: the
+    rank-k faces are their k-subsets, and each facet id is found by its
+    vertex tuple in the rank below.  Faces made this way satisfy every
+    axiom ``from_face_lattice`` checks once no two ids collide.
     """
     _require_input(facet_vertex_sets, name)
-    faces: set[tuple[str, ...]] = set()
+    raws = list(facet_vertex_sets)
+    shaped = set(map(type, raws)) <= {list, tuple} or (
+        all(map(isinstance, raws, repeat(Iterable)))
+        and not any(map(isinstance, raws, repeat((str, bytes)))))
+    tuples = list(map(tuple, raws)) if shaped else []
+    all_str = set(map(type, chain.from_iterable(tuples))) <= {str}
+    named = shaped and (all_str or all(map(is_name, chain.from_iterable(tuples))))
+    names = tuples if all_str else map(map, repeat(str), tuples)  # an int taken as its str
+    vsets = list(map(sorted, map(set, names))) if named else []
+    sizes = list(map(len, vsets))
+    if not (sizes and min(sizes) and max(sizes) <= MAX_RANK
+            and sum(map((1).__lshift__, sizes)) - len(sizes) <= MAX_FACES):
+        _refuse_facet(raws, tuples)
+
+    # below maps each face of the rank below to its id, a vertex by its
+    # bare name, as itemgetter returns a single index bare
+    facets, elems, below, count = set(map(tuple, vsets)), {}, {}, 0
+    for k in range(1, max(sizes) + 1):
+        faces = list(set(chain.from_iterable(map(combinations, facets, repeat(k)))))
+        ids = list(map(",".join, faces))
+        facet_ids = zip(*(
+            map(below.__getitem__, map(itemgetter(*(i for i in range(k) if i != j)), faces))
+            for j in range(k))) if k > 1 else repeat(())
+        elems.update(zip(ids, map(SimplexElem, ids, faces, facet_ids)))
+        below = dict(zip(faces if k > 1 else ids, ids))
+        count += len(faces)
+    if len(elems) != count:
+        raise PosetValidationError(
+            "", "vertex-name", "vertex names collide under subset naming"
+        )
+    return SimplicialPoset(elems, max(sizes), name)
+
+
+def _refuse_facet(raws: list, tuples: list) -> NoReturn:
+    # the error path of from_facets: the guards facet by facet, in input
+    # order, raising the first fault
     total = 0
-    for raw in facet_vertex_sets:
+    for idx, raw in enumerate(raws):
         shaped = isinstance(raw, Iterable) and not isinstance(raw, (str, bytes))
-        fs = tuple(raw) if shaped else ()
+        fs = tuples[idx] if tuples else tuple(raw) if shaped else ()
         if not shaped or not all(map(is_name, fs)):
             raise PosetValidationError(
                 "", "element-shape", f"facet {raw!r} is not a collection of str or int names")
-        vs = sorted(set(map(str, fs)))
+        vs = set(map(str, fs))
         if not vs:
             raise EmptyInput("empty facet vertex set")
         if len(vs) > MAX_RANK:
@@ -276,20 +318,7 @@ def from_facets(facet_vertex_sets: Iterable[Iterable], name: str = "") -> Simpli
         if total > MAX_FACES:
             raise PosetValidationError("", "face-count", (
                 f"facets with {total} faces counted per facet, above the bound {MAX_FACES}"))
-        faces.update(c for k in range(1, len(vs) + 1) for c in combinations(vs, k))
-    if not faces:
-        raise EmptyInput("no facets given")
-
-    elems = {}
-    for vs in faces:  # SimplicialPoset sorts them
-        e = SimplexElem(",".join(vs), vs, tuple(
-            ",".join(vs[:j] + vs[j + 1 :]) for j in range(len(vs)) if len(vs) > 1))
-        elems[e.id] = e
-    if len(elems) != len(faces):
-        raise PosetValidationError(
-            "", "vertex-name", "vertex names collide under subset naming"
-        )
-    return SimplicialPoset(elems, max(map(len, faces)), name)
+    raise EmptyInput("no facets given")
 
 
 def barycentric(S: SimplicialPoset) -> SimplicialPoset:

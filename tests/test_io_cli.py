@@ -1,9 +1,13 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import sposet
 from sposet import cli as cli_mod
 from sposet import io as io_mod
 from sposet import spectral
@@ -331,6 +335,11 @@ MISTYPED_DOCUMENTS = {
     "charfn_entry_str": (_triangle_lambda(["1", 0]), CHARFN_CHECK),
     "charfn_entry_float": (_triangle_lambda([1.0, 0]), CHARFN_CHECK),
     "charfn_vector_int": (_triangle_lambda(1), CHARFN_CHECK),
+    "charfn_vector_str": (_triangle_lambda("10"), CHARFN_CHECK),
+    "scomplex_facet_str": ({"format": "scomplex-v1", "facets": ["abc"]}, ["stats", "{path}"]),
+    # a ring label of the wrong JSON type, not coerced to a str
+    "cone_field_int": (_triangle_cone(field=3), ["quotient", "cone", "{path}"]),
+    "manifold_field_bool": (_triangle_manifold(field=True), ["quotient", "manifold", "{path}"]),
 }
 
 
@@ -358,6 +367,10 @@ VERTEX = [SimplexElem("a", ("a",), ())]
 BAD_LIBRARY_CALLS = {
     "face_lattice_int": (lambda: from_face_lattice([5]), PosetValidationError),
     "face_lattice_tuple": (lambda: from_face_lattice([("a",)]), PosetValidationError),
+    # a plain tuple equal to a face is still no SimplexElem
+    "face_lattice_plain_triple": (
+        lambda: from_face_lattice([("a", ("a",), ())]), PosetValidationError,
+    ),
     "face_lattice_int_vertices": (
         lambda: from_face_lattice([SimplexElem("a", 5, ())]), PosetValidationError,
     ),
@@ -529,6 +542,28 @@ def test_wrong_length_charfn_is_refused(argv, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_document_fault_is_reported_ahead_of_library_fault():
+    # facet 0 has too many faces, facet 1 a bool name: the document's fault wins
+    with pytest.raises(SchemaViolation, match=r"facets\[1\]"):
+        io_mod.parse({"format": "scomplex-v1", "facets": [list(range(19)), ["a", True]]})
+    with pytest.raises(SchemaViolation, match=r"assignment\['v2'\]"):
+        io_mod.parse({"format": "charfn-v1", "n": 2,
+                      "assignment": {"v1": [1, 0, 0], "v2": ["1", 0]}})
+    # a dict facet or a tuple vector, which the library would take, is refused
+    with pytest.raises(SchemaViolation, match=r"facets\[0\]"):
+        io_mod.parse({"format": "scomplex-v1", "facets": [{"a": 1}]})
+    with pytest.raises(SchemaViolation, match=r"assignment\['v1'\]"):
+        io_mod.parse({"format": "charfn-v1", "n": 2, "assignment": {"v1": (1, 0)}})
+
+
+def test_bad_coefficient_label_is_clean_error(capsys):
+    assert main(["homology", "--corpus", "torus7", "--coeff", "w"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "InvalidArgument: bad coefficient label 'w'" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_facet_with_too_many_faces_is_refused(tmp_path, capsys):
     # one facet of 19 vertices, 2**19 - 1 faces: refused before enumeration
     path = tmp_path / "big.json"
@@ -697,3 +732,42 @@ def test_unhashable_format_tag_is_unknown_format():
     for tag in (["sposet-v1"], {"x": 1}):
         with pytest.raises(UnknownFormat):
             io_mod.parse({"format": tag})
+
+
+HASH_SEED_RUN = """
+import hashlib, json, os, sys
+from click.testing import CliRunner
+from sposet import barycentric, corpus
+from sposet.cli import cli
+from sposet.io import dumps_canonical, emit_poset
+from sposet.poset import from_facets
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+sd = barycentric(corpus("torus7"))
+sdsd = barycentric(sd)
+print(digest(dumps_canonical(emit_poset(
+    from_facets([sdsd.element(m).vertices for m in sdsd.maximal_ids()])))))
+path = os.path.join(sys.argv[1], "sd_torus7.json")
+with open(path, "w") as out:
+    json.dump({"format": "scomplex-v1", "name": "sd(torus7)",
+               "facets": [list(sd.element(m).vertices) for m in sd.maximal_ids()]}, out)
+run = CliRunner().invoke(cli, ["quotient", "cone", path, "--n", "3", "--json"])
+print(run.exit_code, digest(run.output))
+"""
+
+
+def test_outputs_agree_across_hash_seeds(tmp_path):
+    # the builder iterates sets of str tuples, whose order follows the hash seed
+    src = os.path.dirname(os.path.dirname(sposet.__file__))
+    outs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        run = subprocess.run([sys.executable, "-c", HASH_SEED_RUN, str(tmp_path)], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].splitlines()[1].startswith("0 ")

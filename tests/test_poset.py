@@ -96,6 +96,20 @@ class TestFromFaceLattice:
             from_face_lattice(elems)
 
 
+class TestSimplexElem:
+    def test_immutable_and_hashable(self):
+        e = SimplexElem("a,b", ("a", "b"), ("b", "a"))
+        with pytest.raises(AttributeError):
+            e.id = "c"
+        with pytest.raises(AttributeError):
+            e.extra = 1
+        assert hash(e) == hash(SimplexElem("a,b", ("a", "b"), ("b", "a")))
+        assert (e.id, e.rank, e.dim) == ("a,b", 2, 1)
+
+    def test_equals_its_plain_tuple(self):
+        assert SimplexElem("a", ("a",), ()) == ("a", ("a",), ())
+
+
 class TestFromFacets:
     def test_boundary_triangle(self):
         S = from_facets([{1, 2}, {1, 3}, {2, 3}])
@@ -126,6 +140,33 @@ class TestFromFacets:
         # enumerating its 2**65 subsets first would never end
         with pytest.raises(PosetValidationError, match="ambient-rank"):
             from_facets([["a", "b"], range(MAX_RANK + 1)])
+
+    def test_first_facet_at_fault_names_the_error(self):
+        # the guards of an earlier facet win over those of a later one
+        with pytest.raises(EmptyInput):
+            from_facets([["a"], [], ["b", True]])
+        with pytest.raises(PosetValidationError, match="element-shape"):
+            from_facets([["a"], ["b", True], []])
+        with pytest.raises(PosetValidationError, match="face-count"):
+            from_facets([range(19), ["b", True]])
+        with pytest.raises(PosetValidationError, match="ambient-rank"):
+            from_facets([range(MAX_RANK + 1), "ab"])
+        with pytest.raises(PosetValidationError, match="element-shape"):
+            from_facets(["ab", range(MAX_RANK + 1)])
+
+    def test_iterator_facets_are_read_once(self):
+        assert validate_stats(from_facets([iter(["b", "a"]), iter(("c", 1))])).f == (1, 4, 2)
+        with pytest.raises(PosetValidationError, match="element-shape"):
+            from_facets([iter(["a", True])])
+
+    def test_facet_order_does_not_matter(self, torus7):
+        S = barycentric(barycentric(torus7))
+        facets = [S.element(m).vertices for m in S.maximal_ids()]
+        shuffled = [tuple(reversed(f)) for f in facets]
+        random.Random(21).shuffle(shuffled)
+        built = [from_facets(fs) for fs in (facets, facets[::-1], shuffled)]
+        assert built[0] == built[1] == built[2] == S
+        assert built[0].elements() == built[1].elements() == built[2].elements()
 
     def test_face_count_refused_before_enumeration(self, monkeypatch):
         # 2**19 - 1 subsets: enumerating them first takes gigabytes

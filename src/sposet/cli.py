@@ -5,11 +5,12 @@ Each command builds one report dict.  ``--json`` prints it canonically
 byte-identical; without it the same entries print as ``key: value``
 lines.  The exit status comes from the report, not from the output
 form.  Every input document is read through ``_load``, which refuses
-one of the wrong kind.
+one of the wrong kind; a directory given as a path is a usage error.
+A ``SposetError`` raised anywhere beneath the ``cli`` group prints as
+one ``Error: <Class>: <message>`` line and exits 1.
 """
 from __future__ import annotations
 
-import functools
 import json
 import sys
 
@@ -26,17 +27,6 @@ from .errors import SchemaViolation, SposetError
 from .facevec import face_vector_report, identity_report
 from .homology import parse_coefficients, reduced_betti
 from .poset import SimplicialPoset, validate_stats
-
-
-def _friendly(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except SposetError as exc:
-            raise click.ClickException(f"{type(exc).__name__}: {exc}")
-
-    return wrapper
 
 
 def _echo_json(payload) -> None:
@@ -91,8 +81,11 @@ def _poset(corpus_name, path) -> SimplicialPoset:
     return corpus(corpus_name) if path is None else _load(path, SimplicialPoset, "poset")
 
 
+_FILE = click.Path(exists=True, dir_okay=False)
+
+
 def _poset_args(fn):
-    fn = click.argument("path", required=False, type=click.Path(exists=True))(fn)
+    fn = click.argument("path", required=False, type=_FILE)(fn)
     fn = click.option("--corpus", "corpus_name", help="built-in corpus entry")(fn)
     return fn
 
@@ -103,7 +96,16 @@ _FIELD = click.option(
 _JSON = click.option("--json", "as_json", is_flag=True, help="canonical JSON output")
 
 
-@click.group()
+class _Cli(click.Group):
+    # the one error boundary: covers every subgroup, command and parameter callback
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except SposetError as exc:
+            raise click.ClickException(f"{type(exc).__name__}: {exc}")
+
+
+@click.group(cls=_Cli)
 @click.version_option(package_name="sposet")
 def cli():
     """Exact invariants of simplicial posets and torus quotient ranks."""
@@ -112,7 +114,6 @@ def cli():
 @cli.command()
 @_poset_args
 @_JSON
-@_friendly
 def stats(corpus_name, path, as_json):
     """Dimension, purity, connectivity and the f-vector."""
     S = _poset(corpus_name, path)
@@ -125,7 +126,6 @@ def stats(corpus_name, path, as_json):
     "--coeff", default="q", show_default=True, help="z, q or fp:<p>"
 )
 @_JSON
-@_friendly
 def homology(corpus_name, path, coeff, as_json):
     """Reduced Betti numbers, with torsion over the integers."""
     S = _poset(corpus_name, path)
@@ -137,7 +137,6 @@ def homology(corpus_name, path, coeff, as_json):
 @_poset_args
 @_FIELD
 @_JSON
-@_friendly
 def fvec(corpus_name, path, field, as_json):
     """f, h, ft, h' and h'' vectors over a field."""
     S = _poset(corpus_name, path)
@@ -149,7 +148,6 @@ def fvec(corpus_name, path, field, as_json):
 @_poset_args
 @_FIELD
 @_JSON
-@_friendly
 def classify_cmd(corpus_name, path, field, as_json):
     """Buchsbaum / Cohen-Macaulay / homology-manifold verdicts."""
     S = _poset(corpus_name, path)
@@ -161,7 +159,6 @@ def classify_cmd(corpus_name, path, field, as_json):
 @_poset_args
 @_FIELD
 @_JSON
-@_friendly
 def identities(corpus_name, path, field, as_json):
     """Run the face-vector identity suite over a field."""
     S = _poset(corpus_name, path)
@@ -178,11 +175,10 @@ def charfn():
 
 
 @charfn.command(name="check")
-@click.argument("charfn_path", type=click.Path(exists=True))
+@click.argument("charfn_path", type=_FILE)
 @_poset_args
 @click.option("--coeff", default="z", show_default=True, help="z, q or fp:<p>")
 @_JSON
-@_friendly
 def charfn_check_cmd(charfn_path, corpus_name, path, coeff, as_json):
     """Check an assignment against every simplex of a poset."""
     S = _poset(corpus_name, path)
@@ -205,7 +201,6 @@ def charfn_check_cmd(charfn_path, corpus_name, path, coeff, as_json):
 @click.option("--n", "rank", type=int, required=True, help="torus rank")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--bound", type=int, default=5, show_default=True)
-@_friendly
 def charfn_random_cmd(corpus_name, path, rank, seed, bound):
     """Sample a rational characteristic function (emits charfn-v1)."""
     S = _poset(corpus_name, path)
@@ -288,14 +283,13 @@ def _quotient_options(fn):
     fn = _poset_args(fn)
     fn = click.option("--n", "rank", type=int, help="torus rank")(fn)
     fn = _FIELD(fn)
-    fn = click.option("--charfn", "charfn_path", type=click.Path(exists=True))(fn)
+    fn = click.option("--charfn", "charfn_path", type=_FILE)(fn)
     fn = _JSON(fn)
     return fn
 
 
 @quotient.command(name="cone")
 @_quotient_options
-@_friendly
 def quotient_cone(corpus_name, path, rank, field, charfn_path, as_json):
     """Cone over a Buchsbaum poset (accepts a cone-v1 bundle file)."""
     prob = _problem_from_cli(
@@ -311,7 +305,6 @@ def quotient_cone(corpus_name, path, rank, field, charfn_path, as_json):
     "--iota", callback=_int_list, help="comma separated ranks of H_*(bd Q) -> H_*(Q)"
 )
 @click.option("--orientable/--no-orientable", default=True, show_default=True)
-@_friendly
 def quotient_manifold(corpus_name, path, rank, field, charfn_path, as_json,
                       betti_q, iota, orientable):
     """Manifold with corners (accepts a manifold-v1 bundle file)."""
@@ -336,7 +329,6 @@ def corpus_list():
 
 @corpus_group.command(name="emit")
 @click.argument("name")
-@_friendly
 def corpus_emit(name):
     """Serialize a corpus entry as sposet-v1 JSON."""
     _echo_json(io_mod.emit_poset(corpus(name)))

@@ -5,23 +5,15 @@ Entries cover genuine simplicial complexes (simplex boundaries, the
 simplicial cell posets (two arcs forming a circle, two triangles glued
 along their whole boundary) and the two-facet face poset of a cylinder,
 which is the standard counterexample for quotient constructions over
-non-acyclic faces.
+non-acyclic faces.  The corpus is one table from name to builder, and
+each call builds a fresh poset.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Mapping
 
 from .errors import UnknownName
 from .poset import SimplexElem, SimplicialPoset, from_face_lattice, from_facets
-
-
-@dataclass(frozen=True)
-class CorpusEntry:
-    name: str
-    build: Callable[[], SimplicialPoset]
-    expected: Mapping | None = None
 
 
 def _v(i: int) -> str:
@@ -97,48 +89,29 @@ def _s1xI_faceposet() -> SimplicialPoset:
     )
 
 
-_ENTRIES = [
-    CorpusEntry(
-        "boundary_simplex(2)",
-        lambda: _boundary_simplex(2),
-        {"f": (1, 3, 3), "dim": 1},
-    ),
-    CorpusEntry(
-        "boundary_simplex(3)",
-        lambda: _boundary_simplex(3),
-        {"f": (1, 4, 6, 4), "dim": 2},
-    ),
-    CorpusEntry(
-        "boundary_simplex(4)",
-        lambda: _boundary_simplex(4),
-        {"f": (1, 5, 10, 10, 5), "dim": 3},
-    ),
-    CorpusEntry("triangle_2gon", _triangle_2gon, {"f": (1, 3, 3, 2), "dim": 2}),
-    CorpusEntry("two_arc_circle", _two_arc_circle, {"f": (1, 2, 2), "dim": 1}),
-    CorpusEntry("torus7", _torus7, {"f": (1, 7, 21, 14), "dim": 2}),
-    CorpusEntry("rp2_6", _rp2_6, {"f": (1, 6, 15, 10), "dim": 2}),
-    CorpusEntry("octahedron_s2", _octahedron, {"f": (1, 6, 12, 8), "dim": 2}),
-    CorpusEntry("s1xI_faceposet", _s1xI_faceposet, {"f": (1, 2), "dim": 0}),
-]
-
-_BY_NAME = {entry.name: entry for entry in _ENTRIES}
+_CORPUS = {
+    "boundary_simplex(2)": lambda: _boundary_simplex(2),
+    "boundary_simplex(3)": lambda: _boundary_simplex(3),
+    "boundary_simplex(4)": lambda: _boundary_simplex(4),
+    "triangle_2gon": _triangle_2gon,
+    "two_arc_circle": _two_arc_circle,
+    "torus7": _torus7,
+    "rp2_6": _rp2_6,
+    "octahedron_s2": _octahedron,
+    "s1xI_faceposet": _s1xI_faceposet,
+}
 
 
 def corpus_names() -> tuple[str, ...]:
-    return tuple(entry.name for entry in _ENTRIES)
-
-
-def corpus_entry(name: str) -> CorpusEntry:
-    try:
-        return _BY_NAME[name]
-    except KeyError:
-        known = ", ".join(corpus_names())
-        raise UnknownName(f"no corpus entry {name!r} (known: {known})") from None
+    return tuple(_CORPUS)
 
 
 def corpus(name: str) -> SimplicialPoset:
-    """Return the named corpus poset; raises UnknownName otherwise."""
-    return corpus_entry(name).build()
+    """Build the named corpus poset; raises UnknownName for any other name."""
+    build = _CORPUS.get(name) if isinstance(name, str) else None
+    if build is None:
+        raise UnknownName(f"no corpus entry {name!r} (known: {', '.join(_CORPUS)})")
+    return build()
 
 
 # Betti profiles of the two quotients over the cylinder orbit space,

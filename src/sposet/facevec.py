@@ -14,7 +14,7 @@ from math import comb
 from .classify import _require_pure, buchsbaum_witnesses, classify
 from .errors import NonFieldCoefficients, NotConnected
 from .homology import Coefficients, _link_table, _require_ring, reduced_betti
-from .poset import SimplicialPoset, f_vector
+from .poset import SimplicialPoset, validate_stats
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ def f_h_vectors(S: SimplicialPoset):
     cached = S._cache.get("f_h")
     if cached is None:
         n = S.n
-        f = f_vector(S)
+        f = validate_stats(S).f
         h = tuple(
             sum((-1) ** (j - i) * comb(n - i, j - i) * f[i] for i in range(j + 1))
             for j in range(n + 1)

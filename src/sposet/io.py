@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import spectral
 from .charfn import CharFunction
-from .errors import SchemaViolation, SposetError, UnknownFormat
+from .errors import InvalidArgument, SchemaViolation, SposetError, UnknownFormat
 from .homology import parse_coefficients
 from .poset import (
     SimplexElem,
@@ -132,15 +132,24 @@ _PARSERS = {
 }
 
 
+def _decode(source: str | bytes):
+    # bytes must be UTF-8; each way json can fail becomes a SchemaViolation
+    try:
+        return json.loads(source.decode() if isinstance(source, bytes) else source)
+    except json.JSONDecodeError as exc:
+        reason = str(exc)
+    except UnicodeDecodeError as exc:
+        reason = f"not UTF-8 ({exc.reason} at byte {exc.start})"
+    except ValueError:
+        reason = "an integer literal with more digits than Python reads"
+    except RecursionError:
+        reason = "arrays or objects nested too deeply"
+    raise SchemaViolation(f"not valid JSON: {reason}")
+
+
 def parse(source):
-    """Decode a JSON document (text or dict) into a validated object."""
-    if isinstance(source, (str, bytes)):
-        try:
-            doc = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise SchemaViolation(f"not valid JSON: {exc}") from None
-    else:
-        doc = source
+    """Decode a JSON document (text, UTF-8 bytes or dict) into a validated object."""
+    doc = _decode(source) if isinstance(source, (str, bytes)) else source
     if not isinstance(doc, dict):
         raise SchemaViolation("top level must be a JSON object")
     fmt = doc.get("format")
@@ -151,7 +160,11 @@ def parse(source):
 
 
 def parse_path(path) -> object:
-    return parse(Path(path).read_text(encoding="utf-8"))
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise InvalidArgument(f"cannot read {path}: {exc.strerror or exc}") from None
+    return parse(data)
 
 
 def emit_poset(S: SimplicialPoset) -> dict:

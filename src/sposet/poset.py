@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations, repeat
+from math import factorial
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, NoReturn
 
@@ -336,6 +337,13 @@ def barycentric(S: SimplicialPoset) -> SimplicialPoset:
         S._cache["barycentric"] = out
         return out
 
+    # a maximal face of rank k lies over k! maximal chains, each a facet of
+    # 2^k - 1 faces: the count from_facets would refuse, made before listing one
+    total = sum(factorial(k) * ((1 << k) - 1)
+                for k in (S.element(m).rank for m in S.maximal_ids()))
+    if total > MAX_FACES:
+        raise PosetValidationError("", "face-count", (
+            f"facets with {total} faces counted per facet, above the bound {MAX_FACES}"))
     chains: list[tuple[str, ...]] = []
 
     def grow(chain: list[str]) -> None:

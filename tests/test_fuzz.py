@@ -7,15 +7,22 @@ swapped.  Whatever the mutation, parsing (and, for posets, validation
 and homology) must end in a value or in a SposetError, never in
 another exception, and a poset that parses kept its name and ids as
 the document wrote them.
+
+A second pass mutates the serialized bytes: the text truncated, random
+bytes spliced in, the whole wrapped in deep nesting, or a value (string
+or number) swapped for a 5,000-digit literal.  ``io.parse`` on those
+bytes and ``io.parse_path`` on a file of them must end alike, in a value
+or in the same SposetError.
 """
 import copy
 import json
 import random
+import re
 
 from sposet import io as io_mod
 from sposet.charfn import CharFunction
 from sposet.corpus import corpus, corpus_names
-from sposet.errors import SposetError
+from sposet.errors import SchemaViolation, SposetError
 from sposet.homology import INTEGERS, RATIONALS, reduced_betti
 from sposet.poset import SimplicialPoset, validate_stats
 from sposet.spectral import CONE, MANIFOLD, make_problem
@@ -98,3 +105,47 @@ def test_mutated_documents_end_in_value_or_sposet_error():
     # the mutations reach both sides of the format boundary
     assert outcomes["value"] > CASES // 10
     assert outcomes["error"] > CASES // 10
+
+
+TEXT_CASES = 200
+# a JSON string or number; a string followed by ":" is a key, not a value
+TOKEN = re.compile(rb'"(?:[^"\\]|\\.)*"(:?)|-?\d+')
+
+
+def _mangle(data: bytes, rng, op: int) -> bytes:
+    if op == 0:
+        return data[:rng.randrange(len(data))]
+    if op == 1:
+        at = rng.randrange(len(data) + 1)
+        return data[:at] + rng.randbytes(rng.randint(1, 4)) + data[at:]
+    if op == 2:
+        depth = rng.choice((3, 200_000))
+        return b"[" * depth + data + b"]" * depth
+    hit = rng.choice([m for m in TOKEN.finditer(data) if not m.group(1)])
+    return data[:hit.start()] + b"9" * 5000 + data[hit.end():]
+
+
+def _outcome(read):
+    try:
+        obj = read()
+    except SposetError as exc:
+        return type(exc), str(exc)
+    except Exception as exc:
+        raise AssertionError(f"{type(exc).__name__}: {str(exc)[:200]}") from exc
+    return type(obj), obj if isinstance(obj, SimplicialPoset) else None
+
+
+def test_mangled_text_ends_in_value_or_sposet_error(tmp_path):
+    rng = random.Random(20261019)
+    docs = [json.dumps(doc).encode() for doc in _seed_documents()]
+    path = tmp_path / "doc.json"
+    schema_violations = [0] * 4
+    for case in range(TEXT_CASES):
+        op = case % 4
+        data = _mangle(docs[case % len(docs)], rng, op)
+        path.write_bytes(data)
+        outcome = _outcome(lambda: io_mod.parse(data))
+        assert _outcome(lambda: io_mod.parse_path(path)) == outcome, (case, data[:200])
+        schema_violations[op] += outcome[0] is SchemaViolation
+    # every kind of mangling reaches the decode step's refusal
+    assert all(schema_violations), schema_violations

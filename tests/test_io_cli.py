@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -15,9 +16,10 @@ from sposet.charfn import CharFunction, random_q_charfn
 from sposet.charfn import check as charfn_check
 from sposet.classify import classify
 from sposet.cli import cli, main
-from sposet.corpus import corpus, corpus_entry, corpus_names
+from sposet.corpus import corpus, corpus_names
 from sposet.errors import (
     InconsistentBundle,
+    InternalError,
     InvalidArgument,
     InvalidCharFn,
     NotBuchsbaum,
@@ -81,13 +83,27 @@ def cylinder_bundle_doc():
     }
 
 
+# each corpus entry's f-vector (f_-1, f_0, ...); its dimension is len(f) - 2
+CORPUS_F = {
+    "boundary_simplex(2)": (1, 3, 3),
+    "boundary_simplex(3)": (1, 4, 6, 4),
+    "boundary_simplex(4)": (1, 5, 10, 10, 5),
+    "triangle_2gon": (1, 3, 3, 2),
+    "two_arc_circle": (1, 2, 2),
+    "torus7": (1, 7, 21, 14),
+    "rp2_6": (1, 6, 15, 10),
+    "octahedron_s2": (1, 6, 12, 8),
+    "s1xI_faceposet": (1, 2),
+}
+
+
 class TestCorpus:
     def test_expected_fragments(self):
-        for name in corpus_names():
-            entry = corpus_entry(name)
-            st = validate_stats(entry.build())
-            assert st.f == entry.expected["f"], name
-            assert st.dim == entry.expected["dim"], name
+        assert sorted(CORPUS_F) == sorted(corpus_names())
+        for name, f in CORPUS_F.items():
+            st = validate_stats(corpus(name))
+            assert st.f == f, name
+            assert st.dim == len(f) - 2, name
 
     def test_entries_are_reproducible(self):
         for name in corpus_names():
@@ -498,6 +514,11 @@ BAD_LIBRARY_CALLS = {
                              betti_q=(1, 1, 0, 0), iota=(1, 1, 0, 0), orientable=1),
         InconsistentBundle,
     ),
+    # a name that is no str, not even hashable
+    "corpus_unhashable_name": (lambda: corpus(["x"]), UnknownName),
+    # a path that cannot be read as a file
+    "parse_path_directory": (lambda: io_mod.parse_path(os.path.dirname(__file__)),
+                             InvalidArgument),
 }
 
 
@@ -612,6 +633,74 @@ def test_wrong_rank_refusal_fits_one_line(n, capsys):
     with pytest.raises(NotBuchsbaum) as err:
         make_problem(CONE, corpus("torus7"), int(n), RATIONALS)
     assert len({w[0] for w in err.value.witnesses}) == 42
+
+
+# documents json cannot decode, each once a traceback from io.parse and the CLI:
+# a byte that is not UTF-8, nesting past the recursion limit, and an integer
+# literal past Python's int-string digit limit
+UNDECODABLE = {
+    "non_utf8_byte": b'{"format": "scomplex-v1", "facets": [["a", "\xff"]]}',
+    "deep_nesting": b"[" * 200_000 + b"]" * 200_000,
+    "long_integer": b'{"format": "charfn-v1", "n": ' + b"9" * 5000 + b', "assignment": {}}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDECODABLE))
+def test_undecodable_document_is_schema_violation(case, tmp_path, capsys):
+    data = UNDECODABLE[case]
+    with pytest.raises(SchemaViolation, match="not valid JSON"):
+        io_mod.parse(data)
+    if case != "non_utf8_byte":
+        with pytest.raises(SchemaViolation, match="not valid JSON"):
+            io_mod.parse(data.decode())
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    assert main(["stats", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Error: SchemaViolation: not valid JSON" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "{dir}"],
+    ["charfn", "check", "{dir}", "--corpus", "torus7"],
+    ["quotient", "cone", "--corpus", "torus7", "--n", "3", "--charfn", "{dir}"],
+], ids=["poset_path", "check_lambda_path", "cone_charfn_option"])
+def test_directory_path_is_usage_error(argv, tmp_path, capsys):
+    assert main([a.format(dir=tmp_path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is a directory" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def _boom():
+    raise InternalError("boom")
+
+
+# where a SposetError can be raised beneath the command group: a command
+# of its own, a command of a subgroup, and a parameter callback
+BOOM_PLACES = {
+    "command": (None, click.Command("boom", callback=_boom)),
+    "subgroup_command": ("charfn", click.Command("boom", callback=_boom)),
+    "parameter_callback": (None, click.Command("boom", params=[
+        click.Option(["--x"], callback=lambda ctx, param, value: _boom())])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOOM_PLACES))
+def test_group_prints_any_sposet_error_as_one_line(case, monkeypatch, capsys):
+    group, command = BOOM_PLACES[case]
+    if group is None:
+        monkeypatch.setitem(cli.commands, "boom", command)
+        assert main(["boom"]) == 1
+    else:
+        monkeypatch.setitem(cli.commands[group].commands, "boom", command)
+        assert main([group, "boom"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "Error: InternalError: boom\n"
 
 
 # CLI input that once escaped as a Python traceback; {path} holds BAD_FORMAT_TAG,

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -296,6 +297,18 @@ class TestBarycentric:
             sd = barycentric(S)
             assert len(sd.by_rank(1)) == len(S)
             assert sd.dim == S.dim
+
+    def test_face_count_refused_before_listing_chains(self, monkeypatch):
+        # one facet of 8 vertices lies over 8! maximal chains of 2**8 - 1
+        # faces each; listing them first costs time and memory growing as k!
+        S = from_facets([range(8)])
+        monkeypatch.setattr(poset_mod, "from_facets", lambda *a, **k: pytest.fail("listed"))
+        with pytest.raises(PosetValidationError, match="10281600 faces") as err:
+            barycentric(S)
+        assert err.value.axiom == "face-count"
+        # 7 facets of 6! chains of 2**6 - 1 faces each
+        with pytest.raises(PosetValidationError, match="face-count"):
+            barycentric(from_facets(combinations(range(7), 6)))
 
 
 class TestStatsAndIntervals:

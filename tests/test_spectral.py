@@ -465,14 +465,16 @@ class TestComputeOnce:
         assert calls == []
 
     def test_h_polynomial_expanded_once_per_poset(self, monkeypatch):
+        # the expansion reads the f-vector through facevec's one
+        # validate_stats binding; the purity gate reads classify's
         expanded = []
-        real = facevec_mod.f_vector
+        real = facevec_mod.validate_stats
 
         def counting(S):
             expanded.append(S)
             return real(S)
 
-        monkeypatch.setattr(facevec_mod, "f_vector", counting)
+        monkeypatch.setattr(facevec_mod, "validate_stats", counting)
         S, report = _torus7_report()
         report()
         assert expanded == [S]

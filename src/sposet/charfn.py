@@ -34,6 +34,7 @@ from .errors import (
     MissingVertexAssignment,
     NonPrimitiveVector,
     WrongVectorLength,
+    shown,
 )
 from .homology import Coefficients, RATIONALS, _require_ring, smith_normal_form
 from .poset import SimplicialPoset, _require_poset, is_int, is_name
@@ -48,28 +49,28 @@ class CharFunction:
 
     def __post_init__(self):
         if not is_int(self.n):
-            raise InvalidCharFn(f"n = {self.n!r} is not an integer")
+            raise InvalidCharFn(f"n = {shown(self.n)} is not an integer")
         if self.n < 0:
             raise InvalidCharFn(f"n = {self.n} is negative")
         if not isinstance(self.assignment, Mapping):
-            raise InvalidCharFn(f"assignment {self.assignment!r} is not a mapping")
+            raise InvalidCharFn(f"assignment {shown(self.assignment)} is not a mapping")
         clean = {}
         for vid, vec in self.assignment.items():
             if not is_name(vid):
-                raise InvalidCharFn(f"vertex {vid!r} is not a str or int name")
+                raise InvalidCharFn(f"vertex {shown(vid)} is not a str or int name")
             if not isinstance(vec, (tuple, list)):
-                raise InvalidCharFn(f"vertex {vid!r}: {vec!r} is not a tuple or list")
+                raise InvalidCharFn(f"vertex {shown(vid)}: {shown(vec)} is not a tuple or list")
             vec = tuple(vec)
             if not all(map(is_int, vec)):
                 x = next(x for x in vec if not is_int(x))
-                raise InvalidCharFn(f"vertex {vid!r}: entry {x!r} is not an integer")
+                raise InvalidCharFn(f"vertex {shown(vid)}: entry {shown(x)} is not an integer")
             if len(vec) != self.n:
                 raise WrongVectorLength(
-                    f"vertex {vid!r}: vector has length {len(vec)}, expected {self.n}"
+                    f"vertex {shown(vid)}: vector has length {len(vec)}, expected {self.n}"
                 )
             if gcd(*vec) != 1:
                 raise NonPrimitiveVector(
-                    f"vertex {vid!r}: {vec} is not primitive"
+                    f"vertex {shown(vid)}: {vec} is not primitive"
                 )
             clean[str(vid)] = vec
         object.__setattr__(self, "assignment", clean)
@@ -78,7 +79,7 @@ class CharFunction:
         try:
             return self.assignment[vid]
         except KeyError:
-            raise MissingVertexAssignment(f"no vector for vertex {vid!r}") from None
+            raise MissingVertexAssignment(f"no vector for vertex {shown(vid)}") from None
 
 
 @dataclass(frozen=True)
@@ -207,7 +208,7 @@ def random_q_charfn(
     _require_poset(S)
     for name, value in (("n", n), ("seed", seed), ("bound", bound), ("budget", budget)):
         if not is_int(value):
-            raise InvalidArgument(f"{name} = {value!r} is not an integer")
+            raise InvalidArgument(f"{name} = {shown(value)} is not an integer")
     if n != S.n:
         raise WrongVectorLength(
             f"vectors of length {n} need a poset of ambient rank {n}, not {S.n}"

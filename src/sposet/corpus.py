@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import UnknownName
+from .errors import UnknownName, shown
 from .poset import SimplexElem, SimplicialPoset, from_face_lattice, from_facets
 
 
@@ -110,7 +110,7 @@ def corpus(name: str) -> SimplicialPoset:
     """Build the named corpus poset; raises UnknownName for any other name."""
     build = _CORPUS.get(name) if isinstance(name, str) else None
     if build is None:
-        raise UnknownName(f"no corpus entry {name!r} (known: {', '.join(_CORPUS)})")
+        raise UnknownName(f"no corpus entry {shown(name)} (known: {', '.join(_CORPUS)})")
     return build()
 
 

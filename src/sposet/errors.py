@@ -1,4 +1,15 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the one form in which
+a refusal quotes a value its caller passed."""
+
+from reprlib import Repr
+
+# repr with nesting cut at eight levels and long values elided, so that a
+# value of any depth is quoted as one bounded line; sets and dicts print
+# sorted where their entries compare
+_BOUNDED = Repr()
+vars(_BOUNDED).update(maxlevel=8, maxstring=200, maxlong=200, maxother=200, **dict.fromkeys(
+    ("maxtuple", "maxlist", "maxarray", "maxdict", "maxset", "maxfrozenset", "maxdeque"), 30))
+shown = _BOUNDED.repr
 
 
 class SposetError(Exception):
@@ -11,7 +22,7 @@ class PosetValidationError(SposetError):
     def __init__(self, element_id, axiom, message):
         self.element_id = element_id
         self.axiom = axiom
-        super().__init__(f"element {element_id!r}: {message} [{axiom}]")
+        super().__init__(f"element {shown(element_id)}: {message} [{axiom}]")
 
 
 class NonBooleanInterval(PosetValidationError):

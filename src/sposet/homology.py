@@ -36,7 +36,7 @@ from heapq import heapify, heappop, heappush
 from itertools import cycle
 from typing import KeysView, Sequence
 
-from .errors import InternalError, InvalidArgument
+from .errors import InternalError, InvalidArgument, shown
 from .poset import SimplicialPoset, _components, _require_poset, is_int
 
 _INTEGERS = "integers"
@@ -79,14 +79,14 @@ class Coefficients:
 
     def __post_init__(self):
         if self.kind not in (_INTEGERS, _RATIONALS, _PRIME_FIELD):
-            raise InvalidArgument(f"unknown coefficient kind {self.kind!r}")
+            raise InvalidArgument(f"unknown coefficient kind {shown(self.kind)}")
         if self.kind == _PRIME_FIELD:
             if not is_int(self.p):
-                raise InvalidArgument(f"p = {self.p!r} is not an integer")
+                raise InvalidArgument(f"p = {shown(self.p)} is not an integer")
             if self.p >= 2**64:
                 raise InvalidArgument(f"{self.p} is too large: p must be below 2**64")
             if not _is_prime(self.p):
-                raise InvalidArgument(f"{self.p!r} is not prime")
+                raise InvalidArgument(f"{shown(self.p)} is not prime")
         elif self.p is not None:
             raise InvalidArgument("p only makes sense for prime fields")
 
@@ -117,7 +117,7 @@ def prime_field(p: int) -> Coefficients:
 def parse_coefficients(label: str) -> Coefficients:
     """Parse 'z', 'q' or 'fp:<p>' into a Coefficients value."""
     if not isinstance(label, str):
-        raise InvalidArgument(f"coefficient label {label!r} is not a str")
+        raise InvalidArgument(f"coefficient label {shown(label)} is not a str")
     label = label.strip().lower()
     if label == "z":
         return INTEGERS
@@ -127,8 +127,8 @@ def parse_coefficients(label: str) -> Coefficients:
         try:
             return prime_field(int(label[3:]))
         except ValueError as exc:
-            raise InvalidArgument(f"bad coefficient label {label!r}: {exc}") from None
-    raise InvalidArgument(f"bad coefficient label {label!r}")
+            raise InvalidArgument(f"bad coefficient label {shown(label)}: {exc}") from None
+    raise InvalidArgument(f"bad coefficient label {shown(label)}")
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> SnfResult:
         if len(row) != len(rows[0]):
             raise InvalidArgument(f"rows of {len(rows[0])} and {len(row)} entries")
         if not all(map(is_int, row)):
-            raise InvalidArgument(f"row {row!r} holds an entry that is not an integer")
+            raise InvalidArgument(f"row {shown(row)} holds an entry that is not an integer")
     factors = _invariant_factors(rows)
     for a, b in zip(factors, factors[1:]):
         if b % a:
@@ -340,7 +340,7 @@ def _reduce(col: dict, pivots: dict) -> None:
 def _require_ring(coeff) -> None:
     # the one type guard of a ring argument, ahead of any read of it
     if not isinstance(coeff, Coefficients):
-        raise InvalidArgument(f"coefficients {coeff!r} are not a Coefficients value")
+        raise InvalidArgument(f"coefficients {shown(coeff)} are not a Coefficients value")
 
 
 def _low_row(cofaces, root):
@@ -433,7 +433,7 @@ def reduced_betti(
     _require_poset(S)
     _require_ring(coeff)
     if root is not None and not isinstance(root, str):
-        raise InvalidArgument(f"root {root!r} is not a face id")
+        raise InvalidArgument(f"root {shown(root)} is not a face id")
     return BettiVector(coeff, *_link_row(S, coeff, root))
 
 

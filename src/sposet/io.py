@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import spectral
 from .charfn import CharFunction
-from .errors import InvalidArgument, SchemaViolation, SposetError, UnknownFormat
+from .errors import InvalidArgument, SchemaViolation, SposetError, UnknownFormat, shown
 from .homology import parse_coefficients
 from .poset import (
     SimplexElem,
@@ -155,7 +155,7 @@ def parse(source):
     fmt = doc.get("format")
     parser = _PARSERS.get(fmt) if isinstance(fmt, str) else None
     if parser is None:
-        raise UnknownFormat(f"unknown format tag {fmt!r}")
+        raise UnknownFormat(f"unknown format tag {shown(fmt)}")
     return parser(doc)
 
 

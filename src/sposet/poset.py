@@ -24,6 +24,7 @@ from .errors import (
     PosetValidationError,
     RankMismatch,
     UnknownElement,
+    shown,
 )
 
 # Caps the ambient rank n, the length of the face and h-vectors; no face
@@ -98,7 +99,7 @@ class SimplicialPoset:
         try:
             return self._elems[eid]
         except KeyError:
-            raise UnknownElement(f"no element {eid!r} in poset {self.name!r}") from None
+            raise UnknownElement(f"no element {shown(eid)} in poset {self.name!r}") from None
 
     def elements(self) -> tuple[SimplexElem, ...]:
         """All faces, sorted by (rank, id)."""
@@ -154,9 +155,9 @@ def is_name(value) -> bool:
 def _require_input(items, name) -> None:
     # the shape guards both builders share, ahead of any read of their input
     if not isinstance(items, Iterable) or isinstance(items, (str, bytes)):
-        raise PosetValidationError("", "element-shape", f"{items!r} is not a collection")
+        raise PosetValidationError("", "element-shape", f"{shown(items)} is not a collection")
     if not isinstance(name, str):
-        raise InvalidArgument(f"poset name {name!r} is not a str")
+        raise InvalidArgument(f"poset name {shown(name)} is not a str")
 
 
 def _as_elem(raw) -> SimplexElem:
@@ -165,7 +166,7 @@ def _as_elem(raw) -> SimplexElem:
             and isinstance(raw.facets, tuple)
             and all(isinstance(x, str) for x in (raw.id, *raw.vertices, *raw.facets))):
         raise PosetValidationError(getattr(raw, "id", "?"), "element-shape",
-                                   f"not a SimplexElem of str ids and tuples: {raw!r}")
+                                   f"not a SimplexElem of str ids and tuples: {shown(raw)}")
     vertices = tuple(sorted(raw.vertices))
     return raw if vertices == raw.vertices else raw._replace(vertices=vertices)
 
@@ -184,7 +185,7 @@ def from_face_lattice(
     """
     _require_input(elements, name)
     if n is not None and not is_int(n):
-        raise PosetValidationError("", "ambient-rank", f"n={n!r} is not an integer")
+        raise PosetValidationError("", "ambient-rank", f"n={shown(n)} is not an integer")
     elems: dict[str, SimplexElem] = {}
     for raw in elements:
         e = _as_elem(raw)
@@ -308,7 +309,7 @@ def _refuse_facet(raws: list, tuples: list) -> NoReturn:
         fs = tuples[idx] if tuples else tuple(raw) if shaped else ()
         if not shaped or not all(map(is_name, fs)):
             raise PosetValidationError(
-                "", "element-shape", f"facet {raw!r} is not a collection of str or int names")
+                "", "element-shape", f"facet {shown(raw)} is not a collection of str or int names")
         vs = set(map(str, fs))
         if not vs:
             raise EmptyInput("empty facet vertex set")
@@ -392,7 +393,7 @@ def _components(nodes: int, edges) -> int:
 def _require_poset(S) -> None:
     # the one type guard of a poset argument, ahead of any read of it
     if not isinstance(S, SimplicialPoset):
-        raise InvalidArgument(f"{S!r} is not a SimplicialPoset")
+        raise InvalidArgument(f"{shown(S)} is not a SimplicialPoset")
 
 
 def validate_stats(S: SimplicialPoset) -> PosetStats:

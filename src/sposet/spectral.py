@@ -27,12 +27,14 @@ from .charfn import CharFunction
 from .classify import buchsbaum_witnesses, classify
 from .errors import (
     InconsistentBundle,
+    InternalError,
     InvalidArgument,
     InvalidCharFn,
     NonFieldCoefficients,
     NotBuchsbaum,
     NotConnected,
     SposetError,
+    shown,
 )
 from .facevec import f_h_vectors, ft_vector, h_prime_double
 from .homology import Coefficients, _require_ring, reduced_betti
@@ -53,9 +55,14 @@ class QuotientProblem:
     the rank data exact, and the characteristic function, if any, valid.
     The check keeps what it derives: ``relative``, dim H_i(Q, bd Q), is
     b~_(i-1)(S) for a cone, whose rank data must be (1, 0, ..., 0), and
-    betti_q[n-i] for a manifold by duality; ``delta``, the ranks of the
-    connecting maps, is relative[i] - betti_q[i] + iota[i] by exactness;
-    ``boundary`` is dim H_p(bd Q) for p < n.
+    betti_q[n-i] for a manifold by duality, whose rank data must be n + 1
+    ints with betti_q[0] = 1 and betti_q[n] = 0; ``delta``, the ranks of
+    the connecting maps, is relative[i] - betti_q[i] + iota[i] by
+    exactness; ``boundary`` is dim H_p(bd Q) for p < n.  Exactness is then
+    one pass down the sequence: 0 <= delta[i] <= min(relative[i],
+    b~_(i-1)(S)) for i <= n, and delta[i] + iota[i-1] = dim H_(i-1)(bd Q)
+    for 1 <= i <= n + 1, as delta[n+1] = 0 and H_n(bd Q) = 0, bd Q having
+    dimension n - 1.  Every bound on iota follows from these.
     """
 
     kind: str
@@ -72,7 +79,7 @@ class QuotientProblem:
     def __post_init__(self):
         n, coeff, betti_q, iota = self.n, self.coeff, self.betti_q, self.iota
         if not is_int(n):
-            raise InvalidArgument(f"torus rank n = {n!r} is not an integer")
+            raise InvalidArgument(f"torus rank n = {shown(n)} is not an integer")
         _require_ring(coeff)
         if not coeff.is_field:
             raise NonFieldCoefficients("quotient rank tables need field coefficients")
@@ -90,7 +97,7 @@ class QuotientProblem:
             )
 
         if self.kind not in (CONE, MANIFOLD):
-            raise InvalidArgument(f"unknown problem kind {self.kind!r}")
+            raise InvalidArgument(f"unknown problem kind {shown(self.kind)}")
         if self.poset.n != n:
             raise InconsistentBundle(
                 f"poset ambient rank {self.poset.n} does not match problem rank {n}"
@@ -104,10 +111,10 @@ class QuotientProblem:
         else:
             for label, vec in (("betti_q", betti_q), ("iota", iota)):
                 if not isinstance(vec, tuple):
-                    raise InconsistentBundle(f"{label} {vec!r} is not a tuple of integers")
+                    raise InconsistentBundle(f"{label} {shown(vec)} is not a tuple of integers")
                 for x in vec:
                     if not is_int(x):
-                        raise InconsistentBundle(f"{label} entry {x!r} is not an integer")
+                        raise InconsistentBundle(f"{label} entry {shown(x)} is not an integer")
             if len(betti_q) != n + 1 or len(iota) != n + 1:
                 raise InconsistentBundle(f"betti_q and iota must have length {n + 1}")
             if betti_q[0] != 1:
@@ -117,28 +124,17 @@ class QuotientProblem:
             relative = tuple(betti_q[n - i] for i in range(n + 1))
 
         boundary = tuple(bt(p) + (1 if p == 0 else 0) for p in range(n))
-        delta = []
-        for i in range(n + 1):
-            d = relative[i] - betti_q[i] + iota[i]
-            if d < 0 or d > relative[i] or d > max(bt(i - 1), 0):
-                raise InconsistentBundle(
-                    f"rank delta_{i} = {d} violates exactness bounds"
-                )
-            # exactness at H_(i-1)(bd Q): im delta_i = ker iota_(i-1)
-            if i and d + iota[i - 1] != boundary[i - 1]:
+        delta = tuple(relative[i] - betti_q[i] + iota[i] for i in range(n + 1))
+        for i, d in enumerate(delta + (0,)):
+            if i <= n and not 0 <= d <= min(relative[i], bt(i - 1)):
+                raise InconsistentBundle(f"rank delta_{i} = {d} violates exactness bounds")
+            # exactness at H_(i-1)(bd Q), up to H_n(bd Q) = 0: im delta_i = ker iota_(i-1)
+            dim = boundary[i - 1] if 0 < i <= n else 0
+            if i and d + iota[i - 1] != dim:
                 raise InconsistentBundle(
                     f"rank delta_{i} + rank iota_{i - 1} = {d + iota[i - 1]} "
-                    f"!= {boundary[i - 1]} = dim H_{i - 1}(bd Q)"
+                    f"!= {dim} = dim H_{i - 1}(bd Q)"
                 )
-            delta.append(d)
-        for i in range(n + 1):
-            bound = boundary[i] if i < n else 0
-            if iota[i] > min(bound, betti_q[i]):
-                raise InconsistentBundle(
-                    f"iota_{i} = {iota[i]} exceeds min({bound}, {betti_q[i]})"
-                )
-        if self.kind == MANIFOLD and iota[0] != 1:
-            raise InconsistentBundle("iota_0 must be 1: the boundary is nonempty")
 
         if self.charfn is not None:
             try:
@@ -150,7 +146,7 @@ class QuotientProblem:
                 raise InvalidCharFn(
                     f"simplex {bad!r} fails over {coeff}: invariant factors {factors}"
                 )
-        for name, value in (("relative", relative), ("delta", tuple(delta)),
+        for name, value in (("relative", relative), ("delta", delta),
                             ("boundary", boundary)):
             object.__setattr__(self, name, value)
 
@@ -234,7 +230,7 @@ def make_problem(
         raise InconsistentBundle(
             "relative homology is derived by duality; orientable must be true"
             if kind == MANIFOLD else
-            f"Q is orientable: orientable = {orientable!r} must be true or left out"
+            f"Q is orientable: orientable = {shown(orientable)} must be true or left out"
         )
     # a cone's rank data, which it need not give; no poset reaches a rank
     # above MAX_RANK, so the problem refuses such an n before reading them
@@ -279,7 +275,7 @@ def solve(prob: QuotientProblem) -> Tables:
     is the first page of the truncated sequence: C(p, q) * ft_(n-p-1).
     """
     if not isinstance(prob, QuotientProblem):
-        raise InvalidArgument(f"{prob!r} is not a QuotientProblem")
+        raise InvalidArgument(f"{shown(prob)} is not a QuotientProblem")
     n, relative, delta = prob.n, prob.relative, prob.delta
     bt = reduced_betti(prob.poset, prob.coeff).degree
     _, h, _, _ = f_h_vectors(prob.poset)
@@ -320,9 +316,7 @@ def solve(prob: QuotientProblem) -> Tables:
     for label, table in (("ea2", ea2), ("eainf", eainf)):
         for cell, v in table.items():
             if v < 0:
-                raise InconsistentBundle(
-                    f"negative rank at {cell} on page {label}"
-                )
+                raise InternalError(f"negative rank at {cell} on page {label}")
 
     big: dict[tuple[int, int], int] = {}
     for i in range(n + 1):

@@ -10,7 +10,9 @@ Kunneth convolution for product Betti profiles, the barycentric
 subdivision for cellular homology, dense boundary matrices written out
 from each face's own facet list and their Smith forms for (link)
 homology, a face-by-face check of characteristic functions, and the
-rejection sampler's loop with one full ``check`` per attempt.  One
+rejection sampler's loop with one full ``check`` per attempt, and the
+long exact sequence of (Q, bd Q) read map by map for manifold rank
+data.  One
 writer, ``bundle_doc``, gives tests the problem bundles the library
 only reads.  The dense matrices and the link posets read neither the library's signed
 incidence nor its cover map.
@@ -400,3 +402,27 @@ def bundle_doc(prob):
     if prob.kind != CONE:
         doc.update(bettiQ=list(prob.betti_q), iota=list(prob.iota), orientable=True)
     return doc
+
+
+def exact_sequence(reduced, betti_q, iota):
+    """Whether manifold rank data fit the long exact sequence of (Q, bd Q)
+
+        0 -> H_n(Q) -j-> H_n(Q, bd Q) -delta-> H_(n-1)(bd Q) -iota-> H_(n-1)(Q) -> ...
+          -> H_0(Q) -j-> H_0(Q, bd Q) -> 0
+
+    for a boundary with reduced Betti numbers ``reduced`` in degrees
+    -1..n-1.  The groups' dimensions: dim H_i(bd Q) = b~_i + [i = 0] for
+    i < n and 0 from n on, as bd Q has dimension n - 1; dim H_i(Q) =
+    betti_q[i]; dim H_i(Q, bd Q) = betti_q[n - i] by duality.  Each map's
+    rank is read off the group it leaves or enters: j_i = betti_q[i] -
+    iota[i] from H_i(Q), delta_(i+1) = dim H_i(bd Q) - iota[i] from
+    H_i(bd Q).  The data are exact when every rank is >= 0 and the ranks
+    in and out of every H_i(Q, bd Q) add up to its dimension, the maps out
+    of H_(n+1)(Q, bd Q) = 0 and into H_(-1)(bd Q) = 0 having rank 0.
+    """
+    n = len(betti_q) - 1
+    bd = [reduced[i + 1] + (i == 0) for i in range(n)] + [0]
+    j = [betti_q[i] - iota[i] for i in range(n + 1)]
+    delta = [0] + [bd[i] - iota[i] for i in range(n + 1)]
+    return (all(r >= 0 for r in (*iota, *j, *delta)) and delta[n + 1] == 0
+            and all(betti_q[n - i] == j[i] + delta[i] for i in range(n + 1)))

@@ -107,6 +107,10 @@ class TestHPrime:
         hp, hpp = h_prime_double(S, RATIONALS)
         assert hp == hpp == (1, 3, 6, 0)
 
+    def test_integers_refused(self, torus7):
+        with pytest.raises(NonFieldCoefficients):
+            h_prime_double(torus7, INTEGERS)
+
     def test_h_prime_top_is_top_betti(self, corpus_posets):
         for S in corpus_posets.values():
             for coeff in FIELDS:

@@ -1,8 +1,10 @@
+import ast
 import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from sposet.classify import buchsbaum_witnesses
 from sposet.homology import (
     INTEGERS,
     RATIONALS,
+    Coefficients,
     parse_coefficients,
     prime_field,
     reduced_betti,
@@ -67,6 +70,23 @@ class TestCoefficients:
     def test_refused(self, p):
         with pytest.raises(InvalidArgument, match="bad coefficient label"):
             parse_coefficients(f"fp:{p}")
+
+    def test_integers_take_no_p(self):
+        with pytest.raises(InvalidArgument, match="p only makes sense for prime fields"):
+            Coefficients("integers", 5)
+
+    def test_primality_agrees_with_trial_division(self):
+        sieve = [False, False] + [True] * (20_000 - 2)
+        for p in range(2, 142):
+            if sieve[p]:
+                sieve[p * p::p] = [False] * len(sieve[p * p::p])
+        assert [p for p in range(20_000) if homology._is_prime(p)] == [
+            p for p, prime in enumerate(sieve) if prime]
+        # the largest prime below 2**64, and two strong pseudoprimes to
+        # the first four and the first nine prime bases
+        assert homology._is_prime(2**64 - 59)
+        assert not homology._is_prime(3215031751)
+        assert not homology._is_prime(3825123056546413051)
 
     def test_bound_named_in_message(self):
         with pytest.raises(InvalidArgument, match=r"2\*\*64"):
@@ -502,6 +522,15 @@ def test_invariants_hold_under_python_O():
         [sys.executable, "-O", "-c", UNDER_O], env=env, capture_output=True, text=True
     )
     assert run.returncode == 0, run.stdout + run.stderr
+
+
+def test_library_has_no_assert_statements():
+    # invariants must hold under python -O, which strips every assert
+    package = Path(sposet.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 class TestBoundaryMatrices:

@@ -127,6 +127,15 @@ class TestParse:
             assert back == S
             assert io_mod.dumps_canonical(io_mod.emit_poset(back)) == emitted
 
+    def test_padded_poset_roundtrip(self):
+        # a circle in ambient rank 3: the document must carry n, which its
+        # faces do not imply, and the subdivision keeps it
+        S = from_face_lattice(corpus("boundary_simplex(2)").elements(), n=3)
+        doc = io_mod.emit_poset(S)
+        assert doc["n"] == 3
+        assert io_mod.parse(json.dumps(doc)) == S
+        assert barycentric(S).n == 3
+
     def test_charfn_roundtrip(self):
         lam = CharFunction(2, {"v1": (1, 0), "v2": (0, 1), "v3": (1, 1)})
         emitted = io_mod.dumps_canonical(io_mod.emit_charfn(lam))
@@ -276,6 +285,17 @@ class TestCli:
         res = runner.invoke(cli, ["stats"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["cone", "--corpus", "torus7"], "--n is required unless a bundle file is given"),
+        (["manifold", "--corpus", "torus7", "--n", "3"],
+         "manifold problems need --betti-q and --iota (or a bundle file)"),
+    ], ids=["cone_without_n", "manifold_without_betti_q"])
+    def test_quotient_without_rank_data_is_usage_error(self, argv, message, capsys):
+        assert main(["quotient", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
 
 class TestMain:
     def test_exit_codes(self, tmp_path, capsys):
@@ -378,6 +398,12 @@ TORUS7_LAMBDA4 = {f"v{i}": (1, i, i * i, i**3) for i in range(1, 8)}
 TORUS7_CHARFN = CharFunction(3, {f"v{i}": (1, i, i * i) for i in range(1, 8)})
 # one vertex, a valid face lattice of maximal rank 1
 VERTEX = [SimplexElem("a", ("a",), ())]
+
+
+# "a" in 5,000 lists, past the interpreter's recursion limit for repr
+DEEP = "a"
+for _ in range(5000):
+    DEEP = [DEEP]
 
 # library calls with malformed arguments, and the SposetError each ends in
 BAD_LIBRARY_CALLS = {
@@ -514,6 +540,14 @@ BAD_LIBRARY_CALLS = {
                              betti_q=(1, 1, 0, 0), iota=(1, 1, 0, 0), orientable=1),
         InconsistentBundle,
     ),
+    # a value nested past the recursion limit, quoted in the refusal
+    "facets_deep_facet": (lambda: from_facets([DEEP]), PosetValidationError),
+    "facets_deep_name": (lambda: from_facets([["a", DEEP]]), PosetValidationError),
+    "face_lattice_deep": (lambda: from_face_lattice([DEEP]), PosetValidationError),
+    "charfn_deep_vector": (lambda: CharFunction(1, {"a": DEEP}), InvalidCharFn),
+    "betti_deep_ring": (lambda: reduced_betti(corpus("torus7"), DEEP), InvalidArgument),
+    "betti_deep_root": (lambda: reduced_betti(corpus("torus7"), RATIONALS, root=DEEP),
+                        InvalidArgument),
     # a name that is no str, not even hashable
     "corpus_unhashable_name": (lambda: corpus(["x"]), UnknownName),
     # a path that cannot be read as a file
@@ -537,6 +571,16 @@ def test_bad_library_call_is_sposet_error(case):
         call()
     if error is PosetValidationError:
         assert err.value.axiom == BAD_CALL_AXIOMS.get(case, "element-shape")
+
+
+@pytest.mark.parametrize("case", sorted(c for c in BAD_LIBRARY_CALLS if "_deep" in c))
+def test_deep_value_is_quoted_in_one_short_line(case):
+    # the refusal quotes the value cut off below a few levels of nesting
+    call, error = BAD_LIBRARY_CALLS[case]
+    with pytest.raises(error) as err:
+        call()
+    message = str(err.value)
+    assert "[...]" in message and "\n" not in message and len(message) < 200
 
 
 @pytest.mark.parametrize("n", [10**9, 10**30])
@@ -604,6 +648,17 @@ def test_manifold_rank_data_breaking_exactness_is_refused(capsys):
     assert captured.out == ""
     assert "Error: InconsistentBundle" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_negative_top_iota_is_refused(capsys):
+    # every delta bound holds, but iota_3 = -1 lands in H_3(bd Q) = 0
+    argv = ["quotient", "manifold", "--corpus", "rp2_6", "--n", "3",
+            "--betti-q", "1,0,0,0", "--iota", "1,0,0,-1", "--json"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("Error: InconsistentBundle: rank delta_4 + rank iota_3 = -1 "
+                            "!= 0 = dim H_3(bd Q)\n")
 
 
 @pytest.mark.parametrize("source", ["flag", "bundle"])

@@ -88,6 +88,27 @@ class TestFromFaceLattice:
         with pytest.raises(NonBooleanInterval):
             from_face_lattice(elems)
 
+    def test_face_with_no_vertices_rejected(self):
+        with pytest.raises(RankMismatch, match="face with no vertices"):
+            from_face_lattice([SimplexElem("a", (), ())])
+
+    def test_non_commuting_facet_maps_rejected(self):
+        # every facet omits the right vertex, but the edges ab and ac reach
+        # the vertex a through two different ids, so the triangle's lower
+        # interval is not Boolean
+        elems = [
+            SimplexElem("a", ("a",), ()),
+            SimplexElem("a2", ("a",), ()),
+            SimplexElem("b", ("b",), ()),
+            SimplexElem("c", ("c",), ()),
+            SimplexElem("ab", ("a", "b"), ("b", "a")),
+            SimplexElem("ac", ("a", "c"), ("c", "a2")),
+            SimplexElem("bc", ("b", "c"), ("c", "b")),
+            SimplexElem("t", ("a", "b", "c"), ("bc", "ac", "ab")),
+        ]
+        with pytest.raises(NonBooleanInterval, match="facet maps do not commute"):
+            from_face_lattice(elems)
+
     def test_duplicate_ids_rejected(self):
         elems = [
             SimplexElem("v", ("v1",), ()),

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import fields, replace
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from sposet.charfn import CharFunction, random_q_charfn
 from sposet.classify import buchsbaum_witnesses
 from sposet.errors import (
     InconsistentBundle,
+    InternalError,
     InvalidCharFn,
     NonFieldCoefficients,
     NotBuchsbaum,
@@ -30,6 +32,7 @@ from sposet.poset import SimplicialPoset, barycentric, from_face_lattice, from_f
 from sposet.spectral import (
     CONE,
     MANIFOLD,
+    QuotientProblem,
     e1_diagonal_hprime_form,
     make_problem,
     solve,
@@ -101,7 +104,9 @@ class TestMakeProblem:
             make_problem(MANIFOLD, torus7, 3, RATIONALS)
 
     def test_iota_bound_violation(self, torus7):
-        with pytest.raises(InconsistentBundle):
+        # iota_1 = 1 > betti_q[1] = 0 is the same statement as delta_1 > relative[1]
+        with pytest.raises(InconsistentBundle,
+                           match=r"^rank delta_1 = 1 violates exactness bounds$"):
             make_problem(
                 MANIFOLD, torus7, 3, RATIONALS,
                 betti_q=(1, 0, 0, 0), iota=(1, 1, 0, 0), orientable=True,
@@ -130,12 +135,76 @@ class TestMakeProblem:
         with pytest.raises(InconsistentBundle, match=f"{field} entry {entry!r}"):
             make_problem(MANIFOLD, torus7, 3, RATIONALS, orientable=True, **data)
 
+    def test_direct_problem_with_list_rank_data_refused(self, torus7):
+        # make_problem takes a list as its tuple; the problem itself does not
+        with pytest.raises(InconsistentBundle,
+                           match=r"betti_q \[1, 1, 0, 0\] is not a tuple of integers"):
+            QuotientProblem(MANIFOLD, torus7, 3, RATIONALS, None, [1, 1, 0, 0], (1, 1, 0, 0))
+
     def test_non_orientable_rejected(self, torus7):
         with pytest.raises(InconsistentBundle):
             make_problem(
                 MANIFOLD, torus7, 3, RATIONALS,
                 betti_q=(1, 1, 0, 0), iota=(1, 1, 0, 0), orientable=False,
             )
+
+
+def _rank_grid(n):
+    # betti_q with its ends pinned to 1 and 0, which other checks refuse
+    # otherwise; its middle and every iota entry run over -1..2
+    for mid in product(range(-1, 3), repeat=n - 1):
+        for iota in product(range(-1, 3), repeat=n + 1):
+            yield (1, *mid, 0), iota
+
+
+class TestExactness:
+    # RP^2 bounds no compact manifold (its Euler characteristic is odd),
+    # so no rank data over its triangulation are exact, over any field
+    @pytest.mark.parametrize("name, coeff, count", [
+        ("rp2_6", RATIONALS, 0), ("rp2_6", prime_field(2), 0), ("torus7", RATIONALS, 2),
+        ("boundary_simplex(2)", RATIONALS, 3),
+    ], ids=["rp2_6-q", "rp2_6-fp2", "torus7-q", "triangle-q"])
+    def test_accepts_exactly_the_exact_rank_data(self, corpus_posets, name, coeff, count):
+        S = corpus_posets[name]
+        reduced = oracles.dense_betti(S, coeff)[0]
+        exact, accepted = set(), set()
+        for betti_q, iota in _rank_grid(S.n):
+            if oracles.exact_sequence(reduced, betti_q, iota):
+                exact.add((betti_q, iota))
+            try:
+                make_problem(MANIFOLD, S, S.n, coeff, betti_q=betti_q, iota=iota,
+                             orientable=True)
+            except InconsistentBundle:
+                continue
+            accepted.add((betti_q, iota))
+        assert accepted == exact
+        assert len(exact) == count
+
+    @pytest.mark.parametrize("coeff, betti_q, iota", [
+        (RATIONALS, (1, 0, 0, 0), (1, 0, 0, -1)),
+        (prime_field(3), (1, 3, 3, 0), (1, 0, 0, -1)),
+        (prime_field(2), (1, 1, 1, 0), (1, 0, 1, -1)),
+    ])
+    def test_negative_top_iota_refused(self, corpus_posets, coeff, betti_q, iota):
+        # every delta bound holds, but H_3(bd Q) = 0 takes no rank -1 map
+        with pytest.raises(InconsistentBundle, match=(
+                r"^rank delta_4 \+ rank iota_3 = -1 != 0 = dim H_3\(bd Q\)$")):
+            make_problem(MANIFOLD, corpus_posets["rp2_6"], 3, coeff,
+                         betti_q=betti_q, iota=iota, orientable=True)
+
+    def test_negative_rank_in_solve_is_internal_error(self, torus7, monkeypatch):
+        # exact rank data leave no table cell negative; only a library
+        # fault, here an h-vector lowered by 10, can make one
+        prob = cone_over(torus7)
+        real = spectral.f_h_vectors
+
+        def lowered(S):
+            f, h, *rest = real(S)
+            return (f, tuple(x - 10 for x in h), *rest)
+
+        monkeypatch.setattr(spectral, "f_h_vectors", lowered)
+        with pytest.raises(InternalError, match=r"^negative rank at \(0, 0\) on page ea2$"):
+            solve(prob)
 
 
 class TestRelativeAndDelta:
@@ -374,6 +443,21 @@ class TestVerify:
         assert rep.all_passed
         assert rep.checks["bigraded_duality"]
         assert rep.checks["diagonal_is_h_prime"]
+
+    @pytest.mark.parametrize("facets, betti_q", [
+        # two disjoint circles: classify refuses a disconnected poset
+        (["ab", "bc", "ac", "xy", "yz", "xz"], (1, 1, 0)),
+        # a circle with a pendant edge: no homology manifold
+        (["ab", "bc", "ac", "cd"], (1, 0, 0)),
+    ], ids=["disconnected", "pendant_edge"])
+    def test_manifold_skips_h_prime_off_orientable_manifolds(self, facets, betti_q):
+        S = from_facets([list(f) for f in facets])
+        prob = make_problem(MANIFOLD, S, 2, RATIONALS, betti_q=betti_q, iota=betti_q,
+                            orientable=True)
+        rep = verify(*solved(prob))
+        assert "diagonal_is_h_prime" not in rep.checks
+        assert rep.skipped["diagonal_is_h_prime"] == (
+            "poset is not an orientable homology manifold over this field")
 
     def test_duality_pairs_explicitly(self, torus7):
         big = solve(solid_torus_problem(torus7)).bigraded

@@ -1,5 +1,5 @@
-"""Face-vector transforms: f, h, link-based ft, and the corrected
-h'/h'' vectors, together with the identity suite connecting them.
+"""Face numbers: one record per (poset, field) of f, h, link-based ft
+and the corrected h'/h'' vectors, and the identity suite connecting them.
 
 Everything is exact integer arithmetic: h and both link identities are
 closed binomial sums, evaluated one coefficient at a time.  The reduced
@@ -41,82 +41,46 @@ class IdentityReport:
         return all(self.checks.values())
 
 
-def f_h_vectors(S: SimplicialPoset):
-    """f- and h-vectors plus Euler characteristics of a pure poset.
+def face_vector_report(S: SimplicialPoset, coeff: Coefficients) -> FaceVectorReport:
+    """Every face number of a pure poset over a field, computed once per
+    (poset, ring) and kept on the poset.
 
-    h_j = sum_(i<=j) (-1)^(j-i) C(n-i, j-i) f_(i-1), the coefficients of
-    sum_i f_(i-1) t^i (1-t)^(n-i); chi is the alternating face-count sum
-    and chitilde = chi - 1.  Computed once per poset and kept on it.
-    """
-    _require_pure(S)
-    cached = S._cache.get("f_h")
-    if cached is None:
-        n = S.n
-        f = validate_stats(S).f
-        h = tuple(
-            sum((-1) ** (j - i) * comb(n - i, j - i) * f[i] for i in range(j + 1))
-            for j in range(n + 1)
-        )
-        chi = sum(f[i + 1] if i % 2 == 0 else -f[i + 1] for i in range(n))
-        cached = S._cache["f_h"] = (f, h, chi, chi - 1)
-    return cached
-
-
-def ft_vector(S: SimplicialPoset, coeff: Coefficients) -> tuple[int, ...]:
-    """Sums of top link Betti numbers, one entry per face dimension.
-
-    ft_i adds dim H~_(n-1-|I|) of the link over all i-dimensional faces;
-    for a homology manifold this reproduces the f-vector.  Summed once
-    per (poset, ring) from the link table, whose rows end in that degree,
-    and kept on the poset.
+    f counts the faces by rank, the empty face first.  h_j = sum_(i<=j)
+    (-1)^(j-i) C(n-i, j-i) f_(i-1), the coefficients of sum_i f_(i-1)
+    t^i (1-t)^(n-i); chi is the alternating face-count sum and chitilde =
+    chi - 1.  ft_i adds dim H~_(n-1-|I|) of the link over all
+    i-dimensional faces, summed in one pass over the link table, whose
+    rows end in that degree; for a homology manifold it reproduces the
+    f-vector.  h'_i adds C(n,i) times an alternating partial sum of
+    reduced Betti numbers to h_i; h''_i subtracts C(n,i) b~_(i-1) again
+    except at the top, where h''_n = h'_n.
     """
     _require_pure(S)
     _require_ring(coeff)
     if not coeff.is_field:
         raise NonFieldCoefficients("ft numbers need field coefficients")
-    ft = S._cache.get(("ft", coeff))
-    if ft is None:
-        ft = [0] * S.n
+    rep = S._cache.get(("faces", coeff))
+    if rep is None:
+        n, f = S.n, validate_stats(S).f
+        h = tuple(
+            sum((-1) ** (j - i) * comb(n - i, j - i) * f[i] for i in range(j + 1))
+            for j in range(n + 1)
+        )
+        chi = sum(f[i + 1] if i % 2 == 0 else -f[i + 1] for i in range(n))
+        ft = [0] * n
         for _, rank, reduced, _ in _link_table(S, coeff):
             ft[rank - 1] += reduced[-1]
-        ft = S._cache["ft", coeff] = tuple(ft)
-    return ft
-
-
-def h_prime_double(S: SimplicialPoset, coeff: Coefficients):
-    """Betti-corrected h'- and h''-vectors over a field.
-
-    h'_i adds C(n,i) times an alternating partial sum of reduced Betti
-    numbers to h_i; h''_i subtracts C(n,i) b~_(i-1) again except at the
-    top, where h''_n = h'_n.
-    """
-    _, h, _, _ = f_h_vectors(S)  # refuses a non-pure poset first
-    _require_ring(coeff)
-    if not coeff.is_field:
-        raise NonFieldCoefficients("h' and h'' need field coefficients")
-    n = S.n
-    bt = reduced_betti(S, coeff)
-    hp = []
-    for i in range(n + 1):
-        corr = sum(
-            (-1) ** (i - j - 1) * bt.degree(j - 1) for j in range(1, i)
+        bt = reduced_betti(S, coeff).degree
+        hp = tuple(
+            h[i] + comb(n, i) * sum((-1) ** (i - j - 1) * bt(j - 1) for j in range(1, i))
+            for i in range(n + 1)
         )
-        hp.append(h[i] + comb(n, i) * corr)
-    hpp = [
-        hp[i] - comb(n, i) * bt.degree(i - 1) for i in range(n)
-    ]
-    hpp.append(hp[n])
-    return tuple(hp), tuple(hpp)
-
-
-def face_vector_report(S: SimplicialPoset, coeff: Coefficients) -> FaceVectorReport:
-    f, h, chi, chit = f_h_vectors(S)
-    ft = ft_vector(S, coeff)
-    hp, hpp = h_prime_double(S, coeff)
-    return FaceVectorReport(
-        n=S.n, f=f, h=h, ft=ft, hprime=hp, hdoubleprime=hpp,
-        chi=chi, chitilde=chit, coeff=coeff,
-    )
+        hpp = tuple(hp[i] - comb(n, i) * bt(i - 1) for i in range(n)) + hp[n:]
+        rep = S._cache["faces", coeff] = FaceVectorReport(
+            n=n, f=f, h=h, ft=tuple(ft), hprime=hp, hdoubleprime=hpp,
+            chi=chi, chitilde=chi - 1, coeff=coeff,
+        )
+    return rep
 
 
 def identity_report(S: SimplicialPoset, coeff: Coefficients) -> IdentityReport:

@@ -36,7 +36,7 @@ from .errors import (
     SposetError,
     shown,
 )
-from .facevec import f_h_vectors, ft_vector, h_prime_double
+from .facevec import face_vector_report
 from .homology import Coefficients, _require_ring, reduced_betti
 from .poset import MAX_RANK, SimplicialPoset, is_int
 
@@ -247,8 +247,7 @@ def e1_diagonal_hprime_form(prob: QuotientProblem) -> tuple[int, ...]:
     field: h'_(n-q) for q <= n-2, then h'_1 + n, then the top relative
     dimension.  Must agree entrywise with the ea1 diagonal of solve.
     """
-    n = prob.n
-    hp, _ = h_prime_double(prob.poset, prob.coeff)
+    n, hp = prob.n, face_vector_report(prob.poset, prob.coeff).hprime
     diag = [hp[n - q] for q in range(n - 1)]
     if n >= 1:
         diag.append(hp[1] + n)
@@ -278,7 +277,7 @@ def solve(prob: QuotientProblem) -> Tables:
         raise InvalidArgument(f"{shown(prob)} is not a QuotientProblem")
     n, relative, delta = prob.n, prob.relative, prob.delta
     bt = reduced_betti(prob.poset, prob.coeff).degree
-    _, h, _, _ = f_h_vectors(prob.poset)
+    faces = face_vector_report(prob.poset, prob.coeff)
 
     cells: dict[tuple[int, int], int] = {}
     for p in range(n):
@@ -287,7 +286,7 @@ def solve(prob: QuotientProblem) -> Tables:
             if v:
                 cells[(p, q)] = v
     for q in range(n):
-        v = h[q] + comb(n, q) * sum((-1) ** (p + q) * bt(p) for p in range(q + 1))
+        v = faces.h[q] + comb(n, q) * sum((-1) ** (p + q) * bt(p) for p in range(q + 1))
         if v:
             cells[(q, q)] = v
     for q in range(-n, n + 1):
@@ -336,11 +335,10 @@ def solve(prob: QuotientProblem) -> Tables:
         for k in range(2 * n + 1)
     )
 
-    ft = ft_vector(prob.poset, prob.coeff)
     e1trunc = {}
     for p in range(n):
         for q in range(p + 1):
-            v = comb(p, q) * ft[n - p - 1]
+            v = comb(p, q) * faces.ft[n - p - 1]
             if v:
                 e1trunc[(p, q)] = v
 
@@ -373,7 +371,7 @@ def verify(prob: QuotientProblem, tables: Tables) -> VerifyReport:
             f"verify takes a QuotientProblem and its Tables, not "
             f"{type(prob).__name__} and {type(tables).__name__}"
         )
-    n = prob.n
+    n, faces = prob.n, face_vector_report(prob.poset, prob.coeff)
     checks: dict[str, bool] = {}
     skipped: dict[str, str] = {}
 
@@ -389,9 +387,8 @@ def verify(prob: QuotientProblem, tables: Tables) -> VerifyReport:
     )
 
     if prob.kind == CONE:
-        _, hpp = h_prime_double(prob.poset, prob.coeff)
         diag = tables.eainf.diagonal(n)
-        checks["diagonal_is_h_double"] = diag == hpp
+        checks["diagonal_is_h_double"] = diag == faces.hdoubleprime
         checks["h_double_nonneg"] = all(x >= 0 for x in diag)
     else:
         try:
@@ -399,9 +396,8 @@ def verify(prob: QuotientProblem, tables: Tables) -> VerifyReport:
         except NotConnected:
             cls = None
         if cls is not None and cls.homology_manifold and cls.orientable_over_field:
-            hp, _ = h_prime_double(prob.poset, prob.coeff)
             checks["diagonal_is_h_prime"] = tables.ea2.diagonal(n) == tuple(
-                hp[n - q] for q in range(n + 1)
+                faces.hprime[n - q] for q in range(n + 1)
             ) and tables.ea1.diagonal(n) == e1_diagonal_hprime_form(prob)
         else:
             skipped["diagonal_is_h_prime"] = (
@@ -415,7 +411,6 @@ def verify(prob: QuotientProblem, tables: Tables) -> VerifyReport:
         "the rank tables are not computed from the characteristic function"
     )
 
-    top = f_h_vectors(prob.poset)[0][n]
-    notes = {"chi_x": chi_x, "top_face_count": top,
-             "chi_x_equals_top_face_count": chi_x == top}
+    notes = {"chi_x": chi_x, "top_face_count": faces.f[n],
+             "chi_x_equals_top_face_count": chi_x == faces.f[n]}
     return VerifyReport(checks=checks, skipped=skipped, notes=notes)

@@ -2,7 +2,7 @@ import pytest
 
 from sposet.classify import buchsbaum_witnesses, classify
 from sposet.errors import NotConnected, NotPure
-from sposet.facevec import ft_vector
+from sposet.facevec import face_vector_report
 from sposet.corpus import corpus, corpus_names
 from sposet.homology import INTEGERS, RATIONALS, prime_field, reduced_betti
 from sposet.poset import SimplexElem, barycentric, from_face_lattice, from_facets, f_vector
@@ -60,7 +60,7 @@ class TestLinkTable:
         )
         # every link-based count and verdict refuses it at the purity gate
         with pytest.raises(NotPure):
-            ft_vector(S, RATIONALS)
+            face_vector_report(S, RATIONALS)
         with pytest.raises(NotPure):
             classify(S, RATIONALS)
 
@@ -130,7 +130,7 @@ class TestClassify:
             for coeff in (RATIONALS, prime_field(2)):
                 cls = classify(S, coeff)
                 if cls.homology_manifold:
-                    assert ft_vector(S, coeff) == f_vector(S)[1:], S.name
+                    assert face_vector_report(S, coeff).ft == f_vector(S)[1:], S.name
 
     def test_field_verdicts_monotone(self, corpus_posets, full_triangle):
         # vanishing over F_p forces vanishing over Q, so a pass over F_p

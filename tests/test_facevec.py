@@ -1,19 +1,14 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 import sposet
 from sposet import facevec
 from sposet.errors import NonFieldCoefficients, NotPure
-from sposet.facevec import (
-    f_h_vectors,
-    face_vector_report,
-    ft_vector,
-    h_prime_double,
-    identity_report,
-)
+from sposet.facevec import face_vector_report, identity_report
 from sposet.homology import INTEGERS, RATIONALS, prime_field, reduced_betti
 from sposet.poset import SimplexElem, barycentric, from_face_lattice, from_facets
 
@@ -30,37 +25,37 @@ def _with_subdivisions(corpus_posets):
 
 class TestFH:
     def test_boundary_triangle(self, bd_triangle):
-        f, h, chi, chit = f_h_vectors(bd_triangle)
-        assert (f, h) == ((1, 3, 3), (1, 1, 1))
-        assert (chi, chit) == (0, -1)
+        rep = face_vector_report(bd_triangle, RATIONALS)
+        assert (rep.f, rep.h) == ((1, 3, 3), (1, 1, 1))
+        assert (rep.chi, rep.chitilde) == (0, -1)
 
     def test_torus7(self, torus7):
-        f, h, chi, chit = f_h_vectors(torus7)
-        assert f == (1, 7, 21, 14)
-        assert h == (1, 4, 10, -1)
-        assert chi == 0
-        assert h[3] == (-1) ** 2 * chit
+        rep = face_vector_report(torus7, RATIONALS)
+        assert rep.f == (1, 7, 21, 14)
+        assert rep.h == (1, 4, 10, -1)
+        assert rep.chi == 0
+        assert rep.h[3] == (-1) ** 2 * rep.chitilde
 
     def test_rp2(self, corpus_posets):
-        f, h, chi, chit = f_h_vectors(corpus_posets["rp2_6"])
-        assert (f, h) == ((1, 6, 15, 10), (1, 3, 6, 0))
-        assert chit == 0
+        rep = face_vector_report(corpus_posets["rp2_6"], RATIONALS)
+        assert (rep.f, rep.h) == ((1, 6, 15, 10), (1, 3, 6, 0))
+        assert rep.chitilde == 0
 
     def test_matches_polynomial_oracle(self, corpus_posets):
         for S in _with_subdivisions(corpus_posets):
-            f, h, _, _ = f_h_vectors(S)
-            assert h == h_from_f_polynomial(f, S.n), S.name
+            rep = face_vector_report(S, RATIONALS)
+            assert rep.h == h_from_f_polynomial(rep.f, S.n), S.name
 
     def test_h_sum_counts_facets(self, corpus_posets):
         for S in corpus_posets.values():
-            f, h, _, _ = f_h_vectors(S)
-            assert sum(h) == f[S.n]
-            assert h[0] == 1
+            rep = face_vector_report(S, RATIONALS)
+            assert sum(rep.h) == rep.f[S.n]
+            assert rep.h[0] == 1
 
     def test_h_top_is_reduced_euler(self, corpus_posets):
         for S in corpus_posets.values():
-            _, h, _, chit = f_h_vectors(S)
-            assert h[S.n] == (-1) ** (S.n - 1) * chit
+            rep = face_vector_report(S, RATIONALS)
+            assert rep.h[S.n] == (-1) ** (S.n - 1) * rep.chitilde
 
     def test_not_pure(self):
         elems = [
@@ -72,49 +67,49 @@ class TestFH:
         S = from_face_lattice(elems)
         for _ in range(2):
             with pytest.raises(NotPure):
-                f_h_vectors(S)
+                face_vector_report(S, RATIONALS)
 
 
 class TestFt:
     def test_torus7_homology_manifold_gives_f(self, torus7):
-        assert ft_vector(torus7, RATIONALS) == (7, 21, 14)
+        assert face_vector_report(torus7, RATIONALS).ft == (7, 21, 14)
 
     def test_boundary_triangle(self, bd_triangle):
         # vertex links are two points, edge links are empty
-        assert ft_vector(bd_triangle, RATIONALS) == (3, 3)
+        assert face_vector_report(bd_triangle, RATIONALS).ft == (3, 3)
 
     def test_full_triangle_has_acyclic_vertex_links(self, full_triangle):
-        assert ft_vector(full_triangle, RATIONALS) == (0, 0, 1)
+        assert face_vector_report(full_triangle, RATIONALS).ft == (0, 0, 1)
 
     def test_field_required(self, torus7):
-        with pytest.raises(NonFieldCoefficients):
-            ft_vector(torus7, INTEGERS)
+        with pytest.raises(NonFieldCoefficients, match="^ft numbers need field coefficients$"):
+            face_vector_report(torus7, INTEGERS)
 
 
 class TestHPrime:
     def test_boundary_triangle(self, bd_triangle):
-        hp, hpp = h_prime_double(bd_triangle, RATIONALS)
-        assert hp == (1, 1, 1) and hpp == (1, 1, 1)
-        assert hp[2] == reduced_betti(bd_triangle, RATIONALS).degree(1)
+        rep = face_vector_report(bd_triangle, RATIONALS)
+        assert rep.hprime == (1, 1, 1) and rep.hdoubleprime == (1, 1, 1)
+        assert rep.hprime[2] == reduced_betti(bd_triangle, RATIONALS).degree(1)
 
     def test_torus7(self, torus7):
-        hp, hpp = h_prime_double(torus7, RATIONALS)
-        assert hp == (1, 4, 10, 1)
-        assert hpp == (1, 4, 4, 1)
+        rep = face_vector_report(torus7, RATIONALS)
+        assert rep.hprime == (1, 4, 10, 1)
+        assert rep.hdoubleprime == (1, 4, 4, 1)
 
     def test_rp2_over_q_no_corrections(self, corpus_posets):
         S = corpus_posets["rp2_6"]
-        hp, hpp = h_prime_double(S, RATIONALS)
-        assert hp == hpp == (1, 3, 6, 0)
+        rep = face_vector_report(S, RATIONALS)
+        assert rep.hprime == rep.hdoubleprime == (1, 3, 6, 0)
 
     def test_integers_refused(self, torus7):
         with pytest.raises(NonFieldCoefficients):
-            h_prime_double(torus7, INTEGERS)
+            face_vector_report(torus7, INTEGERS)
 
     def test_h_prime_top_is_top_betti(self, corpus_posets):
         for S in corpus_posets.values():
             for coeff in FIELDS:
-                hp, _ = h_prime_double(S, coeff)
+                hp = face_vector_report(S, coeff).hprime
                 assert hp[S.n] == reduced_betti(S, coeff).degree(S.n - 1)
 
 
@@ -124,8 +119,8 @@ class TestIdentityReport:
         assert rep.all_passed and not rep.skipped
         assert rep.checks["dehn_sommerville_h"]
         # spot value at i = 0: h_0 = h_3 + C(3,0) (1 - (-1)^3 - chi)
-        _, h, chi, _ = f_h_vectors(torus7)
-        assert h[0] == h[3] + (1 - (-1) ** 3 - chi)
+        rep = face_vector_report(torus7, RATIONALS)
+        assert rep.h[0] == rep.h[3] + (1 - (-1) ** 3 - rep.chi)
 
     def test_boundary_triangle(self, bd_triangle):
         rep = identity_report(bd_triangle, RATIONALS)
@@ -209,10 +204,11 @@ class TestLinkIdentitiesCanFail:
     def test_bumped_ft_fails_both(self, corpus_posets, monkeypatch):
         for name in ("torus7", "rp2_6", "two_arc_circle", "boundary_simplex(3)"):
             S = corpus_posets[name]
-            good = ft_vector(S, RATIONALS)
+            good = face_vector_report(S, RATIONALS)
             for k in range(S.n):
-                ft = good[:k] + (good[k] + 1,) + good[k + 1 :]
-                monkeypatch.setattr(facevec, "ft_vector", lambda S, coeff, ft=ft: ft)
+                ft = good.ft[:k] + (good.ft[k] + 1,) + good.ft[k + 1 :]
+                bumped = replace(good, ft=ft)
+                monkeypatch.setattr(facevec, "face_vector_report", lambda S, coeff, r=bumped: r)
                 rep = identity_report(S, RATIONALS)
                 assert rep.report.ft == ft
                 assert rep.report.f != f_from_link_polynomial(ft, S.n, rep.report.chi)
@@ -225,15 +221,16 @@ class TestLinkIdentitiesCanFail:
 # exits with the number of corrupted cases that passed; 99 if asserts are on
 UNDER_O = """
 import sys
+from dataclasses import replace
 from sposet import corpus, facevec
 from sposet.homology import RATIONALS
 
 S = corpus("torus7")
-good = facevec.ft_vector(S, RATIONALS)
+good = facevec.face_vector_report(S, RATIONALS)
 missed = 0
 for k in range(S.n):
-    ft = good[:k] + (good[k] + 1,) + good[k + 1:]
-    facevec.ft_vector = lambda S, coeff, ft=ft: ft
+    ft = good.ft[:k] + (good.ft[k] + 1,) + good.ft[k + 1:]
+    facevec.face_vector_report = lambda S, coeff, r=replace(good, ft=ft): r
     checks = facevec.identity_report(S, RATIONALS).checks
     for name in ("f_from_link_homology", "h_from_link_f"):
         if checks[name]:

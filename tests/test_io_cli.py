@@ -30,7 +30,7 @@ from sposet.errors import (
     UnknownName,
     WrongVectorLength,
 )
-from sposet.facevec import face_vector_report, h_prime_double, identity_report
+from sposet.facevec import face_vector_report, identity_report
 from sposet.homology import (
     RATIONALS,
     Coefficients,
@@ -485,7 +485,7 @@ BAD_LIBRARY_CALLS = {
     "face_vectors_ring_str": (
         lambda: face_vector_report(corpus("torus7"), "q"), InvalidArgument),
     "identities_ring_str": (lambda: identity_report(corpus("torus7"), "q"), InvalidArgument),
-    "h_prime_ring_str": (lambda: h_prime_double(corpus("torus7"), "q"), InvalidArgument),
+    "h_prime_ring_str": (lambda: face_vector_report(corpus("torus7"), "q"), InvalidArgument),
     "problem_ring_str": (lambda: make_problem(CONE, corpus("torus7"), 3, "q"), InvalidArgument),
     "problem_poset_none": (lambda: make_problem(CONE, None, 3, RATIONALS), InvalidArgument),
     # a poset where the characteristic function is due

@@ -24,7 +24,7 @@ from sposet.errors import (
     SposetError,
 )
 from sposet.corpus import corpus
-from sposet.facevec import f_h_vectors, ft_vector, h_prime_double, identity_report
+from sposet.facevec import face_vector_report, identity_report
 from sposet.homology import INTEGERS, RATIONALS, prime_field, reduced_betti
 from sposet.cli import main
 from sposet.io import dumps_canonical, emit_charfn, emit_poset
@@ -196,13 +196,13 @@ class TestExactness:
         # exact rank data leave no table cell negative; only a library
         # fault, here an h-vector lowered by 10, can make one
         prob = cone_over(torus7)
-        real = spectral.f_h_vectors
+        real = spectral.face_vector_report
 
-        def lowered(S):
-            f, h, *rest = real(S)
-            return (f, tuple(x - 10 for x in h), *rest)
+        def lowered(S, coeff):
+            rep = real(S, coeff)
+            return replace(rep, h=tuple(x - 10 for x in rep.h))
 
-        monkeypatch.setattr(spectral, "f_h_vectors", lowered)
+        monkeypatch.setattr(spectral, "face_vector_report", lowered)
         with pytest.raises(InternalError, match=r"^negative rank at \(0, 0\) on page ea2$"):
             solve(prob)
 
@@ -322,8 +322,8 @@ class TestTruncatedFirstPage:
                 continue
             prob = cone_over(S)
             t = solve(prob).e1trunc
-            _, h, chi, _ = f_h_vectors(S)
-            n = S.n
+            rep = face_vector_report(S, RATIONALS)
+            h, chi, n = rep.h, rep.chi, S.n
             for q in range(n):
                 row = sum(
                     (t.rank(p, q) if p % 2 == 0 else -t.rank(p, q))
@@ -338,13 +338,13 @@ class TestPages:
         tabs = solve(prob)
         assert tabs.ea1.diagonal(3) == (1, 10, 7, 1)
         assert tabs.eainf.diagonal(3) == (1, 4, 4, 1)
-        _, hpp = h_prime_double(torus7, RATIONALS)
+        hpp = face_vector_report(torus7, RATIONALS).hdoubleprime
         assert tabs.eainf.diagonal(3) == hpp
 
     def test_solid_torus_pages(self, torus7):
         tabs = solve(solid_torus_problem(torus7))
         assert tabs.ea1.diagonal(3) == (1, 10, 7, 1)
-        hp, _ = h_prime_double(torus7, RATIONALS)
+        hp = face_vector_report(torus7, RATIONALS).hprime
         assert tabs.ea2.diagonal(3) == (1, 10, 4, 1)
         assert tabs.ea2.diagonal(3) == tuple(hp[3 - q] for q in range(4))
 
@@ -422,7 +422,7 @@ class TestBigraded:
     ):
         big = solve(cone_over(bd_triangle)).bigraded
         assert big.totals == (1, 0, 1, 0, 1)
-        _, h, _, _ = f_h_vectors(bd_triangle)
+        h = face_vector_report(bd_triangle, RATIONALS).h
         assert tuple(big.totals[2 * j] for j in range(3)) == h
 
     def test_connected_input_has_unit_bottom(self, torus7, bd_triangle):
@@ -664,6 +664,32 @@ class TestComputeOnce:
         assert ('"diagonal_is_h_prime":true' in out) == (argv[0] == MANIFOLD)
         assert checks == [argv[0]]
         assert not hasattr(spectral, "relative_and_delta")
+
+    @pytest.mark.parametrize("argv", [
+        ["cone", "--corpus", "torus7", "--n", "3"],
+        ["manifold", "--corpus", "torus7", "--n", "3", "--betti-q", "1,1,0,0",
+         "--iota", "1,1,0,0"],
+    ], ids=["cone", "manifold"])
+    def test_report_builds_one_face_record_per_ring(self, argv, monkeypatch, capsys):
+        # the identities, solve, verify and the manifold's h'-form read one
+        # face-number record per (poset, ring), the one entry the poset keeps
+        S, built = corpus("torus7"), []
+        real = facevec_mod.FaceVectorReport
+
+        def record(**values):
+            built.append(values["coeff"])
+            return real(**values)
+
+        monkeypatch.setattr(facevec_mod, "FaceVectorReport", record)
+        monkeypatch.setattr(cli_mod, "corpus", lambda name: S)
+        for field in ("q", "fp:2", "q"):
+            assert main(["quotient", *argv, "--field", field, "--json"]) == 0
+            assert '"euler_conserved":true' in capsys.readouterr().out
+        assert built == [RATIONALS, prime_field(2)]
+        kept = [v.coeff for v in S._cache.values() if isinstance(v, real)]
+        assert kept == [RATIONALS, prime_field(2)]
+        for name in ("f_h_vectors", "ft_vector", "h_prime_double"):
+            assert not hasattr(facevec_mod, name) and not hasattr(spectral, name)
 
     def test_lambda_report_builds_link_table_and_ft_once(self, monkeypatch, capsys, tmp_path):
         # a cone report with λ solves once and draws no second λ; the link

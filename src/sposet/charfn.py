@@ -51,7 +51,7 @@ class CharFunction:
         if not is_int(self.n):
             raise InvalidCharFn(f"n = {shown(self.n)} is not an integer")
         if self.n < 0:
-            raise InvalidCharFn(f"n = {self.n} is negative")
+            raise InvalidCharFn(f"n = {shown(self.n)} is negative")
         if not isinstance(self.assignment, Mapping):
             raise InvalidCharFn(f"assignment {shown(self.assignment)} is not a mapping")
         clean = {}
@@ -66,11 +66,11 @@ class CharFunction:
                 raise InvalidCharFn(f"vertex {shown(vid)}: entry {shown(x)} is not an integer")
             if len(vec) != self.n:
                 raise WrongVectorLength(
-                    f"vertex {shown(vid)}: vector has length {len(vec)}, expected {self.n}"
+                    f"vertex {shown(vid)}: vector has length {len(vec)}, expected {shown(self.n)}"
                 )
             if gcd(*vec) != 1:
                 raise NonPrimitiveVector(
-                    f"vertex {shown(vid)}: {vec} is not primitive"
+                    f"vertex {shown(vid)}: {shown(vec)} is not primitive"
                 )
             clean[str(vid)] = vec
         object.__setattr__(self, "assignment", clean)
@@ -78,7 +78,7 @@ class CharFunction:
     def vector(self, vid: str) -> tuple[int, ...]:
         try:
             return self.assignment[vid]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable id
             raise MissingVertexAssignment(f"no vector for vertex {shown(vid)}") from None
 
 
@@ -156,7 +156,8 @@ def check(S: SimplicialPoset, lam: CharFunction, coeff: Coefficients) -> CharChe
     if not isinstance(lam, CharFunction):
         raise InvalidArgument(f"lam is a {type(lam).__name__}, not a CharFunction")
     if lam.n != S.n:
-        raise WrongVectorLength(f"vectors of length {lam.n} on a poset of ambient rank {S.n}")
+        raise WrongVectorLength(
+            f"vectors of length {shown(lam.n)} on a poset of ambient rank {S.n}")
     # looked up in (rank, id) order, so the first missing vertex is the one named
     vectors = {v: lam.vector(v) for e in S.by_rank(1) for v in e.vertices}
     valid = set()
@@ -211,14 +212,14 @@ def random_q_charfn(
             raise InvalidArgument(f"{name} = {shown(value)} is not an integer")
     if n != S.n:
         raise WrongVectorLength(
-            f"vectors of length {n} need a poset of ambient rank {n}, not {S.n}"
+            f"vectors of length {shown(n)} need a poset of ambient rank {shown(n)}, not {S.n}"
         )
     if bound < 1:
         raise NonPrimitiveVector(
-            f"bound {bound} leaves no primitive vectors: it must be >= 1"
+            f"bound {shown(bound)} leaves no primitive vectors: it must be >= 1"
         )
     if budget < 1:
-        raise InvalidArgument(f"budget {budget} allows no attempt: it must be >= 1")
+        raise InvalidArgument(f"budget {shown(budget)} allows no attempt: it must be >= 1")
     maximal = [S.element(eid).vertices for eid in S.maximal_ids()]
     for assignment in _seeded_assignments(S, n, seed, bound, budget):
         if all(_judge([assignment[v] for v in top], n, RATIONALS) for top in maximal):

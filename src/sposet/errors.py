@@ -3,10 +3,31 @@ a refusal quotes a value its caller passed."""
 
 from reprlib import Repr
 
+
+class _BoundedRepr(Repr):
+    def repr_int(self, x, level):
+        # an int past the interpreter's limit on decimal digits has no
+        # decimal form to elide, so it is quoted by its size
+        try:
+            return super().repr_int(x, level)
+        except ValueError:
+            return f"<{'negative ' if x < 0 else ''}int of {x.bit_length()} bits>"
+
+    def repr_SimplexElem(self, x, level):
+        # a face field by field under the same limits, as the named tuple's
+        # own repr has no depth bound; another class of that name as before
+        if not (isinstance(x, tuple) and hasattr(x, "_fields")):
+            return self.repr_instance(x, level)
+        if level <= 0:
+            return "SimplexElem(...)"
+        return "SimplexElem(" + ", ".join(
+            f"{k}={self.repr1(v, level - 1)}" for k, v in zip(x._fields, x)) + ")"
+
+
 # repr with nesting cut at eight levels and long values elided, so that a
 # value of any depth is quoted as one bounded line; sets and dicts print
 # sorted where their entries compare
-_BOUNDED = Repr()
+_BOUNDED = _BoundedRepr()
 vars(_BOUNDED).update(maxlevel=8, maxstring=200, maxlong=200, maxother=200, **dict.fromkeys(
     ("maxtuple", "maxlist", "maxarray", "maxdict", "maxset", "maxfrozenset", "maxdeque"), 30))
 shown = _BOUNDED.repr

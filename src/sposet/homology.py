@@ -84,7 +84,7 @@ class Coefficients:
             if not is_int(self.p):
                 raise InvalidArgument(f"p = {shown(self.p)} is not an integer")
             if self.p >= 2**64:
-                raise InvalidArgument(f"{self.p} is too large: p must be below 2**64")
+                raise InvalidArgument(f"{shown(self.p)} is too large: p must be below 2**64")
             if not _is_prime(self.p):
                 raise InvalidArgument(f"{shown(self.p)} is not prime")
         elif self.p is not None:

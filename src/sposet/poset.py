@@ -98,7 +98,7 @@ class SimplicialPoset:
     def element(self, eid: str) -> SimplexElem:
         try:
             return self._elems[eid]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable id
             raise UnknownElement(f"no element {shown(eid)} in poset {self.name!r}") from None
 
     def elements(self) -> tuple[SimplexElem, ...]:
@@ -148,8 +148,12 @@ def is_int(value) -> bool:
 
 
 def is_name(value) -> bool:
-    """A name as callers may give it: a str, or an int that is not a bool."""
-    return isinstance(value, str) or is_int(value)
+    """A name as callers may give it: a str, or an int that is not a bool
+    and whose decimal form, its str, can be built."""
+    try:
+        return isinstance(value, str) or is_int(value) and bool(str(value))
+    except ValueError:  # more digits than the interpreter converts
+        return False
 
 
 def _require_input(items, name) -> None:
@@ -243,11 +247,11 @@ def from_face_lattice(
         n = max_rank
     if n < max_rank:
         raise PosetValidationError(
-            "", "ambient-rank", f"n={n} below maximal rank {max_rank}"
+            "", "ambient-rank", f"n={shown(n)} below maximal rank {max_rank}"
         )
     if n > MAX_RANK:
         raise PosetValidationError(
-            "", "ambient-rank", f"n={n} above the bound {MAX_RANK}"
+            "", "ambient-rank", f"n={shown(n)} above the bound {MAX_RANK}"
         )
     return SimplicialPoset(elems, n, name)
 

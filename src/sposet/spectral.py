@@ -92,7 +92,7 @@ class QuotientProblem:
             count = f"{len(faces)} face" + ("s" if len(faces) > 1 else "")
             raise NotBuchsbaum(
                 f"links of {count} ({named}) are not concentrated in top degree "
-                f"for rank {n}",
+                f"for rank {shown(n)}",
                 witnesses=wits,
             )
 
@@ -100,7 +100,7 @@ class QuotientProblem:
             raise InvalidArgument(f"unknown problem kind {shown(self.kind)}")
         if self.poset.n != n:
             raise InconsistentBundle(
-                f"poset ambient rank {self.poset.n} does not match problem rank {n}"
+                f"poset ambient rank {self.poset.n} does not match problem rank {shown(n)}"
             )
         bt = reduced_betti(self.poset, coeff).degree
         if self.kind == CONE:
@@ -127,12 +127,12 @@ class QuotientProblem:
         delta = tuple(relative[i] - betti_q[i] + iota[i] for i in range(n + 1))
         for i, d in enumerate(delta + (0,)):
             if i <= n and not 0 <= d <= min(relative[i], bt(i - 1)):
-                raise InconsistentBundle(f"rank delta_{i} = {d} violates exactness bounds")
+                raise InconsistentBundle(f"rank delta_{i} = {shown(d)} violates exactness bounds")
             # exactness at H_(i-1)(bd Q), up to H_n(bd Q) = 0: im delta_i = ker iota_(i-1)
             dim = boundary[i - 1] if 0 < i <= n else 0
             if i and d + iota[i - 1] != dim:
                 raise InconsistentBundle(
-                    f"rank delta_{i} + rank iota_{i - 1} = {d + iota[i - 1]} "
+                    f"rank delta_{i} + rank iota_{i - 1} = {shown(d + iota[i - 1])} "
                     f"!= {dim} = dim H_{i - 1}(bd Q)"
                 )
 

@@ -22,6 +22,8 @@ from sposet.errors import (
     InternalError,
     InvalidArgument,
     InvalidCharFn,
+    MissingVertexAssignment,
+    NonPrimitiveVector,
     NotBuchsbaum,
     PosetValidationError,
     SchemaViolation,
@@ -404,6 +406,8 @@ VERTEX = [SimplexElem("a", ("a",), ())]
 DEEP = "a"
 for _ in range(5000):
     DEEP = [DEEP]
+# an int of 5,001 digits, past the interpreter's limit for str
+HUGE = 10**5000
 
 # library calls with malformed arguments, and the SposetError each ends in
 BAD_LIBRARY_CALLS = {
@@ -548,8 +552,22 @@ BAD_LIBRARY_CALLS = {
     "betti_deep_ring": (lambda: reduced_betti(corpus("torus7"), DEEP), InvalidArgument),
     "betti_deep_root": (lambda: reduced_betti(corpus("torus7"), RATIONALS, root=DEEP),
                         InvalidArgument),
+    "face_lattice_deep_vertex": (
+        lambda: from_face_lattice([SimplexElem("a", (DEEP,), ())]), PosetValidationError),
+    # an int with more digits than the interpreter turns into a str
+    "prime_field_huge_int": (lambda: prime_field(HUGE), InvalidArgument),
+    "charfn_n_huge_int": (lambda: CharFunction(HUGE, {"v1": (1,)}), WrongVectorLength),
+    "charfn_entry_huge_int": (lambda: CharFunction(1, {"a": (HUGE,)}), NonPrimitiveVector),
+    "charfn_name_huge_int": (lambda: CharFunction(1, {HUGE: (1,)}), InvalidCharFn),
+    "facets_name_huge_int": (lambda: from_facets([[HUGE, 1]]), PosetValidationError),
+    "face_lattice_n_huge_int": (lambda: from_face_lattice(VERTEX, n=HUGE), PosetValidationError),
+    "problem_n_huge_int": (
+        lambda: make_problem(CONE, corpus("torus7"), HUGE, RATIONALS), NotBuchsbaum),
     # a name that is no str, not even hashable
     "corpus_unhashable_name": (lambda: corpus(["x"]), UnknownName),
+    "element_unhashable_id": (lambda: corpus("torus7").element(["x"]), UnknownElement),
+    "charfn_vector_unhashable_id": (
+        lambda: CharFunction(1, {"a": (1,)}).vector(["a"]), MissingVertexAssignment),
     # a path that cannot be read as a file
     "parse_path_directory": (lambda: io_mod.parse_path(os.path.dirname(__file__)),
                              InvalidArgument),
@@ -561,6 +579,7 @@ BAD_CALL_AXIOMS = {
     "facets_too_many_faces": "face-count",
     "face_lattice_n_str": "ambient-rank",
     "face_lattice_n_bool": "ambient-rank",
+    "face_lattice_n_huge_int": "ambient-rank",
 }
 
 
@@ -581,6 +600,42 @@ def test_deep_value_is_quoted_in_one_short_line(case):
         call()
     message = str(err.value)
     assert "[...]" in message and "\n" not in message and len(message) < 200
+
+
+@pytest.mark.parametrize("case", sorted(c for c in BAD_LIBRARY_CALLS if "_huge_int" in c))
+def test_huge_int_is_quoted_by_its_size(case):
+    call, error = BAD_LIBRARY_CALLS[case]
+    with pytest.raises(error) as err:
+        call()
+    message = str(err.value)
+    assert "<int of 16610 bits>" in message and "\n" not in message and len(message) < 200
+
+
+# prints the refusal of a face holding a value nested past the recursion limit
+DEEP_FACE = """
+from sposet.errors import SposetError
+from sposet.poset import SimplexElem, from_face_lattice
+x = "a"
+for _ in range(5000):
+    x = [x]
+try:
+    from_face_lattice([SimplexElem("a", (x,), ())])
+except SposetError as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+def test_deep_face_is_quoted_alike_in_every_interpreter():
+    # quoted field by field, never as the named tuple's address
+    src = os.path.dirname(os.path.dirname(sposet.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    outs = [subprocess.run([sys.executable, "-c", DEEP_FACE], env=env, capture_output=True,
+                           text=True, check=True).stdout for _ in range(2)]
+    assert outs[0] == outs[1] == (
+        "PosetValidationError element 'a': not a SimplexElem of str ids and tuples: "
+        "SimplexElem(id='a', vertices=([[[[[[[...]]]]]]],), facets=()) [element-shape]\n")
+    assert " at 0x" not in outs[0]
 
 
 @pytest.mark.parametrize("n", [10**9, 10**30])

@@ -15,7 +15,8 @@ class _BoundedRepr(Repr):
 
     def repr_SimplexElem(self, x, level):
         # a face field by field under the same limits, as the named tuple's
-        # own repr has no depth bound; another class of that name as before
+        # own repr has no depth bound; any other class of this name is
+        # quoted the default way
         if not (isinstance(x, tuple) and hasattr(x, "_fields")):
             return self.repr_instance(x, level)
         if level <= 0:

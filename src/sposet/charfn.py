@@ -42,7 +42,10 @@ from .poset import SimplicialPoset, _require_poset, is_int, is_name
 
 @dataclass(frozen=True)
 class CharFunction:
-    """Vertex name (a str, or an int taken as its str) -> primitive length-n vector."""
+    """Vertex name (a str, or an int taken as its str) -> primitive length-n vector.
+
+    Two keys with one str, such as ``1`` and ``"1"``, are refused.
+    """
 
     n: int
     assignment: Mapping[str, tuple[int, ...]]
@@ -72,6 +75,8 @@ class CharFunction:
                 raise NonPrimitiveVector(
                     f"vertex {shown(vid)}: {shown(vec)} is not primitive"
                 )
+            if str(vid) in clean:
+                raise InvalidCharFn(f"vertex {shown(vid)}: name {str(vid)!r} is given twice")
             clean[str(vid)] = vec
         object.__setattr__(self, "assignment", clean)
 

@@ -146,7 +146,7 @@ def fvec(corpus_name, path, field, as_json):
 
 @cli.command(name="classify")
 @_poset_args
-@_FIELD
+@click.option("--field", default="q", show_default=True, help="z, q or fp:<p>")
 @_JSON
 def classify_cmd(corpus_name, path, field, as_json):
     """Buchsbaum / Cohen-Macaulay / homology-manifold verdicts."""

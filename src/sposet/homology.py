@@ -25,7 +25,7 @@ unitriangular on their rows, so modulo boundaries each cleared face is an
 integer combination of the faces left, and by d.d = 0 its column is one
 of theirs.  The integer Smith forms are kept per up-set root, and Q and
 F_p ranks are read off them.  The link rows of all faces form one table
-per (poset, ring), built in one sweep: a face of codimension <= 2 reads
+per (poset, ring), swept rank by rank: a face of codimension <= 2 reads
 its row in closed form from the covers and their covers, a deeper one off
 its up-set's Smith forms.
 """
@@ -441,21 +441,21 @@ def _link_table(S: SimplicialPoset, coeff: Coefficients) -> tuple[tuple, ...]:
     """The link homology of every face in (rank, id) order, built once per
     (poset, ring) and kept on the poset: one row (id, rank, reduced,
     torsion) per face, as ``reduced_betti(S, coeff, root=id)`` gives them
-    for its link in degrees -1..n-1-rank.  After the one d.d = 0 check, a
-    face of codimension <= 2 reads its row off the cover map in closed
-    form; a deeper one reads it off its up-set's Smith forms."""
+    for its link in degrees -1..n-1-rank.  After the one d.d = 0 check it
+    sweeps rank by rank: a face of codimension <= 2 reads its row off the
+    cover map in closed form, a deeper one off its up-set's Smith forms."""
     _require_poset(S)
     _require_ring(coeff)
     table = S._cache.get(("links", coeff))
     if table is None:
         _incidence(S)  # checks d.d = 0 before any row is read
-        cofaces, n, over_z, rows = S._cofaces(), S.n, coeff == INTEGERS, []
-        for e in S:
-            r = e.rank
+        cofaces, n, rows = S._cofaces(), S.n, []
+        for r in range(1, n + 1):
             if n - r > 2:
-                rows.append((e.id, r, *_link_row(S, coeff, e.id)))
+                rows += ((e.id, r, *_link_row(S, coeff, e.id)) for e in S.by_rank(r))
             else:
-                reduced = _low_row(cofaces, e.id)[0][:n - r + 1]
-                rows.append((e.id, r, reduced, ((),) * len(reduced) if over_z else ()))
+                torsion = ((),) * (n - r + 1) if coeff == INTEGERS else ()
+                rows += ((e.id, r, _low_row(cofaces, e.id)[0][:n - r + 1], torsion)
+                         for e in S.by_rank(r))
         table = S._cache["links", coeff] = tuple(rows)
     return table

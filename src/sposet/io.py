@@ -132,10 +132,23 @@ _PARSERS = {
 }
 
 
+def _object(pairs: list) -> dict:
+    # one JSON object, whose keys must differ: json itself keeps the last value
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen: set = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SchemaViolation(f"key {shown(key)} repeated in one object")
+            seen.add(key)
+    return doc
+
+
 def _decode(source: str | bytes):
     # bytes must be UTF-8; each way json can fail becomes a SchemaViolation
     try:
-        return json.loads(source.decode() if isinstance(source, bytes) else source)
+        return json.loads(source.decode() if isinstance(source, bytes) else source,
+                          object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         reason = str(exc)
     except UnicodeDecodeError as exc:
@@ -180,7 +193,7 @@ def emit_poset(S: SimplicialPoset) -> dict:
             for e in S.elements()
         ],
     }
-    if S.n != max((e.rank for e in S.elements()), default=0):
+    if S.n != S.dim + 1:
         doc["n"] = S.n
     return doc
 

@@ -68,12 +68,15 @@ class SimplicialPoset:
     """Finite poset whose lower intervals are Boolean lattices.
 
     Instances are immutable once built and safe to share; construct via
-    :func:`from_face_lattice` or :func:`from_facets`, which validate; the
-    constructor sorts the ids of each rank once.  ``n`` is the ambient
-    rank (``dim + 1`` for pure posets unless overridden).
+    :func:`from_face_lattice` or :func:`from_facets`, which validate.  The
+    constructor sorts the faces once into one map from each rank present,
+    ascending, to its faces in id order; ``by_rank``, ``dim`` and the
+    f-vector read it, and its concatenation, every face in (rank, id)
+    order, is what iteration, equality and hashing see.  ``n`` is the
+    ambient rank (``dim + 1`` for pure posets unless overridden).
     """
 
-    __slots__ = ("name", "n", "_elems", "_sorted", "_cache")
+    __slots__ = ("name", "n", "_elems", "_ranks", "_sorted", "_cache")
 
     def __init__(self, elements: Mapping[str, SimplexElem], n: int, name: str = ""):
         self._elems = dict(elements)
@@ -82,8 +85,9 @@ class SimplicialPoset:
         by_rank: dict[int, list[str]] = {}
         for eid, e in self._elems.items():
             by_rank.setdefault(len(e.vertices), []).append(eid)
-        self._sorted = tuple(map(self._elems.__getitem__, chain.from_iterable(
-            sorted(by_rank[k]) for k in sorted(by_rank))))
+        self._ranks = {k: tuple(map(self._elems.__getitem__, sorted(by_rank[k])))
+                       for k in sorted(by_rank)}
+        self._sorted = tuple(chain.from_iterable(self._ranks.values()))
         self._cache: dict = {}
 
     def __len__(self) -> int:
@@ -107,10 +111,13 @@ class SimplicialPoset:
 
     @property
     def dim(self) -> int:
-        return max((e.dim for e in self._sorted), default=-1)
+        return max(self._ranks, default=0) - 1
 
     def by_rank(self, k: int) -> tuple[SimplexElem, ...]:
-        return tuple(e for e in self._sorted if e.rank == k)
+        """The faces of rank k, in id order."""
+        if not is_int(k):
+            raise InvalidArgument(f"rank {shown(k)} is not an int")
+        return self._ranks.get(k, ())
 
     def maximal_ids(self) -> tuple[str, ...]:
         cofaces = self._cofaces()
@@ -259,9 +266,10 @@ def from_face_lattice(
 def from_facets(facet_vertex_sets: Iterable[Iterable], name: str = "") -> SimplicialPoset:
     """Face poset of the simplicial complex generated by the given facets.
 
-    Each facet is a collection (not a str) of at most ``MAX_RANK`` vertex
-    names, strs or ints, an int taken as its str, and the facets have at
-    most ``MAX_FACES`` nonempty subsets in all, counted per facet.  Every
+    Each facet is a collection (not a str) of at most ``MAX_RANK`` distinct
+    vertex names, strs or ints, an int taken as its str, so ``1`` and
+    ``"1"`` in one facet are a repeat, a ``RankMismatch``; the facets have
+    at most ``MAX_FACES`` nonempty subsets in all, counted per facet.  Every
     nonempty subset of a facet becomes one face whose id is its sorted
     vertex names joined by commas, so a vertex is named by itself and the
     result is a genuine simplicial complex.  Built rank by rank from the
@@ -282,6 +290,7 @@ def from_facets(facet_vertex_sets: Iterable[Iterable], name: str = "") -> Simpli
     vsets = list(map(sorted, map(set, names))) if named else []
     sizes = list(map(len, vsets))
     if not (sizes and min(sizes) and max(sizes) <= MAX_RANK
+            and sum(sizes) == sum(map(len, tuples))  # no name repeated in a facet
             and sum(map((1).__lshift__, sizes)) - len(sizes) <= MAX_FACES):
         _refuse_facet(raws, tuples)
 
@@ -315,6 +324,8 @@ def _refuse_facet(raws: list, tuples: list) -> NoReturn:
             raise PosetValidationError(
                 "", "element-shape", f"facet {shown(raw)} is not a collection of str or int names")
         vs = set(map(str, fs))
+        if len(vs) < len(fs):
+            raise RankMismatch("", "rank", f"facet {shown(raw)} repeats a vertex name")
         if not vs:
             raise EmptyInput("empty facet vertex set")
         if len(vs) > MAX_RANK:
@@ -371,14 +382,6 @@ def barycentric(S: SimplicialPoset) -> SimplicialPoset:
     return out
 
 
-def f_vector(S: SimplicialPoset) -> tuple[int, ...]:
-    """Face counts (f_-1, f_0, ..., f_(n-1)); always starts with 1."""
-    counts = [0] * S.n
-    for e in S.elements():
-        counts[e.rank - 1] += 1
-    return (1, *counts)
-
-
 def _components(nodes: int, edges) -> int:
     # the components of a graph on this many nodes, by union-find over its
     # edges as node pairs; a root has no parent entry, a find halves its path
@@ -421,7 +424,7 @@ def validate_stats(S: SimplicialPoset) -> PosetStats:
         # each edge, met once under each of its vertices, joins its facets
         connected=_components(
             len(vertices), (e.facets for v in vertices for e in cofaces[v.id])) == 1,
-        f=f_vector(S),
+        f=(1, *(len(S.by_rank(k)) for k in range(1, S.n + 1))),
     )
     S._cache["stats"] = out
     return out

@@ -14,13 +14,14 @@ rejection sampler's loop with one full ``check`` per attempt, and the
 long exact sequence of (Q, bd Q) read map by map for manifold rank
 data.  One
 writer, ``bundle_doc``, gives tests the problem bundles the library
-only reads.  The dense matrices and the link posets read neither the library's signed
+only reads, and ``staircase_product`` the facets of product manifolds.
+The dense matrices and the link posets read neither the library's signed
 incidence nor its cover map.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 
@@ -426,3 +427,26 @@ def exact_sequence(reduced, betti_q, iota):
     delta = [0] + [bd[i] - iota[i] for i in range(n + 1)]
     return (all(r >= 0 for r in (*iota, *j, *delta)) and delta[n + 1] == 0
             and all(betti_q[n - i] == j[i] + delta[i] for i in range(n + 1)))
+
+
+def staircase_product(K, L):
+    """Facets of the product of two complexes, each given by its facets,
+    in the staircase (Eilenberg-Zilber shuffle) triangulation.
+
+    Every facet's vertices are taken in name order, one order on each
+    side, so the triangulated prisms agree on the faces they share.  A
+    p-simplex times a q-simplex gives one (p + q)-simplex per monotone
+    lattice path through their vertex grid, C(p + q, p) of them; the
+    vertex (a, b) is named "a*b".
+    """
+    facets = []
+    for a, b in product(map(sorted, K), map(sorted, L)):
+        steps = len(a) + len(b) - 2
+        for up in combinations(range(steps), len(a) - 1):  # the steps along a
+            i = j = 0
+            path = [f"{a[0]}*{b[0]}"]
+            for s in range(steps):
+                i, j = (i + 1, j) if s in up else (i, j + 1)
+                path.append(f"{a[i]}*{b[j]}")
+            facets.append(path)
+    return facets

@@ -5,7 +5,9 @@ from sposet.errors import NotConnected, NotPure
 from sposet.facevec import face_vector_report
 from sposet.corpus import corpus, corpus_names
 from sposet.homology import INTEGERS, RATIONALS, prime_field, reduced_betti
-from sposet.poset import SimplexElem, barycentric, from_face_lattice, from_facets, f_vector
+from sposet.poset import (
+    SimplexElem, barycentric, from_face_lattice, from_facets, validate_stats,
+)
 
 from oracles import oracle_link
 
@@ -130,7 +132,7 @@ class TestClassify:
             for coeff in (RATIONALS, prime_field(2)):
                 cls = classify(S, coeff)
                 if cls.homology_manifold:
-                    assert face_vector_report(S, coeff).ft == f_vector(S)[1:], S.name
+                    assert face_vector_report(S, coeff).ft == validate_stats(S).f[1:], S.name
 
     def test_field_verdicts_monotone(self, corpus_posets, full_triangle):
         # vanishing over F_p forces vanishing over Q, so a pass over F_p

@@ -15,6 +15,8 @@ from sposet import io as io_mod
 from sposet.cli import main
 from sposet.corpus import corpus
 
+from oracles import staircase_product
+
 TORUS7_LAMBDA = {
     "format": "charfn-v1",
     "n": 3,
@@ -32,6 +34,15 @@ SOLID_TORUS_BUNDLE = {
     "iota": [1, 1, 0, 0],
     "orientable": True,
     "charfn": None,
+}
+
+# S^1 x S^2, n = 4: the reports where a page-3 differential fires
+S1XS2 = {
+    "format": "scomplex-v1",
+    "name": "S1xS2",
+    "facets": staircase_product(
+        [f.vertices for f in corpus("boundary_simplex(2)").by_rank(2)],
+        [f.vertices for f in corpus("boundary_simplex(3)").by_rank(3)]),
 }
 
 CASES = {
@@ -82,6 +93,14 @@ CASES = {
     "cone_rp2_f2": (
         ["quotient", "cone", "--corpus", "rp2_6", "--n", "3", "--field", "fp:2", "--json"],
         "a46882cb2817df57936267a189d2d199bdcabe22e0750140796d0839bf4c7540",
+    ),
+    "cone_s1xs2_q": (
+        ["quotient", "cone", "{s1xs2}", "--n", "4", "--json"],
+        "18057b00072d28ebc6f79ceddf67cfe839c8272193c5d6bdb53b6b6da87def7a",
+    ),
+    "cone_s1xs2_f2": (
+        ["quotient", "cone", "{s1xs2}", "--n", "4", "--field", "fp:2", "--json"],
+        "ebbff4d1e4994a38eeaef50bb476432b4612d059136119139d70cb29ccb14ce5",
     ),
 }
 
@@ -200,7 +219,9 @@ def _output(argv, tmp_path, capsys):
     bundle.write_text(
         json.dumps({**SOLID_TORUS_BUNDLE, "poset": io_mod.emit_poset(corpus("torus7"))})
     )
-    argv = [a.format(**{"lambda": lam, "bundle": bundle}) for a in argv]
+    s1xs2 = tmp_path / "s1xs2.json"
+    s1xs2.write_text(json.dumps(S1XS2))
+    argv = [a.format(**{"lambda": lam, "bundle": bundle, "s1xs2": s1xs2}) for a in argv]
     code = main(argv)
     return code, capsys.readouterr().out
 

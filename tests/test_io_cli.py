@@ -26,6 +26,7 @@ from sposet.errors import (
     NonPrimitiveVector,
     NotBuchsbaum,
     PosetValidationError,
+    RankMismatch,
     SchemaViolation,
     UnknownElement,
     UnknownFormat,
@@ -189,6 +190,13 @@ class TestCli:
         assert res.exit_code == 0
         assert "buchsbaum: true" in res.output
         assert "cohen_macaulay: false" in res.output
+
+    def test_classify_help_names_the_integers(self):
+        # classify alone takes z, unlike the other commands' --field
+        assert "z, q or fp:<p>" in runner.invoke(cli, ["classify", "--help"]).output
+        res = runner.invoke(cli, ["classify", "--corpus", "rp2_6", "--field", "z"])
+        assert res.exit_code == 0
+        assert "coeff: z" in res.output
 
     def test_homology_integral(self):
         res = runner.invoke(
@@ -568,6 +576,14 @@ BAD_LIBRARY_CALLS = {
     "element_unhashable_id": (lambda: corpus("torus7").element(["x"]), UnknownElement),
     "charfn_vector_unhashable_id": (
         lambda: CharFunction(1, {"a": (1,)}).vector(["a"]), MissingVertexAssignment),
+    # a rank that is no int, not read as one
+    "by_rank_str": (lambda: corpus("torus7").by_rank("x"), InvalidArgument),
+    "by_rank_bool": (lambda: corpus("torus7").by_rank(True), InvalidArgument),
+    "by_rank_float": (lambda: corpus("torus7").by_rank(1.0), InvalidArgument),
+    # one vertex named twice, also as an int and its str
+    "facets_repeated_name": (lambda: from_facets([["a", "a", "b"]]), RankMismatch),
+    "facets_repeated_int_name": (lambda: from_facets([[1, "1"]]), RankMismatch),
+    "charfn_repeated_name": (lambda: CharFunction(1, {1: (1,), "1": (-1,)}), InvalidCharFn),
     # a path that cannot be read as a file
     "parse_path_directory": (lambda: io_mod.parse_path(os.path.dirname(__file__)),
                              InvalidArgument),
@@ -674,6 +690,43 @@ def test_document_fault_is_reported_ahead_of_library_fault():
         io_mod.parse({"format": "scomplex-v1", "facets": [{"a": 1}]})
     with pytest.raises(SchemaViolation, match=r"assignment\['v1'\]"):
         io_mod.parse({"format": "charfn-v1", "n": 2, "assignment": {"v1": (1, 0)}})
+
+
+def test_facet_repeating_a_vertex_is_refused(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"format": "scomplex-v1", "facets": [["a", "a", "b"]]}))
+    assert main(["stats", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("Error: RankMismatch: element '': facet ['a', 'a', 'b'] "
+                            "repeats a vertex name [rank]\n")
+
+
+# a charfn-v1 document whose assignment gives vertex v1 twice
+REPEATED_VERTEX_KEY = ('{"format": "charfn-v1", "n": 3, "assignment": '
+                       '{"v1": [1, 0, 0], "v1": [0, 1, 0]}}')
+
+
+@pytest.mark.parametrize("argv", [
+    ["charfn", "check", "{path}", "--corpus", "torus7"],
+    ["quotient", "cone", "--corpus", "torus7", "--n", "3", "--charfn", "{path}", "--json"],
+], ids=["check", "cone"])
+def test_repeated_json_key_is_refused(argv, tmp_path, capsys):
+    path = tmp_path / "lam.json"
+    path.write_text(REPEATED_VERTEX_KEY)
+    assert main([a.format(path=path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "Error: SchemaViolation: key 'v1' repeated in one object\n"
+
+
+def test_repeated_top_level_key_is_refused():
+    doc = '{"format": "scomplex-v1", "name": "x", "facets": [["a"]], "name": "y"}'
+    with pytest.raises(SchemaViolation, match="key 'name' repeated in one object"):
+        io_mod.parse(doc)
+    with pytest.raises(SchemaViolation, match="key 'name' repeated in one object"):
+        io_mod.parse(doc.encode())
+    assert io_mod.parse(doc.replace('"name": "y"', '"n": 1')).name == "x"
 
 
 def test_bad_coefficient_label_is_clean_error(capsys):

@@ -212,17 +212,22 @@ class TestFromFacets:
 
     @staticmethod
     def _agrees_with_face_lattice(facets):
-        # from_facets builds in one pass; from_face_lattice reruns every check
+        # from_facets builds in one pass; from_face_lattice reruns every check.
+        # A facet naming one vertex twice, 1 and "1" alike, is refused first.
+        if any(len({str(v) for v in f}) < len(f) for f in facets):
+            with pytest.raises(RankMismatch, match="repeats a vertex name"):
+                from_facets(facets)
+            return "repeat"
         faces = powerset_faces([{str(v) for v in f} for f in facets])
         if len({",".join(sorted(f)) for f in faces}) < len(faces):
             with pytest.raises(PosetValidationError, match="vertex-name"):
                 from_facets(facets)
-            return False
+            return "collide"
         S = from_facets(facets)
         assert from_face_lattice(S.elements()) == S
         assert {frozenset(e.vertices) for e in S.elements()} == faces
         assert S.n == max(map(len, faces))
-        return True
+        return "built"
 
     def test_one_pass_matches_face_lattice(self, corpus_posets):
         t7 = corpus_posets["torus7"]
@@ -232,7 +237,7 @@ class TestFromFacets:
                   barycentric(barycentric(t7))]
         for S in (*corpus_posets.values(), *ladder):
             assert self._agrees_with_face_lattice(
-                [S.element(m).vertices for m in S.maximal_ids()]), S.name
+                [S.element(m).vertices for m in S.maximal_ids()]) == "built", S.name
 
     def test_one_pass_matches_face_lattice_fuzzed(self):
         # names with commas make some subset ids collide
@@ -242,7 +247,7 @@ class TestFromFacets:
         for _ in range(300):
             facets = [rng.sample(names, rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
             outcomes.add(self._agrees_with_face_lattice(facets))
-        assert outcomes == {True, False}
+        assert outcomes == {"built", "collide", "repeat"}
 
 
 class TestLink:
@@ -387,6 +392,23 @@ class TestStatsAndIntervals:
             assert verdicts[S.name] == comparability_connected(S), S.name
         assert not verdicts["s1xI_faceposet"] and not verdicts["two_parts"]
         assert verdicts["bowtie"] and not verdicts["non_pure"]
+
+    def test_rank_buckets_partition_the_faces(self, corpus_posets):
+        # by_rank, dim and the f-vector read one rank map, kept per poset,
+        # against a scan of every face
+        posets = [*corpus_posets.values(), barycentric(corpus_posets["torus7"]),
+                  from_face_lattice([]), from_face_lattice([SimplexElem("v", ("v",), ())], n=3),
+                  from_facets([("a", "b", "c"), ("c", "d"), ("e",)], name="non_pure")]
+        for S in posets:
+            buckets = [S.by_rank(k) for k in range(S.n + 2)]
+            for k, bucket in enumerate(buckets):
+                assert bucket == tuple(e for e in S if e.rank == k), (S.name, k)
+                assert [e.id for e in bucket] == sorted(e.id for e in bucket)
+                assert not bucket or S.by_rank(k) is bucket
+            assert sum(buckets, ()) == S.elements()
+            assert S.dim == max((e.dim for e in S), default=-1)
+            assert validate_stats(S).f == (1, *map(len, buckets[1:S.n + 1]))
+        assert not hasattr(poset_mod, "f_vector")
 
     def test_ambient_rank_override(self):
         S = from_face_lattice([SimplexElem("v", ("v",), ())], n=2)

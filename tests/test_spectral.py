@@ -4,6 +4,7 @@ import sys
 from collections import Counter
 from dataclasses import fields, replace
 from itertools import product
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from sposet import cli as cli_mod
 from sposet import facevec as facevec_mod
 from sposet import homology, spectral
 from sposet.charfn import CharFunction, random_q_charfn
-from sposet.classify import buchsbaum_witnesses
+from sposet.classify import buchsbaum_witnesses, classify
 from sposet.errors import (
     InconsistentBundle,
     InternalError,
@@ -25,10 +26,14 @@ from sposet.errors import (
 )
 from sposet.corpus import corpus
 from sposet.facevec import face_vector_report, identity_report
-from sposet.homology import INTEGERS, RATIONALS, prime_field, reduced_betti
+from sposet.homology import (
+    INTEGERS, RATIONALS, parse_coefficients, prime_field, reduced_betti,
+)
 from sposet.cli import main
 from sposet.io import dumps_canonical, emit_charfn, emit_poset
-from sposet.poset import SimplicialPoset, barycentric, from_face_lattice, from_facets
+from sposet.poset import (
+    SimplicialPoset, barycentric, from_face_lattice, from_facets, validate_stats,
+)
 from sposet.spectral import (
     CONE,
     MANIFOLD,
@@ -40,6 +45,7 @@ from sposet.spectral import (
 )
 
 import oracles
+from conftest import FIELD_LABELS
 from oracles import oracle_link
 
 
@@ -54,6 +60,14 @@ def solved(prob):
 def wedge_of_tetrahedra():
     # two tetrahedron boundaries sharing vertex 0: rank 3, not Buchsbaum
     return from_facets([[v for v in t if v != w] for t in ("0123", "0456") for w in t])
+
+
+def s1_x_s2():
+    # the triangle boundary times the tetrahedron boundary, n = 4 with
+    # b~_1 = b~_2 = b~_3 = 1: the first input where a page-3 differential fires
+    K, L = ([f.vertices for f in corpus(name).by_rank(k)]
+            for name, k in (("boundary_simplex(2)", 2), ("boundary_simplex(3)", 3)))
+    return from_facets(oracles.staircase_product(K, L), name="S1xS2")
 
 
 def solid_torus_problem(torus7):
@@ -315,8 +329,6 @@ class TestTruncatedFirstPage:
 
     def test_row_euler_sums(self, corpus_posets):
         # alternating row sums reproduce (chi - 1) C(n, q) + (-1)^q h_q
-        from math import comb
-
         for name, S in corpus_posets.items():
             if buchsbaum_witnesses(S, RATIONALS):
                 continue
@@ -399,6 +411,32 @@ class TestPages:
                     assert solve(prob).ea1.diagonal(n) == e1_diagonal_hprime_form(
                         prob
                     ), (name, coeff.label)
+
+
+class TestPageThree:
+    """S^1 x S^2: delta_2 = 1 feeds the differential d^3 of page three,
+    which only eainf sees, into column 1."""
+
+    def test_shape(self):
+        S = s1_x_s2()
+        assert (len(S.by_rank(4)), len(S), S.n) == (36, 168, 4)
+        assert validate_stats(S).f == (1, 12, 48, 72, 36)
+        for coeff in (INTEGERS, RATIONALS, prime_field(2), prime_field(3)):
+            assert reduced_betti(S, coeff).reduced == (0, 0, 1, 1, 1)
+            cls = classify(S, coeff)
+            assert cls.buchsbaum and cls.homology_manifold
+
+    @pytest.mark.parametrize("label", FIELD_LABELS)
+    def test_page_three_differential(self, label):
+        prob = cone_over(s1_x_s2(), parse_coefficients(label))
+        tabs = solve(prob)
+        assert prob.delta == (0, 0, 1, 1, 1)
+        # (1, 0): 1 -> 0 and (1, 1): 12 -> 8; no earlier page reaches column 1
+        for q in (0, 1):
+            assert tabs.ea2.rank(1, q) - tabs.eainf.rank(1, q) == comb(4, q)
+        assert (tabs.ea2.rank(1, 0), tabs.ea2.rank(1, 1)) == (1, 12)
+        assert tabs.eainf.diagonal(4) == (1, 8, 12, 8, 1)
+        assert verify(prob, tabs).all_passed
 
 
 class TestBigraded:

@@ -3,9 +3,9 @@
 Format tags: "sposet-v1" (explicit face lattice), "scomplex-v1"
 (facet shorthand for genuine complexes), "charfn-v1" (vertex vector
 assignment), "cone-v1" and "manifold-v1" (quotient problem bundles,
-read but not written).  Emission is canonical: sorted keys, fixed
-separators, elements in (rank, id) order, so identical inputs
-serialize byte-identically.
+read but not written, whose poset carries one of the two poset tags).
+Emission is canonical: sorted keys, fixed separators, elements in
+(rank, id) order, so identical inputs serialize byte-identically.
 """
 from __future__ import annotations
 
@@ -109,6 +109,10 @@ def _parse_charfn(doc: dict) -> CharFunction:
 def _parse_problem(doc: dict) -> spectral.QuotientProblem:
     kind = spectral.CONE if doc["format"] == "cone-v1" else spectral.MANIFOLD
     poset_doc = _need(doc, "poset", dict)
+    tag = poset_doc.get("format")
+    if tag not in ("sposet-v1", "scomplex-v1"):
+        raise SchemaViolation(
+            f"poset format tag {shown(tag)} is not 'sposet-v1' or 'scomplex-v1'")
     poset = _parse_poset(poset_doc)
     n = _need(doc, "n", int)
     coeff = parse_coefficients(_need(doc, "field", str))

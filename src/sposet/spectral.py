@@ -153,9 +153,25 @@ class QuotientProblem:
 
 @dataclass(frozen=True)
 class PageTable:
-    """Sparse (p, q) -> rank table of one spectral sequence page."""
+    """Sparse (p, q) -> rank table for torus rank n.
+
+    Keeps only its nonzero cells, however it was built; its totals are
+    the sums along the antidiagonals p + q = 0, ..., 2n of those cells.
+    """
 
     cells: dict[tuple[int, int], int]
+    n: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "cells", {c: v for c, v in self.cells.items() if v})
+
+    @property
+    def totals(self) -> tuple[int, ...]:
+        sums = [0] * (2 * self.n + 1)
+        for (p, q), v in self.cells.items():
+            if 0 <= p + q <= 2 * self.n:
+                sums[p + q] += v
+        return tuple(sums)
 
     def rank(self, p: int, q: int) -> int:
         return self.cells.get((p, q), 0)
@@ -163,18 +179,8 @@ class PageTable:
     def diagonal(self, n: int) -> tuple[int, ...]:
         return tuple(self.rank(q, q) for q in range(n + 1))
 
-    def total(self, k: int) -> int:
-        return sum(v for (p, q), v in self.cells.items() if p + q == k)
-
     def to_json(self) -> dict[str, int]:
         return {f"{p},{q}": v for (p, q), v in sorted(self.cells.items())}
-
-
-@dataclass(frozen=True)
-class BigradedTable(PageTable):
-    """Dimensions of the bigraded homology pieces and their totals."""
-
-    totals: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -185,7 +191,7 @@ class Tables:
     ea1: PageTable
     ea2: PageTable
     eainf: PageTable
-    bigraded: BigradedTable
+    bigraded: PageTable
 
     def to_json(self) -> dict[str, object]:
         out = {f.name: getattr(self, f.name).to_json() for f in fields(self)}
@@ -282,35 +288,27 @@ def solve(prob: QuotientProblem) -> Tables:
     cells: dict[tuple[int, int], int] = {}
     for p in range(n):
         for q in range(p):
-            v = prob.boundary[p] * comb(n, q)
-            if v:
-                cells[(p, q)] = v
+            cells[(p, q)] = prob.boundary[p] * comb(n, q)
     for q in range(n):
-        v = faces.h[q] + comb(n, q) * sum((-1) ** (p + q) * bt(p) for p in range(q + 1))
-        if v:
-            cells[(q, q)] = v
+        cells[(q, q)] = faces.h[q] + comb(n, q) * sum(
+            (-1) ** (p + q) * bt(p) for p in range(q + 1))
     for q in range(-n, n + 1):
-        v = sum(
+        cells[(n, q)] = sum(
             relative[q1] * comb(n, q + n - q1)
             for q1 in range(max(0, q), n + 1)
             if 0 <= q + n - q1 <= n
         )
-        if v:
-            cells[(n, q)] = v
 
+    # every source (n, q1 + q2 - n) and target (q1 - 1, q2) is a cell above
     ea2 = dict(cells)
     eainf = dict(cells)
     for q1 in range(1, n + 1):
-        if not delta[q1]:
-            continue
         page = n - q1 + 1
         for q2 in range(q1):
-            rk = delta[q1] * comb(n, q2)  # nonzero: delta[q1] is, and q2 < n
-            src = (n, q1 + q2 - n)
-            tgt = (q1 - 1, q2)
+            rk = delta[q1] * comb(n, q2)
             for table in (eainf,) if page > 1 else (ea2, eainf):
-                table[src] = table.get(src, 0) - rk
-                table[tgt] = table.get(tgt, 0) - rk
+                table[(n, q1 + q2 - n)] -= rk
+                table[(q1 - 1, q2)] -= rk
 
     for label, table in (("ea2", ea2), ("eainf", eainf)):
         for cell, v in table.items():
@@ -321,39 +319,30 @@ def solve(prob: QuotientProblem) -> Tables:
     for i in range(n + 1):
         for j in range(n + 1):
             if i > j:
-                v = prob.betti_q[i] * comb(n, j)
+                big[(i, j)] = prob.betti_q[i] * comb(n, j)
             elif i < j:
-                v = relative[i] * comb(n, j)
+                big[(i, j)] = relative[i] * comb(n, j)
             elif i < n:
-                v = eainf.get((i, i), 0) + relative[i] * comb(n, i)
+                big[(i, j)] = eainf[(i, i)] + relative[i] * comb(n, i)
             else:
-                v = relative[n]
-            if v:
-                big[(i, j)] = v
-    totals = tuple(
-        sum(v for (i, j), v in big.items() if i + j == k)
-        for k in range(2 * n + 1)
-    )
+                big[(i, j)] = relative[n]
 
-    e1trunc = {}
-    for p in range(n):
-        for q in range(p + 1):
-            v = comb(p, q) * faces.ft[n - p - 1]
-            if v:
-                e1trunc[(p, q)] = v
+    e1trunc = {(p, q): comb(p, q) * faces.ft[n - p - 1]
+               for p in range(n) for q in range(p + 1)}
 
     return Tables(
-        e1trunc=PageTable(e1trunc),
-        ea1=PageTable(cells),
-        ea2=PageTable({c: v for c, v in ea2.items() if v}),
-        eainf=PageTable({c: v for c, v in eainf.items() if v}),
-        bigraded=BigradedTable(big, totals),
+        e1trunc=PageTable(e1trunc, n),
+        ea1=PageTable(cells, n),
+        ea2=PageTable(ea2, n),
+        eainf=PageTable(eainf, n),
+        bigraded=PageTable(big, n),
     )
 
 
 def verify(prob: QuotientProblem, tables: Tables) -> VerifyReport:
     """Cross-checks of solved tables against closed forms and dualities.
 
+    Refuses tables that are not PageTables of the problem's torus rank.
     euler_conserved: the signed cell sum of the first page equals the
     signed total Betti sum.  pages_match_closed_forms: summing the last
     page along antidiagonals reproduces the bigraded totals.  Cone
@@ -371,7 +360,15 @@ def verify(prob: QuotientProblem, tables: Tables) -> VerifyReport:
             f"verify takes a QuotientProblem and its Tables, not "
             f"{type(prob).__name__} and {type(tables).__name__}"
         )
-    n, faces = prob.n, face_vector_report(prob.poset, prob.coeff)
+    n = prob.n
+    for f in fields(tables):
+        table = getattr(tables, f.name)
+        if not isinstance(table, PageTable):
+            raise InvalidArgument(f"table {f.name} is {shown(table)}, not a PageTable")
+        if table.n != n:
+            raise InvalidArgument(
+                f"table {f.name} is for torus rank {shown(table.n)}, not the problem's {n}")
+    faces = face_vector_report(prob.poset, prob.coeff)
     checks: dict[str, bool] = {}
     skipped: dict[str, str] = {}
 
@@ -382,9 +379,7 @@ def verify(prob: QuotientProblem, tables: Tables) -> VerifyReport:
     chi_x = sum((v if k % 2 == 0 else -v) for k, v in enumerate(big.totals))
     checks["euler_conserved"] = chi_page == chi_x
 
-    checks["pages_match_closed_forms"] = all(
-        tables.eainf.total(k) == big.totals[k] for k in range(2 * n + 1)
-    )
+    checks["pages_match_closed_forms"] = tables.eainf.totals == big.totals
 
     if prob.kind == CONE:
         diag = tables.eainf.diagonal(n)

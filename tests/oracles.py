@@ -14,7 +14,8 @@ rejection sampler's loop with one full ``check`` per attempt, and the
 long exact sequence of (Q, bd Q) read map by map for manifold rank
 data.  One
 writer, ``bundle_doc``, gives tests the problem bundles the library
-only reads, and ``staircase_product`` the facets of product manifolds.
+only reads, ``staircase_product`` the facets of product manifolds and
+``antipodal_cross`` the antipodal quotients of cross-polytope boundaries.
 The dense matrices and the link posets read neither the library's signed
 incidence nor its cover map.
 """
@@ -450,3 +451,33 @@ def staircase_product(K, L):
                 path.append(f"{a[i]}*{b[j]}")
             facets.append(path)
     return facets
+
+
+def antipodal_cross(m):
+    """The boundary of the m-dimensional cross-polytope modulo x -> -x.
+
+    Its faces are the nonzero sign vectors in {-1, 0, 1}^m up to a global
+    sign, each kept in the form whose first nonzero sign is +.  The face
+    s has as vertices the i in its support, the class of +-e_i, named
+    "v<i>", and its facets drop one of them.  No complex from m = 3 on:
+    m = 3 gives RP^2 and m = 4 RP^3, whose 8 facets share one vertex set.
+    """
+    from sposet.poset import SimplexElem, from_face_lattice
+
+    def face_id(signs):
+        support = [i for i, s in enumerate(signs) if s]
+        if len(support) == 1:
+            return f"v{support[0] + 1}"
+        first = signs[support[0]]
+        return "".join("0+-"[s * first] for s in signs)
+
+    elems = []
+    for signs in product((0, 1, -1), repeat=m):
+        support = [i for i, s in enumerate(signs) if s]
+        if not support or signs[support[0]] != 1:
+            continue
+        facets = [face_id([0 if k == i else s for k, s in enumerate(signs)])
+                  for i in support] if len(support) > 1 else []
+        elems.append(SimplexElem(face_id(signs), tuple(f"v{i + 1}" for i in support),
+                                 tuple(facets)))
+    return from_face_lattice(elems, n=m, name=f"antipodal_cross({m})")

@@ -15,7 +15,7 @@ from sposet import io as io_mod
 from sposet.cli import main
 from sposet.corpus import corpus
 
-from oracles import staircase_product
+from oracles import antipodal_cross, staircase_product
 
 TORUS7_LAMBDA = {
     "format": "charfn-v1",
@@ -43,6 +43,17 @@ S1XS2 = {
     "facets": staircase_product(
         [f.vertices for f in corpus("boundary_simplex(2)").by_rank(2)],
         [f.vertices for f in corpus("boundary_simplex(3)").by_rank(3)]),
+}
+
+# RP^3, a poset but no complex, n = 4: page three fires over F_2 alone
+RP3 = io_mod.emit_poset(antipodal_cross(4))
+
+# T^3 as three triangle boundaries, n = 4: page three fires over every field
+TRIANGLE = [f.vertices for f in corpus("boundary_simplex(2)").by_rank(2)]
+T3 = {
+    "format": "scomplex-v1",
+    "name": "T3",
+    "facets": staircase_product(staircase_product(TRIANGLE, TRIANGLE), TRIANGLE),
 }
 
 CASES = {
@@ -101,6 +112,34 @@ CASES = {
     "cone_s1xs2_f2": (
         ["quotient", "cone", "{s1xs2}", "--n", "4", "--field", "fp:2", "--json"],
         "ebbff4d1e4994a38eeaef50bb476432b4612d059136119139d70cb29ccb14ce5",
+    ),
+    "cone_s1xs2_f3": (
+        ["quotient", "cone", "{s1xs2}", "--n", "4", "--field", "fp:3", "--json"],
+        "be33ba82c1b11caa5b57f7fc57d7fee1ea34c5767dc50782bb882dab21d04a91",
+    ),
+    "cone_rp3_q": (
+        ["quotient", "cone", "{rp3}", "--n", "4", "--field", "q", "--json"],
+        "e017dd06cb0b1b7c2c82ec3e5259c13aeafdd8304cc9348407fb742889ed6169",
+    ),
+    "cone_rp3_f2": (
+        ["quotient", "cone", "{rp3}", "--n", "4", "--field", "fp:2", "--json"],
+        "10e2a00a7ba07624a3a1ee7a291262b92a46227ef4af7bbb2cd37746a6f458b2",
+    ),
+    "cone_rp3_f3": (
+        ["quotient", "cone", "{rp3}", "--n", "4", "--field", "fp:3", "--json"],
+        "f31f3a5b6c20466fe4fd91d8561fd60c87e60fea378e7166b301ee32eb7e302d",
+    ),
+    "cone_t3_q": (
+        ["quotient", "cone", "{t3}", "--n", "4", "--field", "q", "--json"],
+        "0483fbb65b91aeadbffa96c4447c56511f57f3c2e3ce00004f3cdfa3646c68c2",
+    ),
+    "cone_t3_f2": (
+        ["quotient", "cone", "{t3}", "--n", "4", "--field", "fp:2", "--json"],
+        "58bc75b9a86e5de5c0cccf422b77444587bc3a40efba4daae23c9596cff0cb43",
+    ),
+    "cone_t3_f3": (
+        ["quotient", "cone", "{t3}", "--n", "4", "--field", "fp:3", "--json"],
+        "2297143c2a9107f994fd528a62f6e5aca97f7d506a8ab859009e670fea864185",
     ),
 }
 
@@ -221,7 +260,12 @@ def _output(argv, tmp_path, capsys):
     )
     s1xs2 = tmp_path / "s1xs2.json"
     s1xs2.write_text(json.dumps(S1XS2))
-    argv = [a.format(**{"lambda": lam, "bundle": bundle, "s1xs2": s1xs2}) for a in argv]
+    rp3 = tmp_path / "rp3.json"
+    rp3.write_text(json.dumps(RP3))
+    t3 = tmp_path / "t3.json"
+    t3.write_text(json.dumps(T3))
+    paths = {"lambda": lam, "bundle": bundle, "s1xs2": s1xs2, "rp3": rp3, "t3": t3}
+    argv = [a.format(**paths) for a in argv]
     code = main(argv)
     return code, capsys.readouterr().out
 

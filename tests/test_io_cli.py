@@ -402,6 +402,25 @@ def test_mistyped_document_is_schema_violation(case, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("tag", ["banana", "charfn-v1", "cone-v1", None, ["sposet-v1"]])
+def test_bundle_poset_needs_a_poset_tag(tag, tmp_path, capsys):
+    # refused ahead of every other fault: this bundle's n is also of the wrong type
+    poset = {k: v for k, v in _triangle_doc().items() if k != "format"}
+    if tag is not None:
+        poset["format"] = tag
+    doc = _triangle_cone(poset=poset, n="2")
+    with pytest.raises(SchemaViolation) as err:
+        io_mod.parse(json.dumps(doc))
+    message = f"poset format tag {tag!r} is not 'sposet-v1' or 'scomplex-v1'"
+    assert str(err.value) == message
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(doc))
+    assert main(["quotient", "cone", str(path), "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"Error: SchemaViolation: {message}\n"
+
+
 # primitive and valid over Q on every face of torus7, but of length 4, not 3
 TORUS7_LAMBDA4 = {f"v{i}": (1, i, i * i, i**3) for i in range(1, 8)}
 # valid over Q: any three rows of a Vandermonde matrix are independent
@@ -535,6 +554,22 @@ BAD_LIBRARY_CALLS = {
     "solve_none": (lambda: solve(None), InvalidArgument),
     "verify_tables_none": (
         lambda: verify(make_problem(CONE, corpus("torus7"), 3, RATIONALS), None),
+        InvalidArgument,
+    ),
+    # tables solved for a problem of another torus rank, in either direction
+    "verify_tables_lower_rank": (
+        lambda: verify(make_problem(CONE, corpus("torus7"), 3, RATIONALS),
+                       solve(make_problem(CONE, corpus("boundary_simplex(2)"), 2, RATIONALS))),
+        InvalidArgument,
+    ),
+    "verify_table_none": (
+        lambda: verify(make_problem(CONE, corpus("torus7"), 3, RATIONALS),
+                       spectral.Tables(None, None, None, None, None)),
+        InvalidArgument,
+    ),
+    "verify_tables_higher_rank": (
+        lambda: verify(make_problem(CONE, corpus("boundary_simplex(2)"), 2, RATIONALS),
+                       solve(make_problem(CONE, corpus("torus7"), 3, RATIONALS))),
         InvalidArgument,
     ),
     "charfn_n_negative": (lambda: CharFunction(-1, {}), InvalidCharFn),

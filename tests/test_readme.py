@@ -1,7 +1,11 @@
-"""The README's library table names only what its modules define."""
+"""The README's library table names only what its modules define, and
+its examples print what it says they print."""
 import importlib
 import re
+import shlex
 from pathlib import Path
+
+from sposet.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -38,3 +42,30 @@ def test_table_names_are_defined():
         mod = importlib.import_module(module)
         for name in names:
             assert name and hasattr(mod, name), (module, name)
+
+
+def fenced(lang):
+    # the bodies of the README's ```lang blocks, in order
+    return re.findall(rf"^```{lang}\n(.*?)^```", README.read_text(encoding="utf-8"),
+                      re.S | re.M)
+
+
+def test_python_examples_print_their_comments(capsys):
+    blocks = fenced("python")
+    assert blocks
+    for block in blocks:
+        # every print line ends in a comment giving what it prints
+        prints = [line for line in block.splitlines() if line.startswith("print(")]
+        assert prints and all("  # " in line for line in prints)
+        exec(block, {})
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == [line.rsplit("  # ", 1)[1] for line in prints]
+
+
+def test_text_examples_are_the_cli_output(capsys):
+    blocks = [b for b in fenced("text") if b.startswith("$ sposet ")]
+    assert blocks
+    for block in blocks:
+        command, *lines = block.splitlines()
+        assert main(shlex.split(command)[2:]) == 0
+        assert capsys.readouterr().out.splitlines() == lines

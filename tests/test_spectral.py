@@ -70,6 +70,13 @@ def s1_x_s2():
     return from_facets(oracles.staircase_product(K, L), name="S1xS2")
 
 
+def t3():
+    # three triangle boundaries: 27 vertices and 162 facets, n = 4
+    K = [f.vertices for f in corpus("boundary_simplex(2)").by_rank(2)]
+    return from_facets(oracles.staircase_product(oracles.staircase_product(K, K), K),
+                       name="T3")
+
+
 def solid_torus_problem(torus7):
     return make_problem(
         MANIFOLD, torus7, 3, RATIONALS,
@@ -439,6 +446,46 @@ class TestPageThree:
         assert verify(prob, tabs).all_passed
 
 
+class TestFieldDecidesPageThree:
+    """RP^3, the boundary of the 4-cross-polytope modulo x -> -x, looks
+    like a sphere over Q and F_3, but over F_2 its b~_1 = b~_2 = 1 feed a
+    page-3 differential into column 1.  T^3 fires page three over every
+    field."""
+
+    def test_rp3_shape(self):
+        S = oracles.antipodal_cross(4)
+        assert (len(S), validate_stats(S).f) == (40, (1, 4, 12, 16, 8))
+        assert {e.vertices for e in S.by_rank(4)} == {("v1", "v2", "v3", "v4")}
+        assert reduced_betti(S, INTEGERS).torsion_in(1) == (2,)
+
+    @pytest.mark.parametrize("label, delta, totals, drop", [
+        ("q", (0, 0, 0, 0, 1), (1, 0, 0, 0, 6, 0, 0, 0, 1), (0, 0)),
+        ("fp:3", (0, 0, 0, 0, 1), (1, 0, 0, 0, 6, 0, 0, 0, 1), (0, 0)),
+        ("fp:2", (0, 0, 1, 1, 1), (1, 0, 0, 0, 6, 4, 5, 1, 1), (1, 4)),
+    ])
+    def test_rp3(self, label, delta, totals, drop):
+        coeff = parse_coefficients(label)
+        prob = cone_over(oracles.antipodal_cross(4), coeff)
+        tabs = solve(prob)
+        assert (prob.delta, tabs.bigraded.totals) == (delta, totals)
+        # what page three takes from (1, 0) and (1, 1)
+        assert tuple(tabs.ea2.rank(1, q) - tabs.eainf.rank(1, q) for q in (0, 1)) == drop
+        assert verify(prob, tabs).all_passed
+        assert identity_report(prob.poset, coeff).all_passed
+
+    @pytest.mark.parametrize("label", FIELD_LABELS)
+    def test_t3(self, label):
+        S, coeff = t3(), parse_coefficients(label)
+        assert len(S) == 702
+        prob = cone_over(S, coeff)
+        tabs = solve(prob)
+        assert prob.delta == (0, 0, 3, 3, 1)
+        assert tabs.bigraded.totals == (1, 0, 23, 0, 114, 12, 38, 3, 1)
+        assert tabs.eainf.diagonal(4) == (1, 23, 96, 23, 1)
+        assert verify(prob, tabs).all_passed
+        assert identity_report(S, coeff).all_passed
+
+
 class TestBigraded:
     def test_cone_over_torus7(self, torus7):
         big = solve(cone_over(torus7)).bigraded
@@ -462,6 +509,11 @@ class TestBigraded:
         assert big.totals == (1, 0, 1, 0, 1)
         h = face_vector_report(bd_triangle, RATIONALS).h
         assert tuple(big.totals[2 * j] for j in range(3)) == h
+
+    def test_table_keeps_nonzero_cells_and_derives_totals(self):
+        table = spectral.PageTable({(0, 0): 0, (1, 0): 2, (2, 1): -1}, 2)
+        assert table.cells == {(1, 0): 2, (2, 1): -1}
+        assert table.totals == (0, 2, 0, -1, 0)
 
     def test_connected_input_has_unit_bottom(self, torus7, bd_triangle):
         for prob in (cone_over(torus7), solid_torus_problem(torus7)):
@@ -625,7 +677,9 @@ class TestComputeOnce:
         assert not hasattr(mods["io"], "emit_problem")
         assert not hasattr(SimplicialPoset, "vertex_ids")
         assert not hasattr(SimplicialPoset, "above")
-        assert not hasattr(sposet.spectral.BigradedTable, "dim")
+        assert not hasattr(sposet.spectral.PageTable, "dim")
+        assert not hasattr(sposet.spectral.PageTable, "total")
+        assert not hasattr(sposet.spectral, "BigradedTable")
         assert "orientable" not in {f.name for f in fields(sposet.QuotientProblem)}
         assert [f.name for f in fields(homology.SnfResult)] == ["factors"]
         assert homology.SnfResult((1, 2)).rank == 2

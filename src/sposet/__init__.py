@@ -36,7 +36,6 @@ from .spectral import (
     MANIFOLD,
     QuotientProblem,
     Tables,
-    make_problem,
     solve,
     verify,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "from_face_lattice",
     "from_facets",
     "identity_report",
-    "make_problem",
     "parse_coefficients",
     "prime_field",
     "reduced_betti",

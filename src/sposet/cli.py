@@ -241,8 +241,7 @@ def quotient():
     """Rank tables of quotient constructions."""
 
 
-def _problem_from_cli(kind, corpus_name, path, rank, field, charfn_path,
-                      betti_q, iota, orientable):
+def _problem_from_cli(kind, corpus_name, path, rank, field, charfn_path, betti_q, iota):
     if path is not None and corpus_name is None and rank is None:
         # a bundle holds the whole problem, so any other option would be lost
         ctx = click.get_current_context()
@@ -262,10 +261,8 @@ def _problem_from_cli(kind, corpus_name, path, rank, field, charfn_path,
         raise click.UsageError(
             "manifold problems need --betti-q and --iota (or a bundle file)"
         )
-    return spectral.make_problem(
-        kind, S, rank, parse_coefficients(field), charfn=lam,
-        betti_q=betti_q, iota=iota, orientable=orientable,
-    )
+    return spectral.QuotientProblem(
+        kind, S, rank, parse_coefficients(field), lam, betti_q, iota)
 
 
 def _int_list(ctx, param, value):
@@ -293,7 +290,7 @@ def _quotient_options(fn):
 def quotient_cone(corpus_name, path, rank, field, charfn_path, as_json):
     """Cone over a Buchsbaum poset (accepts a cone-v1 bundle file)."""
     prob = _problem_from_cli(
-        spectral.CONE, corpus_name, path, rank, field, charfn_path, None, None, None
+        spectral.CONE, corpus_name, path, rank, field, charfn_path, None, None
     )
     _emit_report(prob, as_json)
 
@@ -304,13 +301,10 @@ def quotient_cone(corpus_name, path, rank, field, charfn_path, as_json):
 @click.option(
     "--iota", callback=_int_list, help="comma separated ranks of H_*(bd Q) -> H_*(Q)"
 )
-@click.option("--orientable/--no-orientable", default=True, show_default=True)
-def quotient_manifold(corpus_name, path, rank, field, charfn_path, as_json,
-                      betti_q, iota, orientable):
+def quotient_manifold(corpus_name, path, rank, field, charfn_path, as_json, betti_q, iota):
     """Manifold with corners (accepts a manifold-v1 bundle file)."""
     prob = _problem_from_cli(
-        spectral.MANIFOLD, corpus_name, path, rank, field, charfn_path,
-        betti_q, iota, orientable,
+        spectral.MANIFOLD, corpus_name, path, rank, field, charfn_path, betti_q, iota,
     )
     _emit_report(prob, as_json)
 

@@ -15,7 +15,8 @@ from pathlib import Path
 
 from . import spectral
 from .charfn import CharFunction
-from .errors import InvalidArgument, SchemaViolation, SposetError, UnknownFormat, shown
+from .errors import (InconsistentBundle, InvalidArgument, SchemaViolation, SposetError,
+                     UnknownFormat, shown)
 from .homology import parse_coefficients
 from .poset import (
     SimplexElem,
@@ -119,12 +120,15 @@ def _parse_problem(doc: dict) -> spectral.QuotientProblem:
     lam = None
     if doc.get("charfn") is not None:
         lam = _parse_charfn(_need(doc, "charfn", dict))
-    kwargs = {}
-    if kind == spectral.MANIFOLD:
-        kwargs["betti_q"] = _ints(_need(doc, "bettiQ"), "bettiQ")
-        kwargs["iota"] = _ints(_need(doc, "iota"), "iota")
-        kwargs["orientable"] = _need(doc, "orientable", bool)
-    return spectral.make_problem(kind, poset, n, coeff, charfn=lam, **kwargs)
+    # a manifold must give its rank data and flag and a cone may, but none is
+    # dropped: the problem checks the rank data, and Q is orientable
+    ranks = [_ints(_need(doc, key), key) if kind == spectral.MANIFOLD or key in doc
+             else None for key in ("bettiQ", "iota")]
+    if (kind == spectral.MANIFOLD or "orientable" in doc) and not _need(doc, "orientable", bool):
+        raise InconsistentBundle(
+            "relative homology is derived by duality; orientable must be true"
+            if kind == spectral.MANIFOLD else "Q is orientable: orientable must be true")
+    return spectral.QuotientProblem(kind, poset, n, coeff, lam, *ranks)
 
 
 _PARSERS = {

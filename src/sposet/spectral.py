@@ -48,20 +48,22 @@ MANIFOLD = "manifold"
 class QuotientProblem:
     """One quotient problem; Q is always orientable.
 
-    Checked once, at construction, however it is made: by
-    ``make_problem``, directly or by ``dataclasses.replace``.  In order:
-    n is an int, the ring a field, the poset Buchsbaum for rank n (this
-    subsumes purity and dimension), the kind known, the poset's rank n,
-    the rank data exact, and the characteristic function, if any, valid.
-    The check keeps what it derives: ``relative``, dim H_i(Q, bd Q), is
-    b~_(i-1)(S) for a cone, whose rank data must be (1, 0, ..., 0), and
-    betti_q[n-i] for a manifold by duality, whose rank data must be n + 1
-    ints with betti_q[0] = 1 and betti_q[n] = 0; ``delta``, the ranks of
-    the connecting maps, is relative[i] - betti_q[i] + iota[i] by
-    exactness; ``boundary`` is dim H_p(bd Q) for p < n.  Exactness is then
-    one pass down the sequence: 0 <= delta[i] <= min(relative[i],
-    b~_(i-1)(S)) for i <= n, and delta[i] + iota[i-1] = dim H_(i-1)(bd Q)
-    for 1 <= i <= n + 1, as delta[n+1] = 0 and H_n(bd Q) = 0, bd Q having
+    The only constructor: built directly or by ``dataclasses.replace``,
+    a problem meets the same checks, in this order.  A manifold gives
+    betti_q and iota; a list is taken as its tuple.  n is an int, the
+    ring a field, the poset Buchsbaum for rank n (this subsumes purity
+    and dimension), the kind known, the poset's rank n.  A cone's rank
+    data default to (1, 0, ..., 0), the only ones it takes; a manifold's
+    are n + 1 ints with betti_q[0] = 1 and betti_q[n] = 0.  Then the
+    rank data must be exact, and the characteristic function, if any,
+    valid.  The check keeps the rank data and what it derives:
+    ``relative``, dim H_i(Q, bd Q), is b~_(i-1)(S) for a cone and
+    betti_q[n-i] for a manifold by duality; ``delta``, the ranks of the
+    connecting maps, is relative[i] - betti_q[i] + iota[i] by exactness;
+    ``boundary`` is dim H_p(bd Q) for p < n.  Exactness is then one pass
+    down the sequence: 0 <= delta[i] <= min(relative[i], b~_(i-1)(S))
+    for i <= n, and delta[i] + iota[i-1] = dim H_(i-1)(bd Q) for
+    1 <= i <= n + 1, as delta[n+1] = 0 and H_n(bd Q) = 0, bd Q having
     dimension n - 1.  Every bound on iota follows from these.
     """
 
@@ -69,15 +71,19 @@ class QuotientProblem:
     poset: SimplicialPoset
     n: int
     coeff: Coefficients
-    charfn: CharFunction | None
-    betti_q: tuple[int, ...]
-    iota: tuple[int, ...]
+    charfn: CharFunction | None = None
+    betti_q: tuple[int, ...] | None = None
+    iota: tuple[int, ...] | None = None
     relative: tuple[int, ...] = field(init=False, compare=False)
     delta: tuple[int, ...] = field(init=False, compare=False)
     boundary: tuple[int, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
-        n, coeff, betti_q, iota = self.n, self.coeff, self.betti_q, self.iota
+        n, coeff = self.n, self.coeff
+        if self.kind == MANIFOLD and (self.betti_q is None or self.iota is None):
+            raise InconsistentBundle("manifold problems need betti_q and iota")
+        betti_q, iota = (tuple(v) if isinstance(v, list) else v
+                         for v in (self.betti_q, self.iota))
         if not is_int(n):
             raise InvalidArgument(f"torus rank n = {shown(n)} is not an integer")
         _require_ring(coeff)
@@ -105,6 +111,7 @@ class QuotientProblem:
         bt = reduced_betti(self.poset, coeff).degree
         if self.kind == CONE:
             trivial = (1,) + (0,) * n
+            betti_q, iota = (trivial if v is None else v for v in (betti_q, iota))
             if betti_q != trivial or iota != trivial:
                 raise InconsistentBundle("cone problems fix betti_q = iota = (1,0,...,0)")
             relative = tuple(bt(i - 1) for i in range(n + 1))
@@ -146,8 +153,8 @@ class QuotientProblem:
                 raise InvalidCharFn(
                     f"simplex {bad!r} fails over {coeff}: invariant factors {factors}"
                 )
-        for name, value in (("relative", relative), ("delta", delta),
-                            ("boundary", boundary)):
+        for name, value in (("betti_q", betti_q), ("iota", iota), ("relative", relative),
+                            ("delta", delta), ("boundary", boundary)):
             object.__setattr__(self, name, value)
 
 
@@ -155,15 +162,31 @@ class QuotientProblem:
 class PageTable:
     """Sparse (p, q) -> rank table for torus rank n.
 
-    Keeps only its nonzero cells, however it was built; its totals are
-    the sums along the antidiagonals p + q = 0, ..., 2n of those cells.
+    Refuses a rank n that is no int in 0..MAX_RANK and cells that are
+    not a dict from pairs of ints to ints >= 0, however it was built,
+    and keeps only the nonzero cells; its totals are the sums along the
+    antidiagonals p + q = 0, ..., 2n of those cells.
     """
 
     cells: dict[tuple[int, int], int]
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "cells", {c: v for c, v in self.cells.items() if v})
+        n, cells = self.n, self.cells
+        if not (is_int(n) and 0 <= n <= MAX_RANK):
+            raise InvalidArgument(f"table rank n = {shown(n)} is not an int in 0..{MAX_RANK}")
+        if not isinstance(cells, dict):
+            raise InvalidArgument(f"table cells {shown(cells)} are not a dict")
+        kept = {}
+        for cell, v in cells.items():
+            # exact ints: a bool is none, and no cell costs a call
+            if not (type(cell) is tuple and len(cell) == 2 and type(v) is int and v >= 0
+                    and type(cell[0]) is int and type(cell[1]) is int):
+                raise InvalidArgument(
+                    f"table cell {shown(cell)}: {shown(v)} is not a pair of ints to a rank")
+            if v:
+                kept[cell] = v
+        object.__setattr__(self, "cells", kept)
 
     @property
     def totals(self) -> tuple[int, ...]:
@@ -176,8 +199,8 @@ class PageTable:
     def rank(self, p: int, q: int) -> int:
         return self.cells.get((p, q), 0)
 
-    def diagonal(self, n: int) -> tuple[int, ...]:
-        return tuple(self.rank(q, q) for q in range(n + 1))
+    def diagonal(self) -> tuple[int, ...]:
+        return tuple(self.rank(q, q) for q in range(self.n + 1))
 
     def to_json(self) -> dict[str, int]:
         return {f"{p},{q}": v for (p, q), v in sorted(self.cells.items())}
@@ -208,42 +231,6 @@ class VerifyReport:
     @property
     def all_passed(self) -> bool:
         return all(self.checks.values())
-
-
-def make_problem(
-    kind: str,
-    poset: SimplicialPoset,
-    n: int,
-    coeff: Coefficients,
-    charfn: CharFunction | None = None,
-    betti_q: tuple[int, ...] | None = None,
-    iota: tuple[int, ...] | None = None,
-    orientable: bool | None = None,
-) -> QuotientProblem:
-    """Bundle the data defining one quotient problem.
-
-    Checks first what the problem does not keep: a manifold needs
-    betti_q, iota and the orientable flag, and the flag, given for either
-    kind, must be True.  A cone's betti_q and iota default to
-    (1, 0, ..., 0) and a list is taken as its tuple; every other check is
-    the problem's own, at construction.
-    """
-    if kind == MANIFOLD and (betti_q is None or iota is None or orientable is None):
-        raise InconsistentBundle(
-            "manifold problems need betti_q, iota and the orientable flag"
-        )
-    if orientable is not None and orientable is not True:
-        raise InconsistentBundle(
-            "relative homology is derived by duality; orientable must be true"
-            if kind == MANIFOLD else
-            f"Q is orientable: orientable = {shown(orientable)} must be true or left out"
-        )
-    # a cone's rank data, which it need not give; no poset reaches a rank
-    # above MAX_RANK, so the problem refuses such an n before reading them
-    trivial = (1,) + (0,) * n if is_int(n) and n <= MAX_RANK else None
-    betti_q, iota = (trivial if v is None else tuple(v) if isinstance(v, list) else v
-                     for v in (betti_q, iota))
-    return QuotientProblem(kind, poset, n, coeff, charfn, betti_q, iota)
 
 
 def e1_diagonal_hprime_form(prob: QuotientProblem) -> tuple[int, ...]:
@@ -346,14 +333,14 @@ def verify(prob: QuotientProblem, tables: Tables) -> VerifyReport:
     euler_conserved: the signed cell sum of the first page equals the
     signed total Betti sum.  pages_match_closed_forms: summing the last
     page along antidiagonals reproduces the bigraded totals.  Cone
-    problems compare the last-page diagonal with h'' and assert its
-    nonnegativity; manifold problems over an orientable homology
-    manifold compare the page-two diagonal with reversed h' and check
-    the (i, j) <-> (n-i, n-j) symmetry.  Every report skips
-    lambda_independent: ``solve`` never reads the characteristic
-    function, so comparing its tables across two of them could not
-    fail.  A first page built from the characteristic function would
-    make it a real check.
+    problems compare the last-page diagonal with h'' and check that h''
+    is nonnegative, as every table cell is by construction; manifold
+    problems over an orientable homology manifold compare the page-two
+    diagonal with reversed h' and check the (i, j) <-> (n-i, n-j)
+    symmetry.  Every report skips lambda_independent: ``solve`` never
+    reads the characteristic function, so comparing its tables across
+    two of them could not fail.  A first page built from the
+    characteristic function would make it a real check.
     """
     if not (isinstance(prob, QuotientProblem) and isinstance(tables, Tables)):
         raise InvalidArgument(
@@ -382,18 +369,17 @@ def verify(prob: QuotientProblem, tables: Tables) -> VerifyReport:
     checks["pages_match_closed_forms"] = tables.eainf.totals == big.totals
 
     if prob.kind == CONE:
-        diag = tables.eainf.diagonal(n)
-        checks["diagonal_is_h_double"] = diag == faces.hdoubleprime
-        checks["h_double_nonneg"] = all(x >= 0 for x in diag)
+        checks["diagonal_is_h_double"] = tables.eainf.diagonal() == faces.hdoubleprime
+        checks["h_double_nonneg"] = all(x >= 0 for x in faces.hdoubleprime)
     else:
         try:
             cls = classify(prob.poset, prob.coeff)
         except NotConnected:
             cls = None
         if cls is not None and cls.homology_manifold and cls.orientable_over_field:
-            checks["diagonal_is_h_prime"] = tables.ea2.diagonal(n) == tuple(
+            checks["diagonal_is_h_prime"] = tables.ea2.diagonal() == tuple(
                 faces.hprime[n - q] for q in range(n + 1)
-            ) and tables.ea1.diagonal(n) == e1_diagonal_hprime_form(prob)
+            ) and tables.ea1.diagonal() == e1_diagonal_hprime_form(prob)
         else:
             skipped["diagonal_is_h_prime"] = (
                 "poset is not an orientable homology manifold over this field"

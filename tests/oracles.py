@@ -14,8 +14,9 @@ rejection sampler's loop with one full ``check`` per attempt, and the
 long exact sequence of (Q, bd Q) read map by map for manifold rank
 data.  One
 writer, ``bundle_doc``, gives tests the problem bundles the library
-only reads, ``staircase_product`` the facets of product manifolds and
-``antipodal_cross`` the antipodal quotients of cross-polytope boundaries.
+only reads, ``staircase_product`` the facets of product manifolds (and
+``s1_x_s2`` and ``t3`` two of them), and ``antipodal_cross`` the
+antipodal quotients of cross-polytope boundaries.
 The dense matrices and the link posets read neither the library's signed
 incidence nor its cover map.
 """
@@ -451,6 +452,26 @@ def staircase_product(K, L):
                 path.append(f"{a[i]}*{b[j]}")
             facets.append(path)
     return facets
+
+
+def s1_x_s2():
+    """S^1 x S^2 as the triangle boundary times the tetrahedron boundary:
+    36 facets, n = 4, b~_1 = b~_2 = b~_3 = 1."""
+    from sposet.corpus import corpus
+    from sposet.poset import from_facets
+
+    K, L = ([f.vertices for f in corpus(f"boundary_simplex({k})").by_rank(k)]
+            for k in (2, 3))
+    return from_facets(staircase_product(K, L), name="S1xS2")
+
+
+def t3():
+    """T^3 as three triangle boundaries: 27 vertices, 162 facets, n = 4."""
+    from sposet.corpus import corpus
+    from sposet.poset import from_facets
+
+    K = [f.vertices for f in corpus("boundary_simplex(2)").by_rank(2)]
+    return from_facets(staircase_product(staircase_product(K, K), K), name="T3")
 
 
 def antipodal_cross(m):

@@ -26,11 +26,14 @@ from sposet.homology import INTEGERS, RATIONALS, prime_field
 from sposet.poset import SimplexElem, barycentric, from_face_lattice, from_facets
 
 from oracles import (
+    antipodal_cross,
     cofactor_determinant,
     interval_ids,
     minor_gcd_invariant_factors,
     oracle_charfn_check,
     oracle_random_q_charfn,
+    s1_x_s2,
+    t3,
 )
 
 CP2 = {"v1": (1, 0), "v2": (0, 1), "v3": (1, 1)}
@@ -153,8 +156,8 @@ class TestCheck:
         assert seen_pass > 0 and seen_fail > 0
 
 
-def _agrees_with_oracle(S, lam):
-    for coeff in ALL_COEFFS:
+def _agrees_with_oracle(S, lam, coeffs=ALL_COEFFS):
+    for coeff in coeffs:
         rep = check(S, lam, coeff)
         want = oracle_charfn_check(S, lam, coeff)
         assert (rep.verdicts, rep.passed, rep.first_failure) == want, (S.name, coeff.label)
@@ -178,6 +181,23 @@ class TestAgainstOracle:
         rng = random.Random(7)
         for lam in (random_q_charfn(S, 3, seed=7, bound=5), _random_lam(S, rng, 3)):
             _agrees_with_oracle(S, lam)
+
+    @pytest.mark.parametrize("build, seeds", [
+        (s1_x_s2, (1, 2)),
+        (lambda: antipodal_cross(4), (1, 2)),
+        # one λ keeps T^3's 702 faces under a second
+        (t3, (1,)),
+    ], ids=["S1xS2", "RP3", "T3"])
+    def test_rank_four(self, build, seeds):
+        # n = 4, where a face below the top with no valid coface takes a
+        # dense Smith form over z; RP^3 puts its 8 facets on one vertex set.
+        # Each λ is valid over q, and fails over z
+        S = build()
+        for seed in seeds:
+            lam = random_q_charfn(S, 4, seed=seed, bound=5)
+            _agrees_with_oracle(S, lam, (INTEGERS, RATIONALS, prime_field(2)))
+            assert check(S, lam, RATIONALS).passed
+            assert not check(S, lam, INTEGERS).passed
 
     def test_non_pure(self):
         # the edge c,d is maximal: it has no coface and takes its own Smith form

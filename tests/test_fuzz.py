@@ -25,7 +25,7 @@ from sposet.corpus import corpus, corpus_names
 from sposet.errors import SchemaViolation, SposetError
 from sposet.homology import INTEGERS, RATIONALS, reduced_betti
 from sposet.poset import SimplicialPoset, validate_stats
-from sposet.spectral import CONE, MANIFOLD, make_problem
+from sposet.spectral import CONE, MANIFOLD, QuotientProblem
 
 from oracles import bundle_doc
 
@@ -41,11 +41,11 @@ def _seed_documents():
     lam = CharFunction(2, {"v1": (1, 0), "v2": (0, 1), "v3": (1, 1)})
     docs.append(io_mod.emit_charfn(lam))
     docs.append(bundle_doc(
-        make_problem(CONE, triangle, 2, RATIONALS, charfn=lam)
+        QuotientProblem(CONE, triangle, 2, RATIONALS, charfn=lam)
     ))
     docs.append(bundle_doc(
-        make_problem(MANIFOLD, triangle, 2, RATIONALS,
-                     betti_q=(1, 0, 0), iota=(1, 0, 0), orientable=True)
+        QuotientProblem(MANIFOLD, triangle, 2, RATIONALS,
+                        betti_q=(1, 0, 0), iota=(1, 0, 0))
     ))
     return docs
 

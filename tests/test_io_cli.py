@@ -28,6 +28,7 @@ from sposet.errors import (
     PosetValidationError,
     RankMismatch,
     SchemaViolation,
+    SposetError,
     UnknownElement,
     UnknownFormat,
     UnknownName,
@@ -49,7 +50,7 @@ from sposet.poset import (
     from_facets,
     validate_stats,
 )
-from sposet.spectral import CONE, MANIFOLD, QuotientProblem, make_problem, solve, verify
+from sposet.spectral import CONE, PageTable, QuotientProblem, solve, verify
 
 from oracles import bundle_doc
 
@@ -487,16 +488,16 @@ BAD_LIBRARY_CALLS = {
     "betti_unknown_root": (
         lambda: reduced_betti(corpus("torus7"), RATIONALS, root="nope"), UnknownElement),
     "problem_kind": (
-        lambda: make_problem("x", corpus("boundary_simplex(2)"), 2, RATIONALS),
+        lambda: QuotientProblem("x", corpus("boundary_simplex(2)"), 2, RATIONALS),
         InvalidArgument,
     ),
     "problem_n_str": (
-        lambda: make_problem(CONE, corpus("boundary_simplex(2)"), "3", RATIONALS),
+        lambda: QuotientProblem(CONE, corpus("boundary_simplex(2)"), "3", RATIONALS),
         InvalidArgument,
     ),
     # no (1, 0, ..., 0) of this length is built: the Buchsbaum check refuses n first
     "problem_n_huge": (
-        lambda: make_problem(CONE, corpus("boundary_simplex(2)"), 10**30, RATIONALS),
+        lambda: QuotientProblem(CONE, corpus("boundary_simplex(2)"), 10**30, RATIONALS),
         NotBuchsbaum,
     ),
     "check_wrong_length": (
@@ -504,8 +505,8 @@ BAD_LIBRARY_CALLS = {
         WrongVectorLength,
     ),
     "problem_wrong_length": (
-        lambda: make_problem(CONE, corpus("torus7"), 3, RATIONALS,
-                             charfn=CharFunction(4, TORUS7_LAMBDA4)),
+        lambda: QuotientProblem(CONE, corpus("torus7"), 3, RATIONALS,
+                                charfn=CharFunction(4, TORUS7_LAMBDA4)),
         InvalidCharFn,
     ),
     # a ring given by its label, or no poset, where a value of the type is due
@@ -517,8 +518,8 @@ BAD_LIBRARY_CALLS = {
         lambda: face_vector_report(corpus("torus7"), "q"), InvalidArgument),
     "identities_ring_str": (lambda: identity_report(corpus("torus7"), "q"), InvalidArgument),
     "h_prime_ring_str": (lambda: face_vector_report(corpus("torus7"), "q"), InvalidArgument),
-    "problem_ring_str": (lambda: make_problem(CONE, corpus("torus7"), 3, "q"), InvalidArgument),
-    "problem_poset_none": (lambda: make_problem(CONE, None, 3, RATIONALS), InvalidArgument),
+    "problem_ring_str": (lambda: QuotientProblem(CONE, corpus("torus7"), 3, "q"), InvalidArgument),
+    "problem_poset_none": (lambda: QuotientProblem(CONE, None, 3, RATIONALS), InvalidArgument),
     # a poset where the characteristic function is due
     "check_poset_as_lambda": (
         lambda: charfn_check(corpus("torus7"), corpus("torus7"), RATIONALS), InvalidArgument),
@@ -530,7 +531,7 @@ BAD_LIBRARY_CALLS = {
     "check_poset_list": (lambda: charfn_check([], TORUS7_CHARFN, RATIONALS), InvalidArgument),
     "random_poset_list": (lambda: random_q_charfn([], 2, 1, 3), InvalidArgument),
     "problem_poset_as_lambda": (
-        lambda: make_problem(CONE, corpus("torus7"), 3, RATIONALS, charfn=corpus("torus7")),
+        lambda: QuotientProblem(CONE, corpus("torus7"), 3, RATIONALS, charfn=corpus("torus7")),
         InvalidCharFn,
     ),
     # a matrix that is not rectangular, or holds entries other than ints
@@ -553,23 +554,23 @@ BAD_LIBRARY_CALLS = {
         lambda: reduced_betti(corpus("torus7"), RATIONALS, root=[]), InvalidArgument),
     "solve_none": (lambda: solve(None), InvalidArgument),
     "verify_tables_none": (
-        lambda: verify(make_problem(CONE, corpus("torus7"), 3, RATIONALS), None),
+        lambda: verify(QuotientProblem(CONE, corpus("torus7"), 3, RATIONALS), None),
         InvalidArgument,
     ),
     # tables solved for a problem of another torus rank, in either direction
     "verify_tables_lower_rank": (
-        lambda: verify(make_problem(CONE, corpus("torus7"), 3, RATIONALS),
-                       solve(make_problem(CONE, corpus("boundary_simplex(2)"), 2, RATIONALS))),
+        lambda: verify(QuotientProblem(CONE, corpus("torus7"), 3, RATIONALS),
+                       solve(QuotientProblem(CONE, corpus("boundary_simplex(2)"), 2, RATIONALS))),
         InvalidArgument,
     ),
     "verify_table_none": (
-        lambda: verify(make_problem(CONE, corpus("torus7"), 3, RATIONALS),
+        lambda: verify(QuotientProblem(CONE, corpus("torus7"), 3, RATIONALS),
                        spectral.Tables(None, None, None, None, None)),
         InvalidArgument,
     ),
     "verify_tables_higher_rank": (
-        lambda: verify(make_problem(CONE, corpus("boundary_simplex(2)"), 2, RATIONALS),
-                       solve(make_problem(CONE, corpus("torus7"), 3, RATIONALS))),
+        lambda: verify(QuotientProblem(CONE, corpus("boundary_simplex(2)"), 2, RATIONALS),
+                       solve(QuotientProblem(CONE, corpus("torus7"), 3, RATIONALS))),
         InvalidArgument,
     ),
     "charfn_n_negative": (lambda: CharFunction(-1, {}), InvalidCharFn),
@@ -577,15 +578,31 @@ BAD_LIBRARY_CALLS = {
         lambda: io_mod.parse({"format": "charfn-v1", "n": -2, "assignment": {}}),
         InvalidCharFn,
     ),
-    # Q is orientable: a cone's flag may not be false, nor a manifold's 1
+    # Q is orientable, and only a bundle says so: a cone's flag may not be
+    # false, nor a manifold's 1
     "problem_cone_not_orientable": (
-        lambda: make_problem(CONE, corpus("torus7"), 3, RATIONALS, orientable=False),
-        InconsistentBundle,
-    ),
+        lambda: io_mod.parse(_triangle_cone(orientable=False)), InconsistentBundle),
     "problem_orientable_int": (
-        lambda: make_problem(MANIFOLD, corpus("torus7"), 3, RATIONALS,
-                             betti_q=(1, 1, 0, 0), iota=(1, 1, 0, 0), orientable=1),
-        InconsistentBundle,
+        lambda: io_mod.parse(_triangle_manifold(orientable=1)), SchemaViolation),
+    # a table that is no map from pairs of ints to ranks, or of no torus rank
+    "page_table_cell_list": (lambda: PageTable([((0, 0), 1)], 3), InvalidArgument),
+    "page_table_cell_str": (lambda: PageTable({"x": 1}, 3), InvalidArgument),
+    "page_table_cell_bool": (lambda: PageTable({(True, 0): 1}, 3), InvalidArgument),
+    "page_table_cell_triple": (lambda: PageTable({(0, 0, 0): 1}, 3), InvalidArgument),
+    "page_table_rank_str": (lambda: PageTable({(0, 0): "a"}, 3), InvalidArgument),
+    "page_table_rank_float": (lambda: PageTable({(0, 0): 1.5}, 3), InvalidArgument),
+    "page_table_rank_bool": (lambda: PageTable({(0, 0): True}, 3), InvalidArgument),
+    "page_table_rank_negative": (lambda: PageTable({(0, 0): -1}, 3), InvalidArgument),
+    "page_table_n_str": (lambda: PageTable({}, "3"), InvalidArgument),
+    "page_table_n_negative": (lambda: PageTable({}, -1), InvalidArgument),
+    "page_table_n_above_max_rank": (lambda: PageTable({}, 65), InvalidArgument),
+    "page_table_n_huge_int": (lambda: PageTable({}, HUGE), InvalidArgument),
+    # a solved table given a malformed cell by replace, before verify reads it
+    "page_table_replaced_cell": (
+        lambda: dataclasses.replace(
+            solve(QuotientProblem(CONE, corpus("torus7"), 3, RATIONALS)).ea1,
+            cells={(0, 0): 1.5}),
+        InvalidArgument,
     ),
     # a value nested past the recursion limit, quoted in the refusal
     "facets_deep_facet": (lambda: from_facets([DEEP]), PosetValidationError),
@@ -605,7 +622,7 @@ BAD_LIBRARY_CALLS = {
     "facets_name_huge_int": (lambda: from_facets([[HUGE, 1]]), PosetValidationError),
     "face_lattice_n_huge_int": (lambda: from_face_lattice(VERTEX, n=HUGE), PosetValidationError),
     "problem_n_huge_int": (
-        lambda: make_problem(CONE, corpus("torus7"), HUGE, RATIONALS), NotBuchsbaum),
+        lambda: QuotientProblem(CONE, corpus("torus7"), HUGE, RATIONALS), NotBuchsbaum),
     # a name that is no str, not even hashable
     "corpus_unhashable_name": (lambda: corpus(["x"]), UnknownName),
     "element_unhashable_id": (lambda: corpus("torus7").element(["x"]), UnknownElement),
@@ -804,19 +821,61 @@ def test_negative_top_iota_is_refused(capsys):
                             "!= 0 = dim H_3(bd Q)\n")
 
 
-@pytest.mark.parametrize("source", ["flag", "bundle"])
-def test_non_orientable_manifold_is_refused(source, tmp_path, capsys):
+def test_non_orientable_manifold_is_refused(tmp_path, capsys):
     # a problem has no orientable field: Q is orientable, and false is refused
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(_triangle_manifold(orientable=False)))
-    argv = ([str(path)] if source == "bundle" else
-            ["--corpus", "boundary_simplex(2)", "--n", "2", "--betti-q", "1,0,0",
-             "--iota", "1,0,0", "--no-orientable"])
-    assert main(["quotient", "manifold", *argv]) == 1
+    assert main(["quotient", "manifold", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("Error: InconsistentBundle: relative homology is derived "
                             "by duality; orientable must be true\n")
+
+
+# a cone bundle's rank keys reach the problem: each of these once passed,
+# its report echoing (1, 0, 0) and "orientable": true
+CONE_RANK_KEYS = {
+    "orientable_false": ({"orientable": False},
+                         "InconsistentBundle: Q is orientable: orientable must be true"),
+    "orientable_null": ({"orientable": None},
+                        "SchemaViolation: key 'orientable': expected bool, got NoneType"),
+    "betti_q_off_trivial": ({"bettiQ": [1, 5, 0]},
+                            "InconsistentBundle: cone problems fix betti_q = iota = (1,0,...,0)"),
+    "iota_too_long": ({"iota": [1, 0, 0, 0]},
+                      "InconsistentBundle: cone problems fix betti_q = iota = (1,0,...,0)"),
+    "iota_str": ({"iota": ["1", 0, 0]}, "SchemaViolation: iota: expected a list of integers"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONE_RANK_KEYS))
+def test_cone_bundle_rank_keys_are_checked(case, tmp_path, capsys):
+    changes, message = CONE_RANK_KEYS[case]
+    doc = _triangle_cone(**changes)
+    with pytest.raises(SposetError) as err:
+        io_mod.parse(doc)
+    assert f"{type(err.value).__name__}: {err.value}" == message
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(doc))
+    assert main(["quotient", "cone", str(path), "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"Error: {message}\n"
+
+
+def test_cone_bundle_may_give_its_own_rank_data():
+    given = _triangle_cone(bettiQ=[1, 0, 0], iota=[1, 0, 0], orientable=True)
+    assert io_mod.parse(given) == io_mod.parse(_triangle_cone())
+
+
+def test_manifold_command_has_no_orientable_option(capsys):
+    # Q is always orientable: a flag pair with one accepted value is gone
+    assert main(["quotient", "manifold", "--help"]) == 0
+    assert "orientable" not in capsys.readouterr().out
+    argv = ["quotient", "manifold", "--corpus", "boundary_simplex(2)", "--n", "2",
+            "--betti-q", "1,0,0", "--iota", "1,0,0", "--no-orientable"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "No such option" in err and "--no-orientable" in err
 
 
 @pytest.mark.parametrize("n", ["4", "0", "-1", "70"])
@@ -829,7 +888,7 @@ def test_wrong_rank_refusal_fits_one_line(n, capsys):
     assert captured.err.count("\n") == 1
     assert "NotBuchsbaum: links of 42 faces (v1, v1,v2, v1,v2,v4, ...)" in captured.err
     with pytest.raises(NotBuchsbaum) as err:
-        make_problem(CONE, corpus("torus7"), int(n), RATIONALS)
+        QuotientProblem(CONE, corpus("torus7"), int(n), RATIONALS)
     assert len({w[0] for w in err.value.witnesses}) == 42
 
 
@@ -947,8 +1006,6 @@ DROPPED_INPUT = {
     "bundle_betti_q": (["quotient", "manifold", "{bundle}", "--betti-q", "1,1,0,0"],
                        "drop --betti-q"),
     "bundle_iota": (["quotient", "manifold", "{bundle}", "--iota", "9,9,9,9"], "drop --iota"),
-    "bundle_no_orientable": (["quotient", "manifold", "{bundle}", "--no-orientable"],
-                             "drop --orientable/--no-orientable"),
     "cone_bundle_field": (["quotient", "cone", "{cone}", "--field", "fp:2", "--json"],
                           "drop --field"),
 }

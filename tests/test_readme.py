@@ -1,11 +1,12 @@
-"""The README's library table names only what its modules define, and
-its examples print what it says they print."""
+"""The README's library table names only what its modules define, its
+flags are options of the CLI, and its examples print what it says they
+print."""
 import importlib
 import re
 import shlex
 from pathlib import Path
 
-from sposet.cli import main
+from sposet.cli import cli, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -69,3 +70,17 @@ def test_text_examples_are_the_cli_output(capsys):
         command, *lines = block.splitlines()
         assert main(shlex.split(command)[2:]) == 0
         assert capsys.readouterr().out.splitlines() == lines
+
+
+def cli_options(command):
+    # every option and secondary option of a command and its subcommands
+    names = {o for p in command.params for o in (*p.opts, *p.secondary_opts)}
+    for sub in getattr(command, "commands", {}).values():
+        names |= cli_options(sub)
+    return names
+
+
+def test_flags_are_cli_options():
+    flags = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", README.read_text(encoding="utf-8")))
+    unknown = flags - cli_options(cli)
+    assert flags and not unknown, sorted(unknown)

@@ -39,7 +39,6 @@ from sposet.spectral import (
     MANIFOLD,
     QuotientProblem,
     e1_diagonal_hprime_form,
-    make_problem,
     solve,
     verify,
 )
@@ -50,7 +49,7 @@ from oracles import oracle_link
 
 
 def cone_over(S, coeff=RATIONALS, lam=None):
-    return make_problem(CONE, S, S.n, coeff, charfn=lam)
+    return QuotientProblem(CONE, S, S.n, coeff, charfn=lam)
 
 
 def solved(prob):
@@ -62,25 +61,10 @@ def wedge_of_tetrahedra():
     return from_facets([[v for v in t if v != w] for t in ("0123", "0456") for w in t])
 
 
-def s1_x_s2():
-    # the triangle boundary times the tetrahedron boundary, n = 4 with
-    # b~_1 = b~_2 = b~_3 = 1: the first input where a page-3 differential fires
-    K, L = ([f.vertices for f in corpus(name).by_rank(k)]
-            for name, k in (("boundary_simplex(2)", 2), ("boundary_simplex(3)", 3)))
-    return from_facets(oracles.staircase_product(K, L), name="S1xS2")
-
-
-def t3():
-    # three triangle boundaries: 27 vertices and 162 facets, n = 4
-    K = [f.vertices for f in corpus("boundary_simplex(2)").by_rank(2)]
-    return from_facets(oracles.staircase_product(oracles.staircase_product(K, K), K),
-                       name="T3")
-
-
 def solid_torus_problem(torus7):
-    return make_problem(
+    return QuotientProblem(
         MANIFOLD, torus7, 3, RATIONALS,
-        betti_q=(1, 1, 0, 0), iota=(1, 1, 0, 0), orientable=True,
+        betti_q=(1, 1, 0, 0), iota=(1, 1, 0, 0),
     )
 
 
@@ -97,9 +81,9 @@ class TestMakeProblem:
     def test_cylinder_poset_refused(self, corpus_posets):
         S = corpus_posets["s1xI_faceposet"]
         with pytest.raises(NotBuchsbaum) as err:
-            make_problem(
+            QuotientProblem(
                 MANIFOLD, S, 2, RATIONALS,
-                betti_q=(1, 1, 0), iota=(1, 1, 0), orientable=True,
+                betti_q=(1, 1, 0), iota=(1, 1, 0),
             )
         assert {w[0] for w in err.value.witnesses} == {"F1", "F2"}
 
@@ -111,41 +95,46 @@ class TestMakeProblem:
 
     def test_integer_coefficients_rejected(self, torus7):
         with pytest.raises(NonFieldCoefficients):
-            make_problem(CONE, torus7, 3, INTEGERS)
+            QuotientProblem(CONE, torus7, 3, INTEGERS)
 
     def test_invalid_charfn(self, bd_triangle):
         bad = CharFunction(2, {"v1": (1, 0), "v2": (0, 1), "v3": (1, 2)})
         with pytest.raises(InvalidCharFn):
-            make_problem(CONE, bd_triangle, 2, prime_field(2), charfn=bad)
+            QuotientProblem(CONE, bd_triangle, 2, prime_field(2), charfn=bad)
         # but it passes over Q, where the determinant-2 edge is invertible
-        assert make_problem(CONE, bd_triangle, 2, RATIONALS, charfn=bad)
+        assert QuotientProblem(CONE, bd_triangle, 2, RATIONALS, charfn=bad)
 
     def test_manifold_needs_bundle_fields(self, torus7):
-        with pytest.raises(InconsistentBundle):
-            make_problem(MANIFOLD, torus7, 3, RATIONALS)
+        # refused first, as the rank data a cone need not give: here ahead
+        # of the rank and ring, which are no int and no ring
+        for data in ({}, {"betti_q": (1, 1, 0, 0)}, {"iota": (1, 1, 0, 0)}):
+            for n, coeff in ((3, RATIONALS), ("3", "q")):
+                with pytest.raises(InconsistentBundle,
+                                   match="^manifold problems need betti_q and iota$"):
+                    QuotientProblem(MANIFOLD, torus7, n, coeff, **data)
 
     def test_iota_bound_violation(self, torus7):
         # iota_1 = 1 > betti_q[1] = 0 is the same statement as delta_1 > relative[1]
         with pytest.raises(InconsistentBundle,
                            match=r"^rank delta_1 = 1 violates exactness bounds$"):
-            make_problem(
+            QuotientProblem(
                 MANIFOLD, torus7, 3, RATIONALS,
-                betti_q=(1, 0, 0, 0), iota=(1, 1, 0, 0), orientable=True,
+                betti_q=(1, 0, 0, 0), iota=(1, 1, 0, 0),
             )
 
     def test_negative_delta_rejected(self, torus7):
         with pytest.raises(InconsistentBundle):
-            make_problem(
+            QuotientProblem(
                 MANIFOLD, torus7, 3, RATIONALS,
-                betti_q=(1, 0, 5, 0), iota=(1, 0, 1, 0), orientable=True,
+                betti_q=(1, 0, 5, 0), iota=(1, 0, 1, 0),
             )
 
     def test_exactness_at_boundary_homology(self, torus7):
         # every bound holds, but delta_2 + iota_1 = 0 misses dim H_1(bd Q) = 2
         with pytest.raises(InconsistentBundle, match=r"delta_2 \+ rank iota_1 = 0 != 2"):
-            make_problem(
+            QuotientProblem(
                 MANIFOLD, torus7, 3, RATIONALS,
-                betti_q=(1, 0, 0, 0), iota=(1, 0, 0, 0), orientable=True,
+                betti_q=(1, 0, 0, 0), iota=(1, 0, 0, 0),
             )
 
     @pytest.mark.parametrize("entry", ["1", True, 1.0])
@@ -154,17 +143,24 @@ class TestMakeProblem:
         data = {"betti_q": [1, 1, 0, 0], "iota": [1, 1, 0, 0]}
         data[field][0] = entry
         with pytest.raises(InconsistentBundle, match=f"{field} entry {entry!r}"):
-            make_problem(MANIFOLD, torus7, 3, RATIONALS, orientable=True, **data)
+            QuotientProblem(MANIFOLD, torus7, 3, RATIONALS, **data)
 
-    def test_direct_problem_with_list_rank_data_refused(self, torus7):
-        # make_problem takes a list as its tuple; the problem itself does not
-        with pytest.raises(InconsistentBundle,
-                           match=r"betti_q \[1, 1, 0, 0\] is not a tuple of integers"):
-            QuotientProblem(MANIFOLD, torus7, 3, RATIONALS, None, [1, 1, 0, 0], (1, 1, 0, 0))
+    def test_list_rank_data_taken_as_tuple(self, torus7):
+        # for either kind; a cone left without rank data gets (1, 0, ..., 0)
+        prob = QuotientProblem(MANIFOLD, torus7, 3, RATIONALS, None, [1, 1, 0, 0], [1, 1, 0, 0])
+        assert prob == solid_torus_problem(torus7)
+        assert (prob.betti_q, prob.iota) == ((1, 1, 0, 0), (1, 1, 0, 0))
+        trivial = (1, 0, 0, 0)
+        cone = QuotientProblem(CONE, torus7, 3, RATIONALS, None, list(trivial), trivial)
+        assert cone == QuotientProblem(CONE, torus7, 3, RATIONALS, None, trivial, trivial)
+        assert cone == cone_over(torus7)
+        assert hash(cone) == hash(cone_over(torus7))
+        assert (cone_over(torus7).betti_q, cone_over(torus7).iota) == (trivial, trivial)
 
     def test_non_orientable_rejected(self, torus7):
-        with pytest.raises(InconsistentBundle):
-            make_problem(
+        # Q is always orientable: the problem takes no flag to say otherwise
+        with pytest.raises(TypeError, match="orientable"):
+            QuotientProblem(
                 MANIFOLD, torus7, 3, RATIONALS,
                 betti_q=(1, 1, 0, 0), iota=(1, 1, 0, 0), orientable=False,
             )
@@ -193,8 +189,7 @@ class TestExactness:
             if oracles.exact_sequence(reduced, betti_q, iota):
                 exact.add((betti_q, iota))
             try:
-                make_problem(MANIFOLD, S, S.n, coeff, betti_q=betti_q, iota=iota,
-                             orientable=True)
+                QuotientProblem(MANIFOLD, S, S.n, coeff, betti_q=betti_q, iota=iota)
             except InconsistentBundle:
                 continue
             accepted.add((betti_q, iota))
@@ -210,8 +205,8 @@ class TestExactness:
         # every delta bound holds, but H_3(bd Q) = 0 takes no rank -1 map
         with pytest.raises(InconsistentBundle, match=(
                 r"^rank delta_4 \+ rank iota_3 = -1 != 0 = dim H_3\(bd Q\)$")):
-            make_problem(MANIFOLD, corpus_posets["rp2_6"], 3, coeff,
-                         betti_q=betti_q, iota=iota, orientable=True)
+            QuotientProblem(MANIFOLD, corpus_posets["rp2_6"], 3, coeff,
+                            betti_q=betti_q, iota=iota)
 
     def test_negative_rank_in_solve_is_internal_error(self, torus7, monkeypatch):
         # exact rank data leave no table cell negative; only a library
@@ -231,11 +226,11 @@ class TestExactness:
 class TestRelativeAndDelta:
     @pytest.mark.parametrize("n", [2, 4, 3.0])
     def test_hand_built_problem_with_other_rank_refused(self, torus7, n):
-        # a problem built by replace meets make_problem's checks in its
-        # order: 3.0 is no int, and at rank 2 or 4 every link of torus7
+        # a problem built by replace meets the checks of one built directly,
+        # in their order: 3.0 is no int, and at rank 2 or 4 every link of torus7
         # has homology off its top degree
         with pytest.raises(SposetError) as want:
-            make_problem(CONE, torus7, n, RATIONALS)
+            QuotientProblem(CONE, torus7, n, RATIONALS)
         with pytest.raises(SposetError) as got:
             replace(cone_over(torus7), n=n)
         assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
@@ -258,13 +253,13 @@ class TestRelativeAndDelta:
         (CONE, {"betti_q": (1, 1, 0, 0)}),
         (CONE, {"iota": (1, 0, 0, 1)}),
     ])
-    def test_replaced_bundle_refused_as_make_problem_refuses(self, torus7, kind, change):
-        # a problem built by dataclasses.replace skips make_problem, but
-        # not the checks, which the problem makes at construction
+    def test_replaced_bundle_refused_as_construction_refuses(self, torus7, kind, change):
+        # a problem built by dataclasses.replace meets the checks of one
+        # built directly, which the problem makes at construction
         base = solid_torus_problem(torus7) if kind == MANIFOLD else cone_over(torus7)
         data = {"kind": base.kind, "betti_q": base.betti_q, "iota": base.iota, **change}
         with pytest.raises(SposetError) as want:
-            make_problem(data.pop("kind"), torus7, 3, RATIONALS, orientable=True, **data)
+            QuotientProblem(data.pop("kind"), torus7, 3, RATIONALS, **data)
         with pytest.raises(SposetError) as got:
             replace(base, **change)
         assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
@@ -273,8 +268,8 @@ class TestRelativeAndDelta:
         ("poset", NotBuchsbaum), ("charfn", InvalidCharFn), ("coeff", NonFieldCoefficients),
     ])
     def test_replaced_field_refused_at_replace(self, torus7, name, error):
-        # what make_problem once checked alone: the Buchsbaum condition,
-        # the characteristic function and the field
+        # the checks a problem makes besides its rank data: the Buchsbaum
+        # condition, the characteristic function and the field
         bad = {"poset": wedge_of_tetrahedra(),
                "charfn": CharFunction(3, {v: (1, 0, 0) for e in torus7.by_rank(1)
                                           for v in e.vertices}),
@@ -287,9 +282,9 @@ class TestRelativeAndDelta:
         script = (
             "from dataclasses import replace\n"
             "from sposet import INTEGERS, RATIONALS, CharFunction, SposetError, corpus\n"
-            "from sposet import from_facets, make_problem\n"
-            "p = make_problem('manifold', corpus('torus7'), 3, RATIONALS,\n"
-            "                 betti_q=(1, 1, 0, 0), iota=(1, 1, 0, 0), orientable=True)\n"
+            "from sposet import from_facets, QuotientProblem\n"
+            "p = QuotientProblem('manifold', corpus('torus7'), 3, RATIONALS,\n"
+            "                 betti_q=(1, 1, 0, 0), iota=(1, 1, 0, 0))\n"
             "wedge = from_facets([[a for a in t if a != b] for t in ('0123', '0456')\n"
             "                     for b in t])\n"
             "lam = CharFunction(3, {f'v{i}': (1, 0, 0) for i in range(1, 8)})\n"
@@ -355,21 +350,21 @@ class TestPages:
     def test_cone_over_torus7(self, torus7):
         prob = cone_over(torus7)
         tabs = solve(prob)
-        assert tabs.ea1.diagonal(3) == (1, 10, 7, 1)
-        assert tabs.eainf.diagonal(3) == (1, 4, 4, 1)
+        assert tabs.ea1.diagonal() == (1, 10, 7, 1)
+        assert tabs.eainf.diagonal() == (1, 4, 4, 1)
         hpp = face_vector_report(torus7, RATIONALS).hdoubleprime
-        assert tabs.eainf.diagonal(3) == hpp
+        assert tabs.eainf.diagonal() == hpp
 
     def test_solid_torus_pages(self, torus7):
         tabs = solve(solid_torus_problem(torus7))
-        assert tabs.ea1.diagonal(3) == (1, 10, 7, 1)
+        assert tabs.ea1.diagonal() == (1, 10, 7, 1)
         hp = face_vector_report(torus7, RATIONALS).hprime
-        assert tabs.ea2.diagonal(3) == (1, 10, 4, 1)
-        assert tabs.ea2.diagonal(3) == tuple(hp[3 - q] for q in range(4))
+        assert tabs.ea2.diagonal() == (1, 10, 4, 1)
+        assert tabs.ea2.diagonal() == tuple(hp[3 - q] for q in range(4))
 
     def test_cone_over_boundary_triangle(self, bd_triangle):
         tabs = solve(cone_over(bd_triangle))
-        assert tabs.eainf.diagonal(2) == (1, 1, 1)
+        assert tabs.eainf.diagonal() == (1, 1, 1)
         # Cohen-Macaulay input: off-diagonal and non-surviving column
         # entries die below total degree 2n
         for (p, q), v in tabs.eainf.cells.items():
@@ -415,7 +410,7 @@ class TestPages:
                 )
                 orientable = reduced_betti(S, coeff).degree(n - 1) == 1
                 if manifold_like and orientable:
-                    assert solve(prob).ea1.diagonal(n) == e1_diagonal_hprime_form(
+                    assert solve(prob).ea1.diagonal() == e1_diagonal_hprime_form(
                         prob
                     ), (name, coeff.label)
 
@@ -425,7 +420,7 @@ class TestPageThree:
     which only eainf sees, into column 1."""
 
     def test_shape(self):
-        S = s1_x_s2()
+        S = oracles.s1_x_s2()
         assert (len(S.by_rank(4)), len(S), S.n) == (36, 168, 4)
         assert validate_stats(S).f == (1, 12, 48, 72, 36)
         for coeff in (INTEGERS, RATIONALS, prime_field(2), prime_field(3)):
@@ -435,14 +430,14 @@ class TestPageThree:
 
     @pytest.mark.parametrize("label", FIELD_LABELS)
     def test_page_three_differential(self, label):
-        prob = cone_over(s1_x_s2(), parse_coefficients(label))
+        prob = cone_over(oracles.s1_x_s2(), parse_coefficients(label))
         tabs = solve(prob)
         assert prob.delta == (0, 0, 1, 1, 1)
         # (1, 0): 1 -> 0 and (1, 1): 12 -> 8; no earlier page reaches column 1
         for q in (0, 1):
             assert tabs.ea2.rank(1, q) - tabs.eainf.rank(1, q) == comb(4, q)
         assert (tabs.ea2.rank(1, 0), tabs.ea2.rank(1, 1)) == (1, 12)
-        assert tabs.eainf.diagonal(4) == (1, 8, 12, 8, 1)
+        assert tabs.eainf.diagonal() == (1, 8, 12, 8, 1)
         assert verify(prob, tabs).all_passed
 
 
@@ -475,13 +470,13 @@ class TestFieldDecidesPageThree:
 
     @pytest.mark.parametrize("label", FIELD_LABELS)
     def test_t3(self, label):
-        S, coeff = t3(), parse_coefficients(label)
+        S, coeff = oracles.t3(), parse_coefficients(label)
         assert len(S) == 702
         prob = cone_over(S, coeff)
         tabs = solve(prob)
         assert prob.delta == (0, 0, 3, 3, 1)
         assert tabs.bigraded.totals == (1, 0, 23, 0, 114, 12, 38, 3, 1)
-        assert tabs.eainf.diagonal(4) == (1, 23, 96, 23, 1)
+        assert tabs.eainf.diagonal() == (1, 23, 96, 23, 1)
         assert verify(prob, tabs).all_passed
         assert identity_report(S, coeff).all_passed
 
@@ -511,9 +506,9 @@ class TestBigraded:
         assert tuple(big.totals[2 * j] for j in range(3)) == h
 
     def test_table_keeps_nonzero_cells_and_derives_totals(self):
-        table = spectral.PageTable({(0, 0): 0, (1, 0): 2, (2, 1): -1}, 2)
-        assert table.cells == {(1, 0): 2, (2, 1): -1}
-        assert table.totals == (0, 2, 0, -1, 0)
+        table = spectral.PageTable({(0, 0): 0, (1, 0): 2, (2, 1): 3}, 2)
+        assert table.cells == {(1, 0): 2, (2, 1): 3}
+        assert table.totals == (0, 2, 0, 3, 0)
 
     def test_connected_input_has_unit_bottom(self, torus7, bd_triangle):
         for prob in (cone_over(torus7), solid_torus_problem(torus7)):
@@ -542,8 +537,7 @@ class TestVerify:
     ], ids=["disconnected", "pendant_edge"])
     def test_manifold_skips_h_prime_off_orientable_manifolds(self, facets, betti_q):
         S = from_facets([list(f) for f in facets])
-        prob = make_problem(MANIFOLD, S, 2, RATIONALS, betti_q=betti_q, iota=betti_q,
-                            orientable=True)
+        prob = QuotientProblem(MANIFOLD, S, 2, RATIONALS, betti_q=betti_q, iota=betti_q)
         rep = verify(*solved(prob))
         assert "diagonal_is_h_prime" not in rep.checks
         assert rep.skipped["diagonal_is_h_prime"] == (
@@ -573,8 +567,8 @@ class TestVerify:
         ("cone", "ea1", (0, 0), 2, "euler_conserved"),
         ("cone", "eainf", (3, 1), 7, "pages_match_closed_forms"),
         ("cone", "eainf", (1, 1), 5, "diagonal_is_h_double"),
-        ("cone", "eainf", (1, 1), -1, "diagonal_is_h_double"),
-        ("cone", "eainf", (1, 1), -1, "h_double_nonneg"),
+        ("cone", "eainf", (1, 1), 0, "diagonal_is_h_double"),
+        ("cone", "bigraded", (3, 3), 2, "pages_match_closed_forms"),
         ("solid_torus", "ea2", (2, 2), 5, "diagonal_is_h_prime"),
         ("solid_torus", "bigraded", (1, 0), 2, "bigraded_duality"),
     ])
@@ -587,6 +581,22 @@ class TestVerify:
         assert table.rank(*cell) != value
         corrupt = replace(table, cells={**table.cells, cell: value})
         assert not verify(prob, replace(tables, **{label: corrupt})).checks[key]
+
+    def test_h_double_nonneg_can_fail(self, torus7, monkeypatch):
+        # no table cell is negative, so the check reads h'' itself; an h''
+        # lowered below zero, as only a library fault could make it, fails
+        prob = cone_over(torus7)
+        tables = solve(prob)
+        real = spectral.face_vector_report
+
+        def lowered(S, coeff):
+            rep = real(S, coeff)
+            return replace(rep, hdoubleprime=(1, 4, -4, 1))
+
+        monkeypatch.setattr(spectral, "face_vector_report", lowered)
+        checks = verify(prob, tables).checks
+        assert not checks["h_double_nonneg"]
+        assert not checks["diagonal_is_h_double"]
 
     def test_euler_conserved_across_corpus_cones(self, corpus_posets):
         for S in corpus_posets.values():
@@ -605,10 +615,10 @@ def _torus7_report():
     def report():
         identity_report(S, RATIONALS)
         problems = (
-            make_problem(CONE, S, 3, RATIONALS),
-            make_problem(
+            QuotientProblem(CONE, S, 3, RATIONALS),
+            QuotientProblem(
                 MANIFOLD, S, 3, RATIONALS,
-                betti_q=(1, 1, 0, 0), iota=(1, 1, 0, 0), orientable=True,
+                betti_q=(1, 1, 0, 0), iota=(1, 1, 0, 0),
             ),
         )
         for prob in problems:
@@ -665,7 +675,7 @@ class TestComputeOnce:
             "RATIONALS", "SimplexElem", "SimplicialPoset", "SposetError",
             "Tables", "barycentric", "classify", "corpus", "corpus_names",
             "face_vector_report", "from_face_lattice", "from_facets",
-            "identity_report", "make_problem", "parse_coefficients",
+            "identity_report", "parse_coefficients",
             "prime_field", "reduced_betti", "smith_normal_form", "solve",
             "validate_stats", "verify",
         ]

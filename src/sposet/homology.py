@@ -115,7 +115,8 @@ def prime_field(p: int) -> Coefficients:
 
 
 def parse_coefficients(label: str) -> Coefficients:
-    """Parse 'z', 'q' or 'fp:<p>' into a Coefficients value."""
+    """Parse 'z', 'q' or 'fp:<p>', p in ASCII decimal digits, into a
+    Coefficients value; surrounding space and case are ignored."""
     if not isinstance(label, str):
         raise InvalidArgument(f"coefficient label {shown(label)} is not a str")
     label = label.strip().lower()
@@ -123,9 +124,10 @@ def parse_coefficients(label: str) -> Coefficients:
         return INTEGERS
     if label == "q":
         return RATIONALS
-    if label.startswith("fp:"):
+    digits = label[3:]
+    if label.startswith("fp:") and digits.isascii() and digits.isdigit():
         try:
-            return prime_field(int(label[3:]))
+            return prime_field(int(digits))
         except ValueError as exc:
             raise InvalidArgument(f"bad coefficient label {shown(label)}: {exc}") from None
     raise InvalidArgument(f"bad coefficient label {shown(label)}")

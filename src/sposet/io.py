@@ -32,6 +32,24 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+# the keys each kind of object may carry: any other is refused, not dropped
+_BUNDLE_KEYS = ("format", "poset", "n", "field", "charfn", "bettiQ", "iota", "orientable")
+_KEYS = {
+    "sposet-v1": ("format", "name", "elements", "n"),
+    "element": ("id", "vertices", "facets"),
+    "scomplex-v1": ("format", "name", "facets"),
+    "charfn-v1": ("format", "n", "assignment"),
+    "cone-v1": _BUNDLE_KEYS,
+    "manifold-v1": _BUNDLE_KEYS,
+}
+
+
+def _known_keys(doc: dict, kind: str, where: str = "") -> None:
+    for key in doc:
+        if key not in _KEYS[kind]:
+            raise SchemaViolation(f"unknown key {shown(key)} in {where or kind}")
+
+
 def _need(doc: dict, key: str, kind=None):
     if key not in doc:
         raise SchemaViolation(f"missing key {key!r} in {doc.get('format', '?')}")
@@ -42,6 +60,15 @@ def _need(doc: dict, key: str, kind=None):
             f"key {key!r}: expected {kind.__name__}, got {type(value).__name__}"
         )
     return value
+
+
+def _tagged(doc: dict, key: str, tags: tuple[str, ...]) -> dict:
+    # a document nested in a bundle, which must carry one of these tags
+    nested = _need(doc, key, dict)
+    if nested.get("format") not in tags:
+        raise SchemaViolation(f"{key} format tag {shown(nested.get('format'))} is not "
+                              + " or ".join(map(repr, tags)))
+    return nested
 
 
 def _ints(value, where: str) -> tuple[int, ...]:
@@ -76,7 +103,8 @@ def _checked_once(build, lists, locate):
 
 
 def _parse_poset(doc: dict) -> SimplicialPoset:
-    fmt = doc.get("format")
+    fmt = doc["format"]
+    _known_keys(doc, fmt)
     name = _need(doc, "name", str) if "name" in doc else ""
     if fmt == "scomplex-v1":
         facets = _need(doc, "facets", list)
@@ -88,6 +116,7 @@ def _parse_poset(doc: dict) -> SimplicialPoset:
     for idx, raw in enumerate(elements):
         if not isinstance(raw, dict):
             raise SchemaViolation(f"elements[{idx}] is not an object")
+        _known_keys(raw, "element", f"elements[{idx}]")
         elems.append(
             SimplexElem(
                 _name(_need(raw, "id"), f"elements[{idx}].id"),
@@ -100,6 +129,7 @@ def _parse_poset(doc: dict) -> SimplicialPoset:
 
 
 def _parse_charfn(doc: dict) -> CharFunction:
+    _known_keys(doc, "charfn-v1")
     n = _need(doc, "n", int)
     assignment = _need(doc, "assignment", dict)
     return _checked_once(
@@ -108,18 +138,14 @@ def _parse_charfn(doc: dict) -> CharFunction:
 
 
 def _parse_problem(doc: dict) -> spectral.QuotientProblem:
+    _known_keys(doc, doc["format"])
     kind = spectral.CONE if doc["format"] == "cone-v1" else spectral.MANIFOLD
-    poset_doc = _need(doc, "poset", dict)
-    tag = poset_doc.get("format")
-    if tag not in ("sposet-v1", "scomplex-v1"):
-        raise SchemaViolation(
-            f"poset format tag {shown(tag)} is not 'sposet-v1' or 'scomplex-v1'")
-    poset = _parse_poset(poset_doc)
+    poset = _parse_poset(_tagged(doc, "poset", ("sposet-v1", "scomplex-v1")))
     n = _need(doc, "n", int)
     coeff = parse_coefficients(_need(doc, "field", str))
     lam = None
     if doc.get("charfn") is not None:
-        lam = _parse_charfn(_need(doc, "charfn", dict))
+        lam = _parse_charfn(_tagged(doc, "charfn", ("charfn-v1",)))
     # a manifold must give its rank data and flag and a cone may, but none is
     # dropped: the problem checks the rank data, and Q is orientable
     ranks = [_ints(_need(doc, key), key) if kind == spectral.MANIFOLD or key in doc

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, repeat
 from math import factorial
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple, NoReturn
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     DanglingFaceRef,
@@ -33,6 +33,8 @@ MAX_RANK = 64
 # Caps the faces from_facets enumerates, 2**k - 1 per facet of k vertices,
 # so one large facet is refused before it exhausts memory.
 MAX_FACES = 2**18
+# the types of a facet whose names are all strs, as from_facets compares them
+_STR = frozenset((str,))
 
 
 class SimplexElem(NamedTuple):
@@ -269,35 +271,46 @@ def from_facets(facet_vertex_sets: Iterable[Iterable], name: str = "") -> Simpli
     Each facet is a collection (not a str) of at most ``MAX_RANK`` distinct
     vertex names, strs or ints, an int taken as its str, so ``1`` and
     ``"1"`` in one facet are a repeat, a ``RankMismatch``; the facets have
-    at most ``MAX_FACES`` nonempty subsets in all, counted per facet.  Every
-    nonempty subset of a facet becomes one face whose id is its sorted
-    vertex names joined by commas, so a vertex is named by itself and the
-    result is a genuine simplicial complex.  Built rank by rank from the
-    distinct sorted facets, once the guards passed over all of them: the
-    rank-k faces are their k-subsets, and each facet id is found by its
-    vertex tuple in the rank below.  Faces made this way satisfy every
-    axiom ``from_face_lattice`` checks once no two ids collide.
+    at most ``MAX_FACES`` nonempty subsets in all, counted per facet; the
+    first facet at fault raises before the next is read.  Every nonempty
+    subset of a facet becomes one face whose id is its sorted vertex names
+    joined by commas, so a vertex is named by itself and the result is a
+    genuine simplicial complex.  Built rank by rank from the distinct
+    sorted facets: the rank-k faces are their k-subsets, and each facet id
+    is found by its vertex tuple in the rank below.  Faces made this way
+    satisfy every axiom ``from_face_lattice`` checks once no two ids collide.
     """
     _require_input(facet_vertex_sets, name)
-    raws = list(facet_vertex_sets)
-    shaped = set(map(type, raws)) <= {list, tuple} or (
-        all(map(isinstance, raws, repeat(Iterable)))
-        and not any(map(isinstance, raws, repeat((str, bytes)))))
-    tuples = list(map(tuple, raws)) if shaped else []
-    all_str = set(map(type, chain.from_iterable(tuples))) <= {str}
-    named = shaped and (all_str or all(map(is_name, chain.from_iterable(tuples))))
-    names = tuples if all_str else map(map, repeat(str), tuples)  # an int taken as its str
-    vsets = list(map(sorted, map(set, names))) if named else []
-    sizes = list(map(len, vsets))
-    if not (sizes and min(sizes) and max(sizes) <= MAX_RANK
-            and sum(sizes) == sum(map(len, tuples))  # no name repeated in a facet
-            and sum(map((1).__lshift__, sizes)) - len(sizes) <= MAX_FACES):
-        _refuse_facet(raws, tuples)
+    vsets, total = [], 0
+    for raw in facet_vertex_sets:
+        shaped = type(raw) in (list, tuple) or (
+            isinstance(raw, Iterable) and not isinstance(raw, (str, bytes)))
+        fs = tuple(raw) if shaped else ()
+        all_str = _STR.issuperset(map(type, fs))
+        if not shaped or not (all_str or all(map(is_name, fs))):
+            raise PosetValidationError(
+                "", "element-shape", f"facet {shown(raw)} is not a collection of str or int names")
+        vs = set(fs) if all_str else set(map(str, fs))  # an int taken as its str
+        if len(vs) < len(fs):
+            raise RankMismatch("", "rank", f"facet {shown(raw)} repeats a vertex name")
+        if not vs:
+            raise EmptyInput("empty facet vertex set")
+        if len(vs) > MAX_RANK:
+            raise PosetValidationError(
+                "", "ambient-rank", f"facet of {len(vs)} vertices above the bound {MAX_RANK}")
+        total += (1 << len(vs)) - 1
+        if total > MAX_FACES:
+            raise PosetValidationError("", "face-count", (
+                f"facets with {total} faces counted per facet, above the bound {MAX_FACES}"))
+        vsets.append(sorted(vs))
+    if not vsets:
+        raise EmptyInput("no facets given")
 
     # below maps each face of the rank below to its id, a vertex by its
     # bare name, as itemgetter returns a single index bare
     facets, elems, below, count = set(map(tuple, vsets)), {}, {}, 0
-    for k in range(1, max(sizes) + 1):
+    top = max(map(len, vsets))
+    for k in range(1, top + 1):
         faces = list(set(chain.from_iterable(map(combinations, facets, repeat(k)))))
         ids = list(map(",".join, faces))
         facet_ids = zip(*(
@@ -310,32 +323,7 @@ def from_facets(facet_vertex_sets: Iterable[Iterable], name: str = "") -> Simpli
         raise PosetValidationError(
             "", "vertex-name", "vertex names collide under subset naming"
         )
-    return SimplicialPoset(elems, max(sizes), name)
-
-
-def _refuse_facet(raws: list, tuples: list) -> NoReturn:
-    # the error path of from_facets: the guards facet by facet, in input
-    # order, raising the first fault
-    total = 0
-    for idx, raw in enumerate(raws):
-        shaped = isinstance(raw, Iterable) and not isinstance(raw, (str, bytes))
-        fs = tuples[idx] if tuples else tuple(raw) if shaped else ()
-        if not shaped or not all(map(is_name, fs)):
-            raise PosetValidationError(
-                "", "element-shape", f"facet {shown(raw)} is not a collection of str or int names")
-        vs = set(map(str, fs))
-        if len(vs) < len(fs):
-            raise RankMismatch("", "rank", f"facet {shown(raw)} repeats a vertex name")
-        if not vs:
-            raise EmptyInput("empty facet vertex set")
-        if len(vs) > MAX_RANK:
-            raise PosetValidationError(
-                "", "ambient-rank", f"facet of {len(vs)} vertices above the bound {MAX_RANK}")
-        total += 2 ** len(vs) - 1
-        if total > MAX_FACES:
-            raise PosetValidationError("", "face-count", (
-                f"facets with {total} faces counted per facet, above the bound {MAX_FACES}"))
-    raise EmptyInput("no facets given")
+    return SimplicialPoset(elems, top, name)
 
 
 def barycentric(S: SimplicialPoset) -> SimplicialPoset:
@@ -345,13 +333,8 @@ def barycentric(S: SimplicialPoset) -> SimplicialPoset:
     chains.  Always a genuine simplicial complex.
     """
     _require_poset(S)
-    cached = S._cache.get("barycentric")
-    if cached is not None:
-        return cached
     if len(S) == 0:
-        out = SimplicialPoset({}, S.n, name=f"sd({S.name or '?'})")
-        S._cache["barycentric"] = out
-        return out
+        return SimplicialPoset({}, S.n, name=f"sd({S.name or '?'})")
 
     # a maximal face of rank k lies over k! maximal chains, each a facet of
     # 2^k - 1 faces: the count from_facets would refuse, made before listing one
@@ -378,7 +361,6 @@ def barycentric(S: SimplicialPoset) -> SimplicialPoset:
     out = from_facets(chains, name=f"sd({S.name or '?'})")
     if S.n != out.n:
         out = SimplicialPoset(dict((e.id, e) for e in out.elements()), S.n, out.name)
-    S._cache["barycentric"] = out
     return out
 
 

@@ -333,8 +333,8 @@ def verify(prob: QuotientProblem, tables: Tables) -> VerifyReport:
     euler_conserved: the signed cell sum of the first page equals the
     signed total Betti sum.  pages_match_closed_forms: summing the last
     page along antidiagonals reproduces the bigraded totals.  Cone
-    problems compare the last-page diagonal with h'' and check that h''
-    is nonnegative, as every table cell is by construction; manifold
+    problems compare the last-page diagonal with h'', which no table
+    cell can make negative, so a negative h'' fails that too; manifold
     problems over an orientable homology manifold compare the page-two
     diagonal with reversed h' and check the (i, j) <-> (n-i, n-j)
     symmetry.  Every report skips lambda_independent: ``solve`` never
@@ -370,7 +370,6 @@ def verify(prob: QuotientProblem, tables: Tables) -> VerifyReport:
 
     if prob.kind == CONE:
         checks["diagonal_is_h_double"] = tables.eainf.diagonal() == faces.hdoubleprime
-        checks["h_double_nonneg"] = all(x >= 0 for x in faces.hdoubleprime)
     else:
         try:
             cls = classify(prob.poset, prob.coeff)

@@ -169,6 +169,18 @@ class TestIdentityReport:
             assert rep.checks.get("h_double_nonneg", True), name
             assert all(x >= 0 for x in rep.report.hdoubleprime), name
 
+    def test_h_double_nonneg_can_fail(self, torus7, monkeypatch):
+        # an h'' lowered below zero in the face record, as only a library
+        # fault could make it, fails the check
+        assert identity_report(torus7, RATIONALS).checks["h_double_nonneg"]
+        real = facevec.face_vector_report
+
+        def lowered(S, coeff):
+            return replace(real(S, coeff), hdoubleprime=(1, 4, -4, 1))
+
+        monkeypatch.setattr(facevec, "face_vector_report", lowered)
+        assert not identity_report(torus7, RATIONALS).checks["h_double_nonneg"]
+
 
     @pytest.mark.parametrize("facets", [
         [("a", "b", "c"), ("a", "d", "e")],

@@ -59,20 +59,20 @@ T3 = {
 CASES = {
     "cone_torus7_q": (
         ["quotient", "cone", "--corpus", "torus7", "--n", "3", "--field", "q", "--json"],
-        "98b53dca0d67500fb5032e7542d32751d7e0a76fb9cbfaf100f7fb77fca5cbfe",
+        "a9f6ae62f15fe6c51d948f3a1f8555016912619e212cb373c6b81a7bb12a7910",
     ),
     "cone_torus7_f2": (
         ["quotient", "cone", "--corpus", "torus7", "--n", "3", "--field", "fp:2", "--json"],
-        "f2e52beafdfa2dd6ee8c9ef003c7c24dc667e13f1e91b59784dad13946c14134",
+        "fbda71d742dfeef32581b0c20810537c6f4b9f93be248b1bdf46b0cccb8ab8c6",
     ),
     "cone_torus7_q_charfn": (
         ["quotient", "cone", "--corpus", "torus7", "--n", "3", "--field", "q",
          "--charfn", "{lambda}", "--json"],
-        "d04ce50e5cc6168f6d47a56bedae2434e84548414f78fa45a016a055294453d2",
+        "18014263a3e269b82141e7ae8196bc9080fd764c574e7227a1a6f31fe3522311",
     ),
     "cone_torus7_q_text": (
         ["quotient", "cone", "--corpus", "torus7", "--n", "3", "--field", "q"],
-        "3a17200e0458d5a901b9de9af5518aeead025661008e4e314ee72c07cf75fcff",
+        "51dce7486dd35fe7bf822f19c9b7dbd3a4cfb34375b30de1a4c440d77b3950e6",
     ),
     "manifold_solid_torus_bundle": (
         ["quotient", "manifold", "{bundle}", "--json"],
@@ -85,12 +85,12 @@ CASES = {
     ),
     "cone_boundary_simplex3_q": (
         ["quotient", "cone", "--corpus", "boundary_simplex(3)", "--n", "3", "--json"],
-        "d57e0729df8cbcfe7f5b6f651943cb32ee9af5d514facc76032a12cd601c5de4",
+        "de49b37415195faf82c31fd9a3383c0420ec1de291561c3eb2293eec7b43dc65",
     ),
     "cone_boundary_simplex4_f3": (
         ["quotient", "cone", "--corpus", "boundary_simplex(4)", "--n", "4",
          "--field", "fp:3", "--json"],
-        "f0d0bec8c5caced00d4f3f8ff8e475ac462280e2f44d50c7769fdb772d40b13e",
+        "f809e3f4e62a969af00bf0ec30545fd0df22a02f0976f096c961ad6157addcfc",
     ),
     "manifold_ball_boundary_simplex3_q": (
         ["quotient", "manifold", "--corpus", "boundary_simplex(3)", "--n", "3",
@@ -99,47 +99,47 @@ CASES = {
     ),
     "cone_rp2_q": (
         ["quotient", "cone", "--corpus", "rp2_6", "--n", "3", "--json"],
-        "dd023776808fb8d9aa5ccdb2571c488999a4ce217259202cef31019f6a58b18f",
+        "2e10010e6a1cc5f886b03798f1e17b3a8e14e4e7481390ddac2bec5b82c9bab6",
     ),
     "cone_rp2_f2": (
         ["quotient", "cone", "--corpus", "rp2_6", "--n", "3", "--field", "fp:2", "--json"],
-        "a46882cb2817df57936267a189d2d199bdcabe22e0750140796d0839bf4c7540",
+        "7424ae608d86f95a283915d3e2c60726f05d0e7f189bff11282c65377a3ee7e7",
     ),
     "cone_s1xs2_q": (
         ["quotient", "cone", "{s1xs2}", "--n", "4", "--json"],
-        "18057b00072d28ebc6f79ceddf67cfe839c8272193c5d6bdb53b6b6da87def7a",
+        "f10a6baf6b09e919201948a6fe532ffc03481200426f31eb3c039373ef864540",
     ),
     "cone_s1xs2_f2": (
         ["quotient", "cone", "{s1xs2}", "--n", "4", "--field", "fp:2", "--json"],
-        "ebbff4d1e4994a38eeaef50bb476432b4612d059136119139d70cb29ccb14ce5",
+        "db05351d0b616074aac4c76aaeb5f45df40ce12dfed767d480239ed2486d346a",
     ),
     "cone_s1xs2_f3": (
         ["quotient", "cone", "{s1xs2}", "--n", "4", "--field", "fp:3", "--json"],
-        "be33ba82c1b11caa5b57f7fc57d7fee1ea34c5767dc50782bb882dab21d04a91",
+        "8d7969b7091cb787df9f1f808a7df19b23ffe53871104aeca8a99f60dfa2da6d",
     ),
     "cone_rp3_q": (
         ["quotient", "cone", "{rp3}", "--n", "4", "--field", "q", "--json"],
-        "e017dd06cb0b1b7c2c82ec3e5259c13aeafdd8304cc9348407fb742889ed6169",
+        "ebd2c2793468bef6b1b3da4ef40b09a27cf935d86122f5bf4b745b6c1f26e475",
     ),
     "cone_rp3_f2": (
         ["quotient", "cone", "{rp3}", "--n", "4", "--field", "fp:2", "--json"],
-        "10e2a00a7ba07624a3a1ee7a291262b92a46227ef4af7bbb2cd37746a6f458b2",
+        "0b99fb862ee1348ab40c9763d074c8890c94689baec34122d2aeb4c9cc61780b",
     ),
     "cone_rp3_f3": (
         ["quotient", "cone", "{rp3}", "--n", "4", "--field", "fp:3", "--json"],
-        "f31f3a5b6c20466fe4fd91d8561fd60c87e60fea378e7166b301ee32eb7e302d",
+        "533756de6f1173c031e6ecfe51fdb791fdf5a920d09f4569b9fb766bc3f1ccae",
     ),
     "cone_t3_q": (
         ["quotient", "cone", "{t3}", "--n", "4", "--field", "q", "--json"],
-        "0483fbb65b91aeadbffa96c4447c56511f57f3c2e3ce00004f3cdfa3646c68c2",
+        "831eb9fa965dd173ce45d9b370480a40ea4f7bf0cb6acc948898c8d75338f522",
     ),
     "cone_t3_f2": (
         ["quotient", "cone", "{t3}", "--n", "4", "--field", "fp:2", "--json"],
-        "58bc75b9a86e5de5c0cccf422b77444587bc3a40efba4daae23c9596cff0cb43",
+        "59a1156684f7530edca665ac75be4a384188f20621c3a2c7777aa126f8b9074a",
     ),
     "cone_t3_f3": (
         ["quotient", "cone", "{t3}", "--n", "4", "--field", "fp:3", "--json"],
-        "2297143c2a9107f994fd528a62f6e5aca97f7d506a8ab859009e670fea864185",
+        "9f2c0c541c02028f1870f0f5053cf9cb39c898a058ce8bbe940816cdc1e0007b",
     ),
 }
 

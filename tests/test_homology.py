@@ -52,7 +52,7 @@ class TestCoefficients:
             prime_field(1)
 
     def test_bad_label(self):
-        for label in ("fp:six", "fp:x", "w"):
+        for label in ("fp:six", "fp:x", "w", "fp:1_3", "fp:\u0663", "fp:+3", "fp: 3"):
             with pytest.raises(InvalidArgument, match="bad coefficient label"):
                 parse_coefficients(label)
 

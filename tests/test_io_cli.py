@@ -778,7 +778,7 @@ def test_repeated_top_level_key_is_refused():
         io_mod.parse(doc)
     with pytest.raises(SchemaViolation, match="key 'name' repeated in one object"):
         io_mod.parse(doc.encode())
-    assert io_mod.parse(doc.replace('"name": "y"', '"n": 1')).name == "x"
+    assert io_mod.parse(doc.replace(', "name": "y"', "")).name == "x"
 
 
 def test_bad_coefficient_label_is_clean_error(capsys):
@@ -865,6 +865,85 @@ def test_cone_bundle_rank_keys_are_checked(case, tmp_path, capsys):
 def test_cone_bundle_may_give_its_own_rank_data():
     given = _triangle_cone(bettiQ=[1, 0, 0], iota=[1, 0, 0], orientable=True)
     assert io_mod.parse(given) == io_mod.parse(_triangle_cone())
+
+
+def _refused_in_full(doc, argv, message, tmp_path, capsys):
+    # io.parse raises the message, and the CLI prints it as its one line
+    with pytest.raises(SposetError) as err:
+        io_mod.parse(json.dumps(doc))
+    assert f"{type(err.value).__name__}: {err.value}" == message
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([a.format(path=path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"Error: {message}\n"
+
+
+@pytest.mark.parametrize("tag", ["banana", None, 7], ids=["banana", "missing", "int"])
+def test_bundle_charfn_needs_its_tag(tag, tmp_path, capsys):
+    lam = {k: v for k, v in _triangle_lambda([1, 0]).items() if k != "format"}
+    if tag is not None:
+        lam["format"] = tag
+    _refused_in_full(_triangle_cone(charfn=lam), ["quotient", "cone", "{path}", "--json"],
+                     f"SchemaViolation: charfn format tag {tag!r} is not 'charfn-v1'",
+                     tmp_path, capsys)
+
+
+def _triangle_scomplex(**changes):
+    return {"format": "scomplex-v1", "name": "bd", "facets": [["a", "b"], ["a", "c"],
+                                                             ["b", "c"]], **changes}
+
+
+def _with_element_key(doc):
+    return {**doc, "elements": [{**doc["elements"][0], "rank": 1}, *doc["elements"][1:]]}
+
+
+QUOTIENT_CONE = ["quotient", "cone", "{path}", "--json"]
+# each kind of object, top level and nested, with a key its format does not
+# define; each once passed, the key dropped
+UNKNOWN_KEYS = {
+    "sposet": ({**_triangle_doc(), "dim": 1}, ["stats", "{path}"], "'dim' in sposet-v1"),
+    "sposet_element": (_with_element_key(_triangle_doc()), ["stats", "{path}"],
+                       "'rank' in elements[0]"),
+    "scomplex_n": (_triangle_scomplex(n=3), ["stats", "{path}"], "'n' in scomplex-v1"),
+    "scomplex_n_str": (_triangle_scomplex(n="x"), ["stats", "{path}"], "'n' in scomplex-v1"),
+    "charfn": ({**_triangle_lambda([1, 0]), "name": "x"}, CHARFN_CHECK,
+               "'name' in charfn-v1"),
+    "cone_charfun": (_triangle_cone(charfun=_triangle_lambda([2, 0])), QUOTIENT_CONE,
+                     "'charfun' in cone-v1"),
+    "manifold": (_triangle_manifold(betti=[1, 0, 0]), ["quotient", "manifold", "{path}"],
+                 "'betti' in manifold-v1"),
+    "cone_poset": (_triangle_cone(poset=_triangle_scomplex(n=2)), QUOTIENT_CONE,
+                   "'n' in scomplex-v1"),
+    "cone_poset_element": (_triangle_cone(poset=_with_element_key(_triangle_doc())),
+                           QUOTIENT_CONE, "'rank' in elements[0]"),
+    "cone_charfn": (_triangle_cone(charfn={**_triangle_lambda([1, 0]), "bound": 5}),
+                    QUOTIENT_CONE, "'bound' in charfn-v1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_KEYS))
+def test_unknown_key_is_refused(case, tmp_path, capsys):
+    doc, argv, where = UNKNOWN_KEYS[case]
+    _refused_in_full(doc, argv, f"SchemaViolation: unknown key {where}", tmp_path, capsys)
+
+
+@pytest.mark.parametrize("label", ["fp:1_3", "fp:\u0663", "fp:+3", "fp: 3"],
+                         ids=["underscore", "arabic_indic_digit", "plus", "inner_space"])
+def test_prime_field_label_takes_ascii_digits_only(label, tmp_path, capsys):
+    # int() reads each of these as 13 or 3
+    message = f"InvalidArgument: bad coefficient label {label!r}"
+    assert main(["homology", "--corpus", "torus7", "--coeff", label, "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"Error: {message}\n"
+    _refused_in_full(_triangle_cone(field=label), QUOTIENT_CONE, message, tmp_path, capsys)
+
+
+def test_prime_field_label_keeps_outer_space_and_case():
+    assert parse_coefficients(" FP:3\n") == prime_field(3)
+    assert io_mod.parse(_triangle_cone(field="Fp:3 ")).coeff == prime_field(3)
 
 
 def test_manifold_command_has_no_orientable_option(capsys):

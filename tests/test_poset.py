@@ -181,6 +181,15 @@ class TestFromFacets:
         with pytest.raises(PosetValidationError, match="element-shape"):
             from_facets([iter(["a", True])])
 
+    def test_refusal_stops_reading_at_the_faulty_facet(self):
+        def facets():
+            yield ["a", "b"]
+            yield []
+            raise RuntimeError("read past the empty facet")
+
+        with pytest.raises(EmptyInput, match="empty facet vertex set"):
+            from_facets(facets())
+
     def test_facet_order_does_not_matter(self, torus7):
         S = barycentric(barycentric(torus7))
         facets = [S.element(m).vertices for m in S.maximal_ids()]

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotConnected, NotPure
+from .errors import InvalidArgument, NotConnected, NotPure, shown
 from .homology import Coefficients, _link_table, reduced_betti
-from .poset import SimplicialPoset, validate_stats
+from .poset import SimplicialPoset, is_int, validate_stats
 
 # (element id or None for the poset itself, degree, offending Betti rank)
 Witness = tuple[str | None, int, int]
@@ -45,11 +45,14 @@ def buchsbaum_witnesses(
     ``n`` defaults to the poset's own ambient rank; passing a larger
     value checks the poset against that rank instead, which also flags
     wrong-dimensional or non-pure input (their maximal faces have empty
-    links away from the expected top degree).  No connectivity gate.
+    links away from the expected top degree); an ``n`` that is not an int
+    is refused.  No connectivity gate.
     """
     table = _link_table(S, coeff)
     if n is None:
         n = S.n
+    elif not is_int(n):
+        raise InvalidArgument(f"rank n = {shown(n)} is not an integer")
     out: list[Witness] = []
     for eid, rank, reduced, torsion in table:
         top = n - rank  # the index of degree n - 1 - rank

@@ -17,8 +17,8 @@ import sys
 import click
 from click.core import ParameterSource
 
+from . import __version__, spectral
 from . import io as io_mod
-from . import spectral
 from .charfn import CharFunction, random_q_charfn
 from .charfn import check as charfn_check
 from .classify import classify as classify_op
@@ -90,6 +90,25 @@ def _poset_args(fn):
     return fn
 
 
+class _Integer(click.ParamType):
+    """An integer as written: an optional minus and ASCII digits, with
+    outer space ignored; click's int would also read +3, 3_0 and other
+    scripts' digits."""
+
+    name = "integer"
+
+    def convert(self, value, param, ctx):
+        text = str(value).strip()
+        digits = text.removeprefix("-")
+        if digits.isascii() and digits.isdigit():
+            try:
+                return int(text)
+            except ValueError:  # more digits than the interpreter reads
+                pass
+        self.fail(f"{value!r} is not a valid integer.", param, ctx)
+
+
+_INT = _Integer()
 _FIELD = click.option(
     "--field", default="q", show_default=True, help="q or fp:<p>"
 )
@@ -106,7 +125,7 @@ class _Cli(click.Group):
 
 
 @click.group(cls=_Cli)
-@click.version_option(package_name="sposet")
+@click.version_option(version=__version__)
 def cli():
     """Exact invariants of simplicial posets and torus quotient ranks."""
 
@@ -198,9 +217,9 @@ def charfn_check_cmd(charfn_path, corpus_name, path, coeff, as_json):
 
 @charfn.command(name="random")
 @_poset_args
-@click.option("--n", "rank", type=int, required=True, help="torus rank")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--bound", type=int, default=5, show_default=True)
+@click.option("--n", "rank", type=_INT, required=True, help="torus rank")
+@click.option("--seed", type=_INT, default=0, show_default=True)
+@click.option("--bound", type=_INT, default=5, show_default=True)
 def charfn_random_cmd(corpus_name, path, rank, seed, bound):
     """Sample a rational characteristic function (emits charfn-v1)."""
     S = _poset(corpus_name, path)
@@ -269,8 +288,8 @@ def _int_list(ctx, param, value):
     if value is None:
         return None
     try:
-        return tuple(int(x) for x in value.split(","))
-    except ValueError:
+        return tuple(_INT.convert(x, param, ctx) for x in value.split(","))
+    except click.BadParameter:
         raise click.BadParameter(
             f"{value!r} is not a comma separated list of integers"
         ) from None
@@ -278,7 +297,7 @@ def _int_list(ctx, param, value):
 
 def _quotient_options(fn):
     fn = _poset_args(fn)
-    fn = click.option("--n", "rank", type=int, help="torus rank")(fn)
+    fn = click.option("--n", "rank", type=_INT, help="torus rank")(fn)
     fn = _FIELD(fn)
     fn = click.option("--charfn", "charfn_path", type=_FILE)(fn)
     fn = _JSON(fn)
@@ -329,17 +348,11 @@ def corpus_emit(name):
 
 
 def main(argv=None):
+    # click's standalone mode shows every outcome and always ends in SystemExit
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.ClickException as exc:
-        exc.show()
-        return exc.exit_code
-    except click.exceptions.Abort:
-        click.echo("aborted", err=True)
-        return 1
+        cli.main(args=argv)
     except SystemExit as exc:
-        return exc.code or 0
-    return 0
+        return exc.code
 
 
 if __name__ == "__main__":

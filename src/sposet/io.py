@@ -10,6 +10,7 @@ Emission is canonical: sorted keys, fixed separators, elements in
 from __future__ import annotations
 
 import json
+import os
 from itertools import repeat
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from .homology import parse_coefficients
 from .poset import (
     SimplexElem,
     SimplicialPoset,
+    _require_poset,
     from_face_lattice,
     from_facets,
     is_int,
@@ -207,6 +209,8 @@ def parse(source):
 
 
 def parse_path(path) -> object:
+    if not isinstance(path, (str, os.PathLike)):
+        raise InvalidArgument(f"path {shown(path)} is not a str or os.PathLike")
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -215,6 +219,7 @@ def parse_path(path) -> object:
 
 
 def emit_poset(S: SimplicialPoset) -> dict:
+    _require_poset(S)
     doc = {
         "format": "sposet-v1",
         "name": S.name,
@@ -233,6 +238,8 @@ def emit_poset(S: SimplicialPoset) -> dict:
 
 
 def emit_charfn(lam: CharFunction) -> dict:
+    if not isinstance(lam, CharFunction):
+        raise InvalidArgument(f"{shown(lam)} is not a CharFunction")
     return {
         "format": "charfn-v1",
         "n": lam.n,

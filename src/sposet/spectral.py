@@ -208,13 +208,20 @@ class PageTable:
 
 @dataclass(frozen=True)
 class Tables:
-    """Every rank table of one quotient problem, as computed by solve."""
+    """Every rank table of one quotient problem, as computed by solve;
+    refuses a field that is not a PageTable."""
 
     e1trunc: PageTable
     ea1: PageTable
     ea2: PageTable
     eainf: PageTable
     bigraded: PageTable
+
+    def __post_init__(self):
+        for f in fields(self):
+            table = getattr(self, f.name)
+            if not isinstance(table, PageTable):
+                raise InvalidArgument(f"table {f.name} is {shown(table)}, not a PageTable")
 
     def to_json(self) -> dict[str, object]:
         out = {f.name: getattr(self, f.name).to_json() for f in fields(self)}
@@ -240,6 +247,8 @@ def e1_diagonal_hprime_form(prob: QuotientProblem) -> tuple[int, ...]:
     field: h'_(n-q) for q <= n-2, then h'_1 + n, then the top relative
     dimension.  Must agree entrywise with the ea1 diagonal of solve.
     """
+    if not isinstance(prob, QuotientProblem):
+        raise InvalidArgument(f"{shown(prob)} is not a QuotientProblem")
     n, hp = prob.n, face_vector_report(prob.poset, prob.coeff).hprime
     diag = [hp[n - q] for q in range(n - 1)]
     if n >= 1:
@@ -329,7 +338,7 @@ def solve(prob: QuotientProblem) -> Tables:
 def verify(prob: QuotientProblem, tables: Tables) -> VerifyReport:
     """Cross-checks of solved tables against closed forms and dualities.
 
-    Refuses tables that are not PageTables of the problem's torus rank.
+    Refuses tables of another torus rank than the problem's.
     euler_conserved: the signed cell sum of the first page equals the
     signed total Betti sum.  pages_match_closed_forms: summing the last
     page along antidiagonals reproduces the bigraded totals.  Cone
@@ -350,8 +359,6 @@ def verify(prob: QuotientProblem, tables: Tables) -> VerifyReport:
     n = prob.n
     for f in fields(tables):
         table = getattr(tables, f.name)
-        if not isinstance(table, PageTable):
-            raise InvalidArgument(f"table {f.name} is {shown(table)}, not a PageTable")
         if table.n != n:
             raise InvalidArgument(
                 f"table {f.name} is for torus rank {shown(table.n)}, not the problem's {n}")

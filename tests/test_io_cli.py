@@ -14,7 +14,7 @@ from sposet import io as io_mod
 from sposet import spectral
 from sposet.charfn import CharFunction, random_q_charfn
 from sposet.charfn import check as charfn_check
-from sposet.classify import classify
+from sposet.classify import buchsbaum_witnesses, classify
 from sposet.cli import cli, main
 from sposet.corpus import corpus, corpus_names
 from sposet.errors import (
@@ -639,6 +639,20 @@ BAD_LIBRARY_CALLS = {
     # a path that cannot be read as a file
     "parse_path_directory": (lambda: io_mod.parse_path(os.path.dirname(__file__)),
                              InvalidArgument),
+    # a rank that is no int, not read as one
+    "witnesses_n_str": (
+        lambda: buchsbaum_witnesses(corpus("torus7"), RATIONALS, n="x"), InvalidArgument),
+    "witnesses_n_float": (
+        lambda: buchsbaum_witnesses(corpus("torus7"), RATIONALS, n=3.0), InvalidArgument),
+    "witnesses_n_bool": (
+        lambda: buchsbaum_witnesses(corpus("torus7"), RATIONALS, n=True), InvalidArgument),
+    # no path, poset, characteristic function, problem or table where one is due
+    "parse_path_none": (lambda: io_mod.parse_path(None), InvalidArgument),
+    "emit_poset_none": (lambda: io_mod.emit_poset(None), InvalidArgument),
+    "emit_charfn_none": (lambda: io_mod.emit_charfn(None), InvalidArgument),
+    "e1_diagonal_none": (lambda: spectral.e1_diagonal_hprime_form(None), InvalidArgument),
+    "tables_none": (lambda: spectral.Tables(None, None, None, None, None).to_json(),
+                    InvalidArgument),
 }
 
 
@@ -1149,6 +1163,87 @@ def test_exit_code_does_not_depend_on_json(case, tmp_path, capsys, monkeypatch):
     argv = [a.format(lam=lam) for a in argv]
     assert main(argv) == code
     assert main([*argv, "--json"]) == code
+
+
+def test_no_arguments_is_usage_error(capsys):
+    assert main([]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("Usage:")
+
+
+def test_interrupt_in_a_command_exits_1_aborted(monkeypatch, capsys):
+    def interrupted(S):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli_mod, "validate_stats", interrupted)
+    assert main(["stats", "--corpus", "torus7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "\nAborted!\n"
+
+
+def test_version_runs_from_a_checkout(capsys):
+    # the version comes from the package itself, not installed metadata
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out.endswith(" version 0.1.0\n")
+
+
+MANIFOLD_TORUS7 = ["quotient", "manifold", "--corpus", "torus7", "--n", "{n}",
+                   "--betti-q", "1,1,0,{betti_q}", "--iota", "1,1,0,{iota}", "--json"]
+RANDOM_TORUS7 = ["charfn", "random", "--corpus", "torus7", "--n", "{n}", "--seed", "{seed}",
+                 "--bound", "{bound}"]
+# each integer option: a command that gives it, the field of its value (in a
+# list option, the last integer) and the digit that value is written with
+INT_OPTIONS = {
+    "cone_n": (["quotient", "cone", "--corpus", "torus7", "--n", "{n}", "--json"], "n", 3),
+    "manifold_n": (MANIFOLD_TORUS7, "n", 3),
+    "manifold_betti_q": (MANIFOLD_TORUS7, "betti_q", 0),
+    "manifold_iota": (MANIFOLD_TORUS7, "iota", 0),
+    "random_n": (RANDOM_TORUS7, "n", 3),
+    "random_seed": (RANDOM_TORUS7, "seed", 7),
+    "random_bound": (RANDOM_TORUS7, "bound", 3),
+}
+
+
+def _int_run(case, form, capsys):
+    # (exit status, stdout, stderr) with the option's digit d written as form
+    argv, key, digit = INT_OPTIONS[case]
+    values = {"n": "3", "seed": "7", "bound": "3", "betti_q": "0", "iota": "0"}
+    values[key] = form.format(d=digit)
+    code = main([a.format(**values) for a in argv])
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("form", ["+{d}", "{d}_0", "fullwidth", "arabic_indic", "{d}.0",
+                                  "0x{d}", "--{d}"])
+@pytest.mark.parametrize("case", sorted(INT_OPTIONS))
+def test_integer_option_is_read_as_written(case, form, capsys):
+    # a sign other than minus, an underscore, another script's digit, a
+    # point, a base prefix or two minus signs; Python's int reads the first four
+    digit = INT_OPTIONS[case][2]
+    form = {"fullwidth": chr(0xFF10 + digit), "arabic_indic": chr(0x660 + digit)}.get(form, form)
+    code, out, err = _int_run(case, form, capsys)
+    assert code == 2 and out == ""
+    option = "--" + INT_OPTIONS[case][1].replace("_", "-")
+    assert f"Invalid value for '{option}'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("form", ["0{d}", "00{d}", " {d}", "{d}\t"])
+@pytest.mark.parametrize("case", sorted(INT_OPTIONS))
+def test_integer_option_keeps_leading_zeros_and_outer_space(case, form, capsys):
+    expected = _int_run(case, "{d}", capsys)
+    assert expected[0] == 0
+    assert _int_run(case, form, capsys) == expected
+
+
+def test_integer_option_takes_minus_and_any_length(capsys):
+    assert main([*RANDOM_TORUS7[:5], "3", "--seed", "-5", "--bound", "1" + "0" * 23]) == 0
+    assert capsys.readouterr().out.startswith('{"assignment":')
+    # past the interpreter's limit on digits, still a usage error
+    assert main([*RANDOM_TORUS7[:5], "3", "--seed", "1" * 5000]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Invalid value for '--seed'" in captured.err
 
 
 def test_unhashable_format_tag_is_unknown_format():
